@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "src/analysis/scenario_cache.hpp"
-#include "src/common/par.hpp"
 
 namespace {
 // Lock-free allocation counter, bumped by the replaced operator new below.
@@ -74,13 +73,11 @@ const analysis::PipelineResult& cenic_pipeline() {
 
 std::vector<std::shared_ptr<const analysis::PipelineResult>> run_pipelines(
     const std::vector<analysis::PipelineOptions>& options) {
-  std::vector<std::shared_ptr<const analysis::PipelineResult>> out(
-      options.size());
-  par::parallel_for(options.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = analysis::ScenarioCache::global().pipeline(options[i]);
-    }
-  });
+  std::vector<std::shared_ptr<const analysis::PipelineResult>> out;
+  out.reserve(options.size());
+  for (const analysis::PipelineOptions& o : options) {
+    out.push_back(analysis::ScenarioCache::global().pipeline(o));
+  }
   return out;
 }
 
@@ -133,9 +130,8 @@ void write_bench_json(const std::string& path,
   // gating speedup_vs_serial.
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(f,
-               "{\n  \"threads_default\": %zu,\n  \"hw_threads\": %u,\n"
-               "  \"entries\": [",
-               par::default_threads(), hw == 0 ? 1u : hw);
+               "{\n  \"hw_threads\": %u,\n  \"entries\": [",
+               hw == 0 ? 1u : hw);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BenchJsonEntry& e = entries[i];
     std::fprintf(f,

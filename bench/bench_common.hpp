@@ -25,9 +25,8 @@ namespace netfail::bench {
 /// every other ScenarioCache user in the binary).
 const analysis::PipelineResult& cenic_pipeline();
 
-/// Per-seed fan-out: run one pipeline per options entry concurrently on the
-/// netfail::par pool, through the ScenarioCache. Results land in input
-/// order; each pipeline's internal fan-outs run inline on their worker.
+/// Per-seed sweep: run one pipeline per options entry through the
+/// ScenarioCache. Results land in input order.
 std::vector<std::shared_ptr<const analysis::PipelineResult>> run_pipelines(
     const std::vector<analysis::PipelineOptions>& options);
 

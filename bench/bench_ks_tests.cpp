@@ -2,8 +2,8 @@
 // between the syslog-inferred and IS-IS-reported distributions. The paper
 // finds failures-per-link and link downtime consistent but failure duration
 // distinct. A seed-stability sweep re-runs the whole pipeline on perturbed
-// scenario seeds — concurrently, one pipeline per pool worker — to show the
-// verdicts are properties of the methodology, not of one RNG stream.
+// scenario seeds to show the verdicts are properties of the methodology,
+// not of one RNG stream.
 #include <benchmark/benchmark.h>
 
 #include <vector>

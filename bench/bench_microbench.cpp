@@ -1,11 +1,9 @@
 // Microbenchmarks of the substrate hot paths: LSP encode/decode, syslog
 // render/parse, interval-set arithmetic, Table 4's per-link failure join,
-// Fletcher checksum, KS test, and the netfail::par fork/join dispatch
-// overhead.
+// Fletcher checksum, and KS test.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -13,15 +11,12 @@
 
 #include "bench_common.hpp"
 #include "src/analysis/match.hpp"
-#include "src/common/columns.hpp"
 #include "src/common/interval_set.hpp"
-#include "src/common/par.hpp"
 #include "src/common/rng.hpp"
 #include "src/isis/checksum.hpp"
 #include "src/isis/pdu.hpp"
 #include "src/stats/ks_test.hpp"
 #include "src/syslog/message.hpp"
-#include "src/syslog/tokenizer.hpp"
 
 namespace {
 
@@ -174,81 +169,6 @@ void BM_SyslogParse(benchmark::State& state) {
 }
 BENCHMARK(BM_SyslogParse);
 
-void BM_SyslogTokenizeFast(benchmark::State& state) {
-  // The memchr/SWAR backend alone (BM_SyslogParse goes through the
-  // runtime dispatch; BM_SyslogParseScalar below is the reference cost).
-  syslog::Message m;
-  m.timestamp = TimePoint::from_civil(2011, 3, 14, 1, 59, 26);
-  m.reporter = "edu042-gw-1";
-  m.type = syslog::MessageType::kIsisAdjChange;
-  m.dir = LinkDirection::kDown;
-  m.interface = "GigabitEthernet0/1";
-  m.neighbor = "lax-core-1";
-  m.reason = "interface state down";
-  const std::string line = m.render(1234);
-  const AllocSample allocs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(syslog::parse_message_fast(line));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(line.size()));
-  state.counters["allocs_per_op"] = allocs.per_op(state);
-}
-BENCHMARK(BM_SyslogTokenizeFast);
-
-void BM_SyslogParseScalar(benchmark::State& state) {
-  syslog::Message m;
-  m.timestamp = TimePoint::from_civil(2011, 3, 14, 1, 59, 26);
-  m.reporter = "edu042-gw-1";
-  m.type = syslog::MessageType::kIsisAdjChange;
-  m.dir = LinkDirection::kDown;
-  m.interface = "GigabitEthernet0/1";
-  m.neighbor = "lax-core-1";
-  m.reason = "interface state down";
-  const std::string line = m.render(1234);
-  const AllocSample allocs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(syslog::parse_message_scalar(line));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(line.size()));
-  state.counters["allocs_per_op"] = allocs.per_op(state);
-}
-BENCHMARK(BM_SyslogParseScalar);
-
-void BM_ColumnarFill(benchmark::State& state) {
-  // Bulk append into a reused EventColumns batch (DESIGN.md §13): four
-  // parallel-array pushes per row, zero steady-state allocations once the
-  // columns hit capacity. allocs_per_op counts per *batch refill*, not per
-  // row.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(13);
-  std::vector<TimePoint> times;
-  std::vector<LinkId> links;
-  std::vector<Symbol> reporters;
-  std::vector<std::uint8_t> tags;
-  const Symbol host("lax-core-1");
-  for (std::size_t i = 0; i < n; ++i) {
-    times.push_back(TimePoint::from_unix_millis(rng.uniform_int(0, 1 << 30)));
-    links.push_back(LinkId{static_cast<std::uint32_t>(rng.uniform_int(0, 511))});
-    reporters.push_back(host);
-    tags.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 7)));
-  }
-  EventColumns cols;
-  const AllocSample allocs;
-  for (auto _ : state) {
-    cols.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      cols.push_back(times[i], links[i], reporters[i], tags[i]);
-    }
-    benchmark::DoNotOptimize(cols.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.counters["allocs_per_op"] = allocs.per_op(state);
-}
-BENCHMARK(BM_ColumnarFill)->Arg(4096)->Arg(65536);
-
 void BM_IntervalSetAdd(benchmark::State& state) {
   Rng rng(7);
   std::vector<TimeRange> ranges;
@@ -318,20 +238,6 @@ void BM_KsTwoSample(benchmark::State& state) {
 }
 BENCHMARK(BM_KsTwoSample)->Arg(1000)->Arg(10000);
 
-void BM_ParallelForDispatch(benchmark::State& state) {
-  // Fork/join fixed cost: an n-index no-op loop through the global pool.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::atomic<std::uint64_t> sink{0};
-  for (auto _ : state) {
-    par::parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-      sink.fetch_add(end - begin, std::memory_order_relaxed);
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelForDispatch)->Arg(256)->Arg(4096)->Arg(65536);
-
 /// Self-timed entries for the --json trajectory: fixed workloads with
 /// events/sec, best-of `reps` passes per entry.
 std::vector<bench::BenchJsonEntry> measure_json_entries(int reps) {
@@ -374,18 +280,6 @@ std::vector<bench::BenchJsonEntry> measure_json_entries(int reps) {
       benchmark::DoNotOptimize(isis::Lsp::decode(bytes));
     }
   });
-
-  constexpr std::size_t kDispatch = 1'000;
-  std::atomic<std::uint64_t> sink{0};
-  timed("parallel_for_dispatch_4k", kDispatch, [&] {
-    for (std::size_t i = 0; i < kDispatch; ++i) {
-      par::parallel_for(4096, 64, [&](std::size_t begin, std::size_t end) {
-        sink.fetch_add(end - begin, std::memory_order_relaxed);
-      });
-    }
-  });
-  entries.back().threads =
-      static_cast<int>(par::ThreadPool::global().threads());
   return entries;
 }
 

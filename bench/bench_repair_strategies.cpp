@@ -5,10 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <vector>
+#include <string>
 
 #include "bench_common.hpp"
-#include "src/common/par.hpp"
 #include "src/common/strfmt.hpp"
 
 namespace {
@@ -43,18 +42,11 @@ int main(int argc, char** argv) {
       strformat("%.0f h", isis_downtime.hours_f()));
   t.set_header({"Policy", "Failures", "Downtime (h)", "Gap to IS-IS (h)"});
 
-  // The four policy ablations are independent full reconstructions: fan
-  // them out across the pool (each one's per-link fan-out runs inline on
-  // its worker) and rank the results in input order.
-  const std::vector<AmbiguityPolicy> policies = {
-      AmbiguityPolicy::kDrop, AmbiguityPolicy::kAssumeDown,
-      AmbiguityPolicy::kAssumeUp, AmbiguityPolicy::kHoldState};
-  struct PolicyRow {
-    std::size_t failures = 0;
-    double downtime_h = 0;
-    double gap_h = 0;
-  };
-  const auto rows = par::parallel_map(policies, [&](AmbiguityPolicy policy) {
+  double best_gap = -1;
+  std::string best_policy;
+  for (const AmbiguityPolicy policy :
+       {AmbiguityPolicy::kDrop, AmbiguityPolicy::kAssumeDown,
+        AmbiguityPolicy::kAssumeUp, AmbiguityPolicy::kHoldState}) {
     analysis::ReconstructOptions opts;
     opts.period = r.options_period;
     opts.policy = policy;
@@ -67,21 +59,15 @@ int main(int argc, char** argv) {
     (void)analysis::verify_long_failures(recon.failures, r.census,
                                          r.sim.tickets);
     const Duration downtime = analysis::total_downtime(recon.failures);
-    return PolicyRow{recon.failures.size(), downtime.hours_f(),
-                     std::abs(downtime.hours_f() - isis_downtime.hours_f())};
-  });
-
-  double best_gap = -1;
-  std::string best_policy;
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    const PolicyRow& row = rows[i];
-    if (best_gap < 0 || row.gap_h < best_gap) {
-      best_gap = row.gap_h;
-      best_policy = analysis::ambiguity_policy_name(policies[i]);
+    const double gap_h = std::abs(downtime.hours_f() - isis_downtime.hours_f());
+    if (best_gap < 0 || gap_h < best_gap) {
+      best_gap = gap_h;
+      best_policy = analysis::ambiguity_policy_name(policy);
     }
-    t.add_row({analysis::ambiguity_policy_name(policies[i]),
-               std::to_string(row.failures), strformat("%.0f", row.downtime_h),
-               strformat("%.0f", row.gap_h)});
+    t.add_row({analysis::ambiguity_policy_name(policy),
+               std::to_string(recon.failures.size()),
+               strformat("%.0f", downtime.hours_f()),
+               strformat("%.0f", gap_h)});
   }
   std::string text = t.render();
   text += strformat(

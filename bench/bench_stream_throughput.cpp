@@ -18,8 +18,6 @@
 #include "bench_common.hpp"
 #include "src/analysis/reconstruct.hpp"
 #include "src/analysis/scenario_cache.hpp"
-#include "src/common/columns.hpp"
-#include "src/common/par.hpp"
 #include "src/config/miner.hpp"
 #include "src/isis/extract.hpp"
 #include "src/sim/network_sim.hpp"
@@ -71,7 +69,6 @@ std::size_t batch_pass(const Capture& c) {
 }
 
 void BM_BatchExtractReconstruct(benchmark::State& state) {
-  // Reconstruction fans out per link on the global netfail::par pool.
   const Capture& c = capture();
   std::size_t failures = 0;
   for (auto _ : state) {
@@ -84,25 +81,6 @@ void BM_BatchExtractReconstruct(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(failures));
 }
 BENCHMARK(BM_BatchExtractReconstruct)->Unit(benchmark::kMillisecond);
-
-void BM_BatchExtractReconstructSerial(benchmark::State& state) {
-  // The same pass with the pool forced to one thread — the bit-exact
-  // baseline the parallel speedup in BENCH_pipeline.json is measured
-  // against.
-  const Capture& c = capture();
-  par::ThreadPool serial(1);
-  par::PoolGuard guard(&serial);
-  std::size_t failures = 0;
-  for (auto _ : state) {
-    failures = batch_pass(c);
-    benchmark::DoNotOptimize(failures);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.event_count));
-  state.counters["failures"] =
-      benchmark::Counter(static_cast<double>(failures));
-}
-BENCHMARK(BM_BatchExtractReconstructSerial)->Unit(benchmark::kMillisecond);
 
 void BM_StreamEngine(benchmark::State& state) {
   const Capture& c = capture();
@@ -168,46 +146,8 @@ double timed_ms(const std::function<void()>& fn, int reps) {
   return best;
 }
 
-/// One columnar extract+reconstruct pass (DESIGN.md §13): SoA batches from
-/// both extractors, reconstructed via the index-permutation walk. Output is
-/// byte-identical to batch_pass (tests/analysis/columns_test.cpp).
-std::size_t columnar_pass(const Capture& c, EventColumns& isis_cols,
-                          EventColumns& syslog_cols) {
-  analysis::ReconstructOptions opts;
-  opts.period = c.period;
-  isis_cols.clear();
-  syslog_cols.clear();
-  isis::ExtractionStats isis_stats;
-  syslog::SyslogExtractionStats syslog_stats;
-  isis::extract_columns(c.sim().listener.records(), c.census(), isis_cols,
-                        isis_stats);
-  syslog::extract_columns(c.sim().collector, c.census(), syslog_cols,
-                          syslog_stats);
-  const analysis::Reconstruction isis_recon =
-      analysis::reconstruct_from_isis_columns(isis_cols, opts);
-  const analysis::Reconstruction syslog_recon =
-      analysis::reconstruct_from_syslog_columns(syslog_cols, opts);
-  return isis_recon.failures.size() + syslog_recon.failures.size();
-}
-
-void BM_BatchExtractReconstructColumnar(benchmark::State& state) {
-  const Capture& c = capture();
-  EventColumns isis_cols, syslog_cols;
-  std::size_t failures = 0;
-  for (auto _ : state) {
-    failures = columnar_pass(c, isis_cols, syslog_cols);
-    benchmark::DoNotOptimize(failures);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.event_count));
-  state.counters["failures"] =
-      benchmark::Counter(static_cast<double>(failures));
-}
-BENCHMARK(BM_BatchExtractReconstructColumnar)->Unit(benchmark::kMillisecond);
-
-/// Self-timed entries for BENCH_pipeline.json: the batch pipeline pass with
-/// the pool forced serial, the same pass on the global pool (speedup is the
-/// ratio), the columnar pass, and one streaming-engine pass.
+/// Self-timed entries for BENCH_pipeline.json: the batch pipeline pass and
+/// one streaming-engine pass.
 std::vector<bench::BenchJsonEntry> measure_json_entries(int reps) {
   const Capture& c = capture();
   const double events = static_cast<double>(c.event_count);
@@ -224,45 +164,24 @@ std::vector<bench::BenchJsonEntry> measure_json_entries(int reps) {
         engine.isis_tracker().counters().failures_released);
   };
 
-  // Allocations per event, from one extra single-threaded pass of each
-  // flavor (timed passes above warm every cache, so these are steady-state).
+  // Allocations per event, from one extra pass of each flavor (the timed
+  // passes warm every cache, so these are steady-state).
   const auto allocs_of = [&](const std::function<void()>& fn) {
     const std::uint64_t before = bench::alloc_count();
     fn();
     return static_cast<double>(bench::alloc_count() - before) / events;
   };
 
-  par::ThreadPool serial(1);
-  double serial_ms = 0;
-  double serial_allocs = 0;
-  double columnar_ms = 0;
-  double columnar_allocs = 0;
-  EventColumns isis_cols, syslog_cols;
-  const auto col_pass = [&] {
-    benchmark::DoNotOptimize(columnar_pass(c, isis_cols, syslog_cols));
-  };
-  {
-    par::PoolGuard guard(&serial);
-    serial_ms = timed_ms([&] { benchmark::DoNotOptimize(batch_pass(c)); }, reps);
-    serial_allocs = allocs_of([&] { benchmark::DoNotOptimize(batch_pass(c)); });
-    columnar_ms = timed_ms(col_pass, reps);
-    columnar_allocs = allocs_of(col_pass);
-  }
-  const double parallel_ms =
-      timed_ms([&] { benchmark::DoNotOptimize(batch_pass(c)); }, reps);
+  const auto batch = [&] { benchmark::DoNotOptimize(batch_pass(c)); };
+  const double serial_ms = timed_ms(batch, reps);
+  const double serial_allocs = allocs_of(batch);
 
   const double stream_ms = timed_ms(stream_pass, reps);
   const double stream_allocs = allocs_of(stream_pass);
 
-  const int threads = static_cast<int>(par::ThreadPool::global().threads());
   return {
       {"batch_extract_reconstruct_serial", serial_ms, 1000.0 * events / serial_ms,
        1, 1.0, serial_allocs},
-      {"batch_extract_reconstruct_parallel", parallel_ms,
-       1000.0 * events / parallel_ms, threads, serial_ms / parallel_ms},
-      {"batch_extract_reconstruct_columnar", columnar_ms,
-       1000.0 * events / columnar_ms, 1, serial_ms / columnar_ms,
-       columnar_allocs},
       {"stream_engine", stream_ms, 1000.0 * events / stream_ms, 1, 1.0,
        stream_allocs},
   };

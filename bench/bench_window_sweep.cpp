@@ -3,10 +3,9 @@
 // clear knee there (the figure itself was omitted from the paper for space).
 #include <benchmark/benchmark.h>
 
-#include <vector>
+#include <string>
 
 #include "bench_common.hpp"
-#include "src/common/par.hpp"
 #include "src/common/strfmt.hpp"
 
 namespace {
@@ -35,33 +34,28 @@ int main(int argc, char** argv) {
       "(paper: knee at 10 seconds; omitted figure of sect. 3.4)");
   t.set_header({"Window (s)", "Matched failures", "% of IS-IS", "Matched "
                 "downtime (h)", "% of IS-IS downtime"});
-  // The sweep points are independent: match each window on the pool and
-  // print the rows in input order.
-  const std::vector<int> windows = {1, 2, 3, 5, 8, 10, 15, 20, 30, 60, 120};
-  const auto rows =
-      par::parallel_map(windows, [&](int w) -> std::vector<std::string> {
-        analysis::MatchOptions opts;
-        opts.window = Duration::seconds(w);
-        const analysis::FailureMatchResult m = analysis::match_failures(
-            r.isis_recon.failures, r.syslog_recon.failures, opts);
-        // Downtime belonging to matched IS-IS failures.
-        Duration matched_downtime;
-        for (const auto& [i, s] : m.pairs) {
-          matched_downtime += r.isis_recon.failures[i].duration();
-        }
-        return {std::to_string(w), std::to_string(m.matched),
-                strformat("%.1f%%",
-                          m.isis_count
-                              ? 100.0 * static_cast<double>(m.matched) /
-                                    static_cast<double>(m.isis_count)
-                              : 0.0),
-                strformat("%.0f", matched_downtime.hours_f()),
-                strformat("%.1f%%",
-                          m.isis_downtime.hours_f() > 0
-                              ? 100.0 * matched_downtime.hours_f() /
-                                    m.isis_downtime.hours_f()
-                              : 0.0)};
-      });
-  for (const std::vector<std::string>& row : rows) t.add_row(row);
+  for (const int w : {1, 2, 3, 5, 8, 10, 15, 20, 30, 60, 120}) {
+    analysis::MatchOptions opts;
+    opts.window = Duration::seconds(w);
+    const analysis::FailureMatchResult m = analysis::match_failures(
+        r.isis_recon.failures, r.syslog_recon.failures, opts);
+    // Downtime belonging to matched IS-IS failures.
+    Duration matched_downtime;
+    for (const auto& [i, s] : m.pairs) {
+      matched_downtime += r.isis_recon.failures[i].duration();
+    }
+    t.add_row({std::to_string(w), std::to_string(m.matched),
+               strformat("%.1f%%",
+                         m.isis_count
+                             ? 100.0 * static_cast<double>(m.matched) /
+                                   static_cast<double>(m.isis_count)
+                             : 0.0),
+               strformat("%.0f", matched_downtime.hours_f()),
+               strformat("%.1f%%",
+                         m.isis_downtime.hours_f() > 0
+                             ? 100.0 * matched_downtime.hours_f() /
+                                   m.isis_downtime.hours_f()
+                             : 0.0)});
+  }
   return bench::table_bench_main(argc, argv, t.render());
 }

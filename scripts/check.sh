@@ -82,16 +82,16 @@ run_asan() {
 run_tsan() {
   echo "== TSan build + threaded suites =="
   configure_and_build build-tsan -DNETFAIL_TSAN=ON -DNETFAIL_SANITIZE=OFF
-  # The suites that actually exercise threads: the pool itself, the parallel
-  # pipeline fan-out, the concurrent metrics/cache paths, sim determinism
-  # under the pool, the streaming engine, the socket ingest path (IO +
-  # consumer threads; the net suites skip themselves where the sandbox
-  # forbids sockets), and the sharded gateway (N IO loops x N consumer
-  # shards racing on the merge/backpressure paths), plus the service layer:
-  # the HTTP server's loop-thread handler racing live snapshot_engines()
-  # reads against ingest, and snapshot save/restore across the same threads.
+  # The suites that actually exercise threads: the concurrent metrics/cache
+  # paths, sim determinism across threads, the streaming engine, the socket
+  # ingest path (IO + consumer threads; the net suites skip themselves where
+  # the sandbox forbids sockets), and the sharded gateway (N IO loops x N
+  # consumer shards racing on the merge/backpressure paths), plus the service
+  # layer: the HTTP server's loop-thread handler racing live
+  # snapshot_engines() reads against ingest, and snapshot save/restore across
+  # the same threads.
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'ThreadPool|ParallelFor|ParallelMap|PoolGuard|DefaultThreads|ParallelDifferential|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
 run_bench() {

@@ -142,15 +142,11 @@ ALLOC_TU_ROSTER = {
     "src/syslog/tokenizer.cpp": (
         ("netfail::syslog::(anonymous namespace)::parse_direction",
          "error path builds the Error reason string"),
-        ("netfail::syslog::parse_message_fast",
+        ("netfail::syslog::parse_message",
          "error path builds the Error reason string"),
     ),
-    # EventColumns lives in src/common/columns.hpp (header-only); its batch
-    # growth paths compile into this TU, the mux that refills from it.
-    "src/stream/event_mux.cpp": (
-        ("netfail::stream::EventMux::next_batch",
-         "batch buffer growth, amortized to zero per event"),
-    ),
+    # The mux hands out borrowed events: nothing repo-owned may allocate.
+    "src/stream/event_mux.cpp": (),
     "src/stream/link_tracker.cpp": (
         ("netfail::stream::LinkTracker::LinkTracker", "construction"),
         ("netfail::stream::LinkTracker::ingest",

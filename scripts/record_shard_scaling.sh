@@ -14,8 +14,8 @@
 #
 # After reviewing the numbers, refresh the committed baseline by replacing
 # the net_* entries in BENCH_pipeline.json with the ones from --out (and
-# update hw_threads/threads_default at the top of the file to match the
-# machine that produced them).
+# update hw_threads at the top of the file to match the machine that
+# produced them).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

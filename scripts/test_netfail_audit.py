@@ -124,7 +124,7 @@ class DemangledOwnership(unittest.TestCase):
     repo-owned."""
 
     def test_repo_function_with_std_args_is_owned(self):
-        name = ("netfail::syslog::parse_message_fast(std::basic_string_view"
+        name = ("netfail::syslog::parse_message(std::basic_string_view"
                 "<char, std::char_traits<char> >)")
         self.assertFalse(netfail_audit._demangled_is_internal(name))
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <numeric>
 #include <unordered_map>
-
-#include "src/common/par.hpp"
 
 namespace netfail::analysis {
 
@@ -15,10 +12,9 @@ FlapAnalysis detect_flaps(std::vector<Failure>& failures,
   FlapAnalysis out;
   out.total_failures = failures.size();
 
-  // Group indices per link, chronological — columnar-style grouping:
-  // first-seen buckets behind a flat hash, iterated through a sorted slot
-  // permutation. Same per-link index lists and the same link iteration
-  // order as the old std::map walk, without a node allocation per link.
+  // Group indices per link: first-seen buckets behind a flat hash, walked
+  // in sorted link order through a slot permutation, without a node
+  // allocation per link.
   std::vector<LinkId> bucket_link;
   std::vector<std::vector<std::size_t>> buckets;
   std::unordered_map<LinkId, std::uint32_t> slot_of;
@@ -37,61 +33,38 @@ FlapAnalysis detect_flaps(std::vector<Failure>& failures,
     return bucket_link[a] < bucket_link[b];
   });
 
-  // Links shard across the pool: each link's episode detection touches only
-  // its own index set (so the in_flap_episode writes are disjoint) and
-  // appends to a per-link local, merged afterwards in link order so the
-  // result is identical to the serial walk for any thread count.
-  struct PerLink {
-    std::vector<FlapEpisode> episodes;
-    IntervalSet ranges;
-    std::size_t failures_in_episodes = 0;
-  };
-  std::vector<PerLink> locals(order.size());
+  for (const std::uint32_t slot : order) {
+    const LinkId link = bucket_link[slot];
+    std::vector<std::size_t>& idx = buckets[slot];
+    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+      return failures[a].span.begin < failures[b].span.begin;
+    });
 
-  par::parallel_for(order.size(), 4, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t li = lo; li < hi; ++li) {
-      const LinkId link = bucket_link[order[li]];
-      std::vector<std::size_t>& idx = buckets[order[li]];
-      PerLink& local = locals[li];
-      std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-        return failures[a].span.begin < failures[b].span.begin;
-      });
-
-      std::size_t run_start = 0;
-      auto close_run = [&](std::size_t run_end) {  // [run_start, run_end)
-        const std::size_t n = run_end - run_start;
-        if (n >= options.min_failures) {
-          FlapEpisode ep;
-          ep.link = link;
-          ep.failure_count = n;
-          ep.span = TimeRange{failures[idx[run_start]].span.begin,
-                              failures[idx[run_end - 1]].span.end};
-          local.episodes.push_back(ep);
-          local.ranges.add(ep.span);
-          local.failures_in_episodes += n;
-          for (std::size_t k = run_start; k < run_end; ++k) {
-            failures[idx[k]].in_flap_episode = true;
-          }
+    std::size_t run_start = 0;
+    auto close_run = [&](std::size_t run_end) {  // [run_start, run_end)
+      const std::size_t n = run_end - run_start;
+      if (n >= options.min_failures) {
+        FlapEpisode ep;
+        ep.link = link;
+        ep.failure_count = n;
+        ep.span = TimeRange{failures[idx[run_start]].span.begin,
+                            failures[idx[run_end - 1]].span.end};
+        out.episodes.push_back(ep);
+        out.flap_ranges[link].add(ep.span);
+        out.failures_in_episodes += n;
+        for (std::size_t k = run_start; k < run_end; ++k) {
+          failures[idx[k]].in_flap_episode = true;
         }
-        run_start = run_end;
-      };
-
-      for (std::size_t k = 1; k < idx.size(); ++k) {
-        const Duration gap =
-            failures[idx[k]].span.begin - failures[idx[k - 1]].span.end;
-        if (gap > options.max_gap) close_run(k);
       }
-      close_run(idx.size());
-    }
-  });
+      run_start = run_end;
+    };
 
-  for (std::size_t li = 0; li < order.size(); ++li) {
-    PerLink& local = locals[li];
-    if (local.episodes.empty()) continue;
-    std::move(local.episodes.begin(), local.episodes.end(),
-              std::back_inserter(out.episodes));
-    out.flap_ranges[bucket_link[order[li]]] = std::move(local.ranges);
-    out.failures_in_episodes += local.failures_in_episodes;
+    for (std::size_t k = 1; k < idx.size(); ++k) {
+      const Duration gap =
+          failures[idx[k]].span.begin - failures[idx[k - 1]].span.end;
+      if (gap > options.max_gap) close_run(k);
+    }
+    close_run(idx.size());
   }
   return out;
 }

@@ -1,85 +1,10 @@
 #include "src/analysis/reconstruct.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <iterator>
 
 #include "src/analysis/link_walker.hpp"
-#include "src/common/par.hpp"
 
 namespace netfail::analysis {
-namespace {
-
-/// Shared core of the AoS and columnar reconstructions: walk `n` positions,
-/// already sorted by (link, time), through per-link FSMs. `link_at(k)` names
-/// the link at position k and `feed_at(walker, k)` feeds its (time, dir).
-/// Links shard across the pool into per-link local sinks merged in link
-/// order, so the result is byte-identical to the serial walk for any thread
-/// count (and identical between the two data layouts, which the columnar
-/// differential tests assert).
-template <typename LinkAt, typename FeedAt>
-Reconstruction walk_sorted(std::size_t n, const ReconstructOptions& options,
-                           const LinkAt& link_at, const FeedAt& feed_at) {
-  // Index the contiguous per-link ranges of the sorted stream.
-  struct LinkRange {
-    std::size_t begin, end;
-  };
-  std::vector<LinkRange> links;
-  for (std::size_t i = 0; i < n;) {
-    std::size_t j = i;
-    while (j < n && link_at(j) == link_at(i)) ++j;
-    links.push_back(LinkRange{i, j});
-    i = j;
-  }
-
-  // Each link's FSM is independent, so links shard across the pool. Every
-  // link walks into its own Reconstruction: appending locally keeps the
-  // kDrop retraction safe (the back of the local failure vector is always
-  // this link's most recent failure).
-  std::vector<Reconstruction> locals(links.size());
-  par::parallel_for(links.size(), 4, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t li = lo; li < hi; ++li) {
-      const LinkRange r = links[li];
-      Reconstruction& local = locals[li];
-      LinkWalker::State state;
-      LinkWalker walker(link_at(r.begin), options, local, local.failures,
-                        local.ambiguous, state);
-      for (std::size_t k = r.begin; k < r.end; ++k) {
-        feed_at(walker, k);
-      }
-      walker.finish();
-    }
-  });
-
-  // Barrier merge: concatenate sinks in link order, sum the FSM counters.
-  Reconstruction out;
-  std::size_t total_failures = 0, total_ambiguous = 0;
-  for (const Reconstruction& local : locals) {
-    total_failures += local.failures.size();
-    total_ambiguous += local.ambiguous.size();
-  }
-  out.failures.reserve(total_failures);
-  out.ambiguous.reserve(total_ambiguous);
-  for (Reconstruction& local : locals) {
-    std::move(local.failures.begin(), local.failures.end(),
-              std::back_inserter(out.failures));
-    std::move(local.ambiguous.begin(), local.ambiguous.end(),
-              std::back_inserter(out.ambiguous));
-    out.double_downs += local.double_downs;
-    out.double_ups += local.double_ups;
-    out.merged_duplicates += local.merged_duplicates;
-    out.unterminated += local.unterminated;
-  }
-
-  std::sort(out.failures.begin(), out.failures.end(),
-            [](const Failure& a, const Failure& b) {
-              if (a.span.begin != b.span.begin) return a.span.begin < b.span.begin;
-              return a.link < b.link;
-            });
-  return out;
-}
-
-}  // namespace
 
 Reconstruction reconstruct(std::vector<RawTransition> transitions,
                            const ReconstructOptions& options) {
@@ -88,41 +13,28 @@ Reconstruction reconstruct(std::vector<RawTransition> transitions,
                      if (a.link != b.link) return a.link < b.link;
                      return a.time < b.time;
                    });
-  return walk_sorted(
-      transitions.size(), options,
-      [&](std::size_t k) { return transitions[k].link; },
-      [&](LinkWalker& walker, std::size_t k) {
-        walker.feed(transitions[k].time, transitions[k].dir);
-      });
-}
 
-Reconstruction reconstruct_columns(const EventColumns& cols,
-                                   const ReconstructOptions& options,
-                                   std::uint8_t tag_mask,
-                                   std::uint8_t tag_want) {
-  // Sort a permutation of the eligible rows instead of materializing AoS
-  // structs: the comparator touches only the link and time columns. A
-  // stable sort over the same keys in the same row order yields the exact
-  // permutation the AoS stable_sort produces, so the FSMs see identical
-  // feeds.
-  std::vector<std::uint32_t> idx;
-  idx.reserve(cols.size());
-  for (std::uint32_t i = 0; i < cols.size(); ++i) {
-    if (!cols.link[i].valid()) continue;
-    if ((cols.tag[i] & tag_mask) != tag_want) continue;
-    idx.push_back(i);
+  // One walker per contiguous link range of the sorted stream, all writing
+  // into `out`. Links are walked one at a time, so under kDrop the back of
+  // out.failures is always the current link's most recent failure.
+  Reconstruction out;
+  const std::size_t n = transitions.size();
+  for (std::size_t i = 0; i < n;) {
+    const LinkId link = transitions[i].link;
+    LinkWalker::State state;
+    LinkWalker walker(link, options, out, out.failures, out.ambiguous, state);
+    for (; i < n && transitions[i].link == link; ++i) {
+      walker.feed(transitions[i].time, transitions[i].dir);
+    }
+    walker.finish();
   }
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     if (cols.link[a] != cols.link[b])
-                       return cols.link[a] < cols.link[b];
-                     return cols.time_ms[a] < cols.time_ms[b];
-                   });
-  return walk_sorted(
-      idx.size(), options, [&](std::size_t k) { return cols.link[idx[k]]; },
-      [&](LinkWalker& walker, std::size_t k) {
-        walker.feed(cols.time(idx[k]), cols.dir(idx[k]));
-      });
+
+  std::sort(out.failures.begin(), out.failures.end(),
+            [](const Failure& a, const Failure& b) {
+              if (a.span.begin != b.span.begin) return a.span.begin < b.span.begin;
+              return a.link < b.link;
+            });
+  return out;
 }
 
 Reconstruction reconstruct_from_syslog(
@@ -140,16 +52,6 @@ Reconstruction reconstruct_from_syslog(
   return r;
 }
 
-Reconstruction reconstruct_from_syslog_columns(const EventColumns& cols,
-                                               const ReconstructOptions& options) {
-  // Adjacency-class rows are exactly those whose type bits are zero
-  // (MessageType::kIsisAdjChange; see syslog::columns_tag).
-  Reconstruction r =
-      reconstruct_columns(cols, options, syslog::kColumnsTypeMask, 0);
-  for (Failure& f : r.failures) f.source = Source::kSyslog;
-  return r;
-}
-
 Reconstruction reconstruct_from_isis(
     const std::vector<isis::IsisTransition>& transitions,
     const ReconstructOptions& options) {
@@ -160,15 +62,6 @@ Reconstruction reconstruct_from_isis(
     raw.push_back(RawTransition{tr.link, tr.time, tr.dir});
   }
   Reconstruction r = reconstruct(std::move(raw), options);
-  for (Failure& f : r.failures) f.source = Source::kIsis;
-  return r;
-}
-
-Reconstruction reconstruct_from_isis_columns(const EventColumns& cols,
-                                             const ReconstructOptions& options) {
-  // isis::extract_columns appends only reconstruction-eligible rows, so no
-  // tag filter is needed.
-  Reconstruction r = reconstruct_columns(cols, options);
   for (Failure& f : r.failures) f.source = Source::kIsis;
   return r;
 }

@@ -9,11 +9,9 @@
 // (sect. 4.3). All four are implemented for the ablation benchmark.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "src/analysis/failure.hpp"
-#include "src/common/columns.hpp"
 #include "src/common/events.hpp"
 #include "src/isis/extract.hpp"
 #include "src/syslog/extract.hpp"
@@ -88,28 +86,5 @@ struct RawTransition {
 };
 Reconstruction reconstruct(std::vector<RawTransition> transitions,
                            const ReconstructOptions& options);
-
-// ---- columnar batch forms (DESIGN.md §13) -----------------------------------
-// Byte-identical to the AoS entry points over equivalent rows (the columnar
-// differential tests are the oracle): the sort is a stable index
-// permutation over the link/time columns, and the per-link FSM walk,
-// merge, and final ordering are the same code.
-
-/// Reconstruct from column rows whose link is valid and whose tag satisfies
-/// `(tag & tag_mask) == tag_want` (defaults keep every link-valid row).
-Reconstruction reconstruct_columns(const EventColumns& cols,
-                                   const ReconstructOptions& options,
-                                   std::uint8_t tag_mask = 0,
-                                   std::uint8_t tag_want = 0);
-
-/// Columnar counterpart of reconstruct_from_syslog: keeps only IS-IS
-/// adjacency-class rows of a syslog::extract_columns batch.
-Reconstruction reconstruct_from_syslog_columns(const EventColumns& cols,
-                                               const ReconstructOptions& options);
-
-/// Columnar counterpart of reconstruct_from_isis over an
-/// isis::extract_columns batch (already filtered to eligible rows).
-Reconstruction reconstruct_from_isis_columns(const EventColumns& cols,
-                                             const ReconstructOptions& options);
 
 }  // namespace netfail::analysis

@@ -7,9 +7,9 @@
 // as text or JSON. Values are cumulative since process start (or the last
 // reset()); names are dotted paths like "stream.events.lsp".
 //
-// Counters and histograms use relaxed atomics so the streaming path and the
-// netfail::par parallel pipeline can share one registry without UB; the
-// registry itself locks only on first lookup. Histogram snapshots taken
+// Counters and histograms use relaxed atomics so the streaming shards, the
+// network threads and the batch pipeline can share one registry without UB;
+// the registry itself locks only on first lookup. Histogram snapshots taken
 // while writers are active are per-field consistent (each load is atomic)
 // but not cross-field consistent — fine for observability, not for
 // invariants.

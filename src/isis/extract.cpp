@@ -242,25 +242,6 @@ void StreamingExtractor::feed(const LspRecord& rec,
   isis_metrics().transitions.inc(out.size() - out_before);
 }
 
-void extract_columns(const std::vector<LspRecord>& records,
-                     const LinkCensus& census, EventColumns& out,
-                     ExtractionStats& stats) {
-  StreamingExtractor extractor(&census);
-  std::vector<IsisTransition> emitted;
-  for (const LspRecord& rec : records) {
-    emitted.clear();
-    extractor.feed(rec, emitted);
-    for (const IsisTransition& tr : emitted) {
-      if (tr.field != ReachabilityField::kIsReach) continue;
-      if (!tr.link.valid() || tr.multilink) continue;
-      out.push_back(tr.time, tr.link, tr.host_a,
-                    tr.dir == LinkDirection::kUp ? EventColumns::kTagUp
-                                                 : std::uint8_t{0});
-    }
-  }
-  stats = extractor.stats();
-}
-
 IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
                                    const LinkCensus& census) {
   IsisExtraction out;

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/columns.hpp"
 #include "src/common/events.hpp"
 #include "src/common/ids.hpp"
 #include "src/common/sym.hpp"
@@ -79,18 +78,6 @@ struct IsisExtraction {
 /// listener guarantees this).
 IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
                                    const LinkCensus& census);
-
-/// Columnar batch form (DESIGN.md §13): decode and diff the record stream,
-/// bulk-appending the *reconstruction-eligible* IS-reachability transitions
-/// (link-resolved, single-link) to `out` — exactly the rows
-/// `reconstruct_from_isis` keeps from `extract_transitions().is_reach`, in
-/// the same order. The tag carries only the direction bit; `reporter` is
-/// host_a. IP-reachability and multi-link transitions are not columnized
-/// (the comparison tables still consume the AoS extraction); `stats` gets
-/// the full accounting either way.
-void extract_columns(const std::vector<LspRecord>& records,
-                     const LinkCensus& census, EventColumns& out,
-                     ExtractionStats& stats);
 
 /// Incremental form of `extract_transitions`: feed LSP records one at a
 /// time and receive the transitions each record implies. Batch extraction

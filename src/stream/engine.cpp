@@ -44,10 +44,6 @@ void StreamEngine::feed(const StreamEvent& ev) {
   }
 }
 
-void StreamEngine::feed_batch(std::span<const StreamEvent> batch) {
-  for (const StreamEvent& ev : batch) feed(ev);
-}
-
 void StreamEngine::feed_syslog(const syslog::ReceivedLine& rec) {
   ++events_;
   ++syslog_events_;

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "src/config/census.hpp"
 #include "src/detect/detector.hpp"
@@ -90,10 +89,6 @@ class StreamEngine {
 
   /// Feed the next event in merged arrival order (see EventMux).
   void feed(const StreamEvent& ev);
-  /// Feed a refilled batch (see EventMux::next_batch) in order. Equivalent
-  /// to feeding each event individually; pairs with batch refill so the
-  /// pull loop amortizes its per-event dispatch.
-  void feed_batch(std::span<const StreamEvent> batch);
   void feed_syslog(const syslog::ReceivedLine& rec);
   void feed_lsp(const isis::LspRecord& rec);
 

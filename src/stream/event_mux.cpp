@@ -83,17 +83,6 @@ std::optional<StreamEvent> EventMux::next() {
   return ev;
 }
 
-std::size_t EventMux::next_batch(std::vector<StreamEvent>& out,
-                                 std::size_t max) {
-  out.clear();
-  while (out.size() < max) {
-    std::optional<StreamEvent> ev = next();
-    if (!ev) break;
-    out.push_back(*ev);
-  }
-  return out.size();
-}
-
 EventMux EventMux::over_vectors(const std::vector<syslog::ReceivedLine>& lines,
                                 const std::vector<isis::LspRecord>& records) {
   std::size_t line_cursor = 0;

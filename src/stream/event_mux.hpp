@@ -67,14 +67,6 @@ class EventMux {
   /// are exhausted.
   std::optional<StreamEvent> next();
 
-  /// Batch refill: clear `out` and fill it with up to `max` events in
-  /// merged arrival order; returns the count (0 = exhausted). ONLY safe
-  /// when both sources return pointers into stable storage (`over_vectors`,
-  /// a fully buffered capture): a batch holds many borrowed events at once,
-  /// and a source that reuses its buffer invalidates every earlier event on
-  /// each pull. For such sources, stick to next().
-  std::size_t next_batch(std::vector<StreamEvent>& out, std::size_t max);
-
   const MuxStats& stats() const { return stats_; }
 
   /// Convenience: mux over in-memory captures (e.g. a loaded bundle). The

@@ -5,10 +5,9 @@
 // approximate: every link's state lives on exactly one shard, so
 //
 //   - released failures / ambiguous segments / flap episodes concatenate
-//     and stable-sort by link — the same link-order merge discipline the
-//     parallel batch pipeline uses for its per-link fan-out. Stability
-//     preserves each link's release order, which equals the serial run's
-//     per-link order because one shard saw that link's full subsequence;
+//     and stable-sort by link. Stability preserves each link's release
+//     order, which equals the serial run's per-link order because one
+//     shard saw that link's full subsequence;
 //   - tracker and extraction counters sum (pending_peak is the one
 //     exception: a high-water mark of buffered transitions is not
 //     shard-count-invariant, so the merge takes the max and the digest

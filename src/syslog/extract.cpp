@@ -58,38 +58,6 @@ std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
   return tr;
 }
 
-void extract_columns(const Collector& collector, const LinkCensus& census,
-                     EventColumns& out, SyslogExtractionStats& stats) {
-  out.reserve(out.size() + collector.size());
-  for (const ReceivedLine& rec : collector.lines()) {
-    ++stats.lines_seen;
-    syslog_metrics().lines.inc();
-    Result<Message> parsed = parse_message(rec.line);
-    if (!parsed) {
-      if (parsed.error().code == ErrorCode::kNotFound) {
-        ++stats.irrelevant_lines;
-      } else {
-        ++stats.parse_failures;
-        syslog_metrics().parse_failures.inc();
-      }
-      continue;
-    }
-    Message& m = *parsed;
-    const std::optional<LinkId> link =
-        census.find_by_interface(m.reporter, m.interface);
-    if (!link) {
-      ++stats.unresolved_links;
-      syslog_metrics().unresolved.inc();
-      continue;
-    }
-    const std::uint32_t row =
-        out.push_back(resolve_year(m.timestamp, rec.received_at), *link,
-                      m.reporter, columns_tag(m.type, m.dir));
-    if (!m.reason.empty()) out.set_reason(row, std::move(m.reason));
-    syslog_metrics().transitions.inc();
-  }
-}
-
 SyslogExtraction extract_transitions(const Collector& collector,
                                      const LinkCensus& census) {
   SyslogExtraction out;

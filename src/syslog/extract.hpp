@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/columns.hpp"
 #include "src/common/events.hpp"
 #include "src/common/ids.hpp"
 #include "src/config/census.hpp"
@@ -52,34 +51,5 @@ SyslogExtraction extract_transitions(const Collector& collector,
 std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
                                              const LinkCensus& census,
                                              SyslogExtractionStats& stats);
-
-// ---- columnar batch form (DESIGN.md §13) ------------------------------------
-
-/// EventColumns tag layout for syslog-derived rows: bit 0 is the direction
-/// (EventColumns::kTagUp), bits 1-2 the MessageType. MessageClass is
-/// derivable (adjacency iff the type bits are zero), so the reconstruction
-/// filters adjacency rows with a single mask test per row.
-inline constexpr std::uint8_t kColumnsTypeShift = 1;
-inline constexpr std::uint8_t kColumnsTypeMask = 0x03 << kColumnsTypeShift;
-
-inline std::uint8_t columns_tag(MessageType t, LinkDirection d) {
-  return static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(t) << kColumnsTypeShift) |
-      (d == LinkDirection::kUp ? EventColumns::kTagUp : 0));
-}
-inline MessageType columns_tag_type(std::uint8_t tag) {
-  return static_cast<MessageType>((tag & kColumnsTypeMask) >> kColumnsTypeShift);
-}
-inline MessageClass columns_tag_class(std::uint8_t tag) {
-  return classify(columns_tag_type(tag));
-}
-
-/// Columnar batch extraction: tokenizes every stored line and bulk-appends
-/// the resolved transitions to `out` — row i carries exactly the fields of
-/// the i-th SyslogTransition `extract_transitions` would emit (time, link,
-/// reporter, type/direction in the tag, free-text reason in the side
-/// table). Stats and metrics accounting are identical too.
-void extract_columns(const Collector& collector, const LinkCensus& census,
-                     EventColumns& out, SyslogExtractionStats& stats);
 
 }  // namespace netfail::syslog

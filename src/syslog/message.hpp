@@ -62,7 +62,8 @@ struct Message {
 /// line as string_views and resolves names straight into interned Symbols;
 /// only the free-text `reason` is copied. Lines that are valid syslog but
 /// not one of the message types above return kNotFound; garbled lines
-/// return kParseError.
+/// return kParseError. Implemented by the memchr/SWAR tokenizer in
+/// tokenizer.cpp (DESIGN.md §13).
 Result<Message> parse_message(std::string_view line);
 
 }  // namespace netfail::syslog

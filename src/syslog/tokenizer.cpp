@@ -1,22 +1,22 @@
-#include "src/syslog/tokenizer.hpp"
-
-#include <atomic>
+// syslog::parse_message — the memchr/SWAR tokenizer (DESIGN.md §13).
+//
+// Cuts fields with memchr, decodes the fixed-width RFC 3164 timestamp by
+// loading the digit block and subtracting '0' in parallel, and dispatches
+// mnemonics by (length, memcmp) instead of a chain of string compares.
+// Irregular spacing falls back to a lenient field walk with sscanf "%d"
+// semantics. A byte-at-a-time reference parser in tests/syslog is the
+// differential oracle: the fuzz suite (tests/syslog/tokenizer_fuzz_test.cpp)
+// asserts both return identical Result<Message> — including error code and
+// message — on rendered, mutated, truncated, and garbage input.
 #include <cstdint>
 #include <cstring>
 
 #include "src/common/strfmt.hpp"
 #include "src/common/time.hpp"
+#include "src/syslog/message.hpp"
 
 namespace netfail::syslog {
 namespace {
-
-std::atomic<ParserBackend> g_backend{
-#ifdef NETFAIL_SYSLOG_SCALAR_PARSER
-    ParserBackend::kScalar
-#else
-    ParserBackend::kFast
-#endif
-};
 
 // ---- SWAR timestamp block ---------------------------------------------------
 
@@ -173,15 +173,7 @@ inline Shape classify_mnemonic(std::string_view m, RouterOs& dialect,
 
 }  // namespace
 
-ParserBackend parser_backend() {
-  return g_backend.load(std::memory_order_relaxed);
-}
-
-void set_parser_backend(ParserBackend b) {
-  g_backend.store(b, std::memory_order_relaxed);
-}
-
-Result<Message> parse_message_fast(std::string_view line) {
+Result<Message> parse_message(std::string_view line) {
   Message m;
 
   // -- priority: '<' then '>' within the first five bytes. The reference

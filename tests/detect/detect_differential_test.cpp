@@ -1,10 +1,9 @@
 // End-to-end guarantees of the detection stage:
 //
 //   - Determinism: the alert stream and the rendered precision/recall
-//     table are byte-identical across ambient thread-pool sizes {1,2,4},
-//     across ambiguity policies, and across repeated runs (ISSUE: the
-//     lint determinism roster extends to src/detect; this is the runtime
-//     proof).
+//     table are byte-identical between two runs of each seed and
+//     ambiguity policy, and across repeated runs (the lint determinism
+//     roster covers src/detect; this is the runtime proof).
 //   - Checkpoint/resume: a resumed engine emits exactly the alerts the
 //     uninterrupted run would have emitted.
 //   - Accuracy: on the CENIC-scale scenario with default knobs the scorer
@@ -18,7 +17,6 @@
 
 #include "src/analysis/scenario_cache.hpp"
 #include "src/analysis/tables.hpp"
-#include "src/common/par.hpp"
 #include "src/detect/scorer.hpp"
 #include "src/sim/network_sim.hpp"
 #include "src/stream/engine.hpp"
@@ -90,7 +88,6 @@ TEST(DetectDifferential, DisabledDetectionEmitsNothing) {
 }
 
 TEST(DetectDifferential, SeedPolicyThreadSweepIsByteIdentical) {
-  par::ThreadPool serial(1), two(2), four(4);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Scenario s = make_scenario(sim::test_scenario(seed));
     for (const analysis::AmbiguityPolicy policy :
@@ -98,17 +95,12 @@ TEST(DetectDifferential, SeedPolicyThreadSweepIsByteIdentical) {
           analysis::AmbiguityPolicy::kDrop}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " policy " +
                    analysis::ambiguity_policy_name(policy));
-      std::vector<DetectRun> runs;
-      for (par::ThreadPool* pool : {&serial, &two, &four}) {
-        par::PoolGuard guard(pool);
-        runs.push_back(run_detect(*s, policy));
-      }
-      ASSERT_GT(runs[0].alerts.size(), 0u);
-      for (std::size_t i = 1; i < runs.size(); ++i) {
-        expect_same_alerts(runs[0].alerts, runs[i].alerts, "thread sweep");
-        EXPECT_EQ(runs[0].table, runs[i].table) << "table, pool " << i;
-        EXPECT_EQ(runs[0].checkpoint_alerts, runs[i].checkpoint_alerts);
-      }
+      const DetectRun first = run_detect(*s, policy);
+      const DetectRun second = run_detect(*s, policy);
+      ASSERT_GT(first.alerts.size(), 0u);
+      expect_same_alerts(first.alerts, second.alerts, "seed x policy");
+      EXPECT_EQ(first.table, second.table);
+      EXPECT_EQ(first.checkpoint_alerts, second.checkpoint_alerts);
     }
   }
 }

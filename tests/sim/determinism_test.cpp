@@ -3,12 +3,12 @@
 // the seeded Rng (no global mutable RNG state, no address-dependent
 // iteration), so the same seed must yield byte-identical collector and
 // listener streams whether the simulation runs alone, repeatedly, or
-// concurrently with other seeds on the thread pool.
+// concurrently with other seeds on other threads.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
-#include "src/common/par.hpp"
 #include "src/sim/network_sim.hpp"
 
 namespace netfail::sim {
@@ -56,28 +56,27 @@ TEST(SimDeterminism, CallOrderDoesNotLeakBetweenSeeds) {
 }
 
 TEST(SimDeterminism, ConcurrentRunsMatchSerialRuns) {
-  // The per-seed bench fan-out runs scenarios on pool workers; each worker
-  // must see exactly the stream a serial run produces.
+  // Each thread must see exactly the stream a serial run produces.
   const std::vector<std::uint64_t> seeds = {31, 32, 33, 31};
   std::vector<SimulationResult> serial;
   for (const std::uint64_t seed : seeds) {
     serial.push_back(run_simulation(test_scenario(seed)));
   }
 
-  par::ThreadPool pool(4);
-  par::PoolGuard guard(&pool);
   std::vector<SimulationResult> concurrent(seeds.size());
-  par::parallel_for(seeds.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    threads.emplace_back([&concurrent, &seeds, i] {
       concurrent[i] = run_simulation(test_scenario(seeds[i]));
-    }
-  });
+    });
+  }
+  for (std::thread& t : threads) t.join();
 
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     SCOPED_TRACE("seed " + std::to_string(seeds[i]));
     expect_identical(serial[i], concurrent[i]);
   }
-  // seeds[0] == seeds[3]: same seed on two different workers, same streams.
+  // seeds[0] == seeds[3]: same seed on two different threads, same streams.
   expect_identical(concurrent[0], concurrent[3]);
 }
 

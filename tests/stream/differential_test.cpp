@@ -75,7 +75,7 @@ BatchSide run_batch(const analysis::PipelineCapture& s, AmbiguityPolicy policy) 
 }
 
 StreamSide run_stream(const analysis::PipelineCapture& s,
-                      AmbiguityPolicy policy, bool batched = false) {
+                      AmbiguityPolicy policy) {
   StreamSide out;
   EngineOptions options;
   options.tracker.reconstruct.period = s.period;
@@ -105,14 +105,7 @@ StreamSide run_stream(const analysis::PipelineCapture& s,
 
   EventMux mux =
       EventMux::over_vectors(s.sim.collector.lines(), s.sim.listener.records());
-  if (batched) {
-    // Batch refill + batch feed (safe here: over_vectors borrows from
-    // stable storage, so a batch of pointers stays valid).
-    std::vector<StreamEvent> buf;
-    while (mux.next_batch(buf, 64) > 0) engine.feed_batch(buf);
-  } else {
-    while (std::optional<StreamEvent> ev = mux.next()) engine.feed(*ev);
-  }
+  while (std::optional<StreamEvent> ev = mux.next()) engine.feed(*ev);
   engine.finish();
   out.isis_counters = engine.isis_tracker().counters();
   out.syslog_counters = engine.syslog_tracker().counters();
@@ -233,18 +226,6 @@ TEST(StreamDifferential, AllPoliciesAgree) {
     SCOPED_TRACE(analysis::ambiguity_policy_name(policy));
     expect_equivalent(run_batch(*s, policy), run_stream(*s, policy));
   }
-}
-
-TEST(StreamDifferential, BatchRefillFeedMatchesBatchPipeline) {
-  // next_batch + feed_batch must be indistinguishable from the per-event
-  // pull loop; comparing against the batch pipeline covers both (the
-  // per-event loop already matches it above).
-  const Scenario s = make_scenario(sim::test_scenario(2));
-  const BatchSide batch = run_batch(*s, AmbiguityPolicy::kAssumeUp);
-  const StreamSide streamed =
-      run_stream(*s, AmbiguityPolicy::kAssumeUp, /*batched=*/true);
-  ASSERT_GT(batch.isis.failures.size(), 0u);
-  expect_equivalent(batch, streamed);
 }
 
 TEST(StreamDifferential, FullCenicScenario) {

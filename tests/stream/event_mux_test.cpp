@@ -94,52 +94,5 @@ TEST(EventMux, EqualArrivalsWithinSourceAreKept) {
   EXPECT_EQ(mux.stats().out_of_order_dropped, 0u);
 }
 
-TEST(EventMux, NextBatchMatchesNext) {
-  // The batch refill must hand out exactly the events next() would — same
-  // merged order, same borrowed pointers, same stats — regardless of how
-  // the stream divides into batches.
-  std::vector<syslog::ReceivedLine> lines;
-  std::vector<isis::LspRecord> lsps;
-  for (int i = 0; i < 100; ++i) lines.push_back(line_at(3 * i));
-  for (int i = 0; i < 80; ++i) lsps.push_back(lsp_at(2 * i + 1));
-
-  EventMux one = EventMux::over_vectors(lines, lsps);
-  std::vector<const void*> one_by_one;
-  while (auto ev = one.next()) {
-    one_by_one.push_back(ev->line_ptr != nullptr
-                             ? static_cast<const void*>(ev->line_ptr)
-                             : static_cast<const void*>(ev->lsp_ptr));
-  }
-
-  EventMux batched = EventMux::over_vectors(lines, lsps);
-  std::vector<StreamEvent> buf;
-  std::vector<const void*> via_batches;
-  while (batched.next_batch(buf, 7) > 0) {
-    for (const StreamEvent& ev : buf) {
-      via_batches.push_back(ev.line_ptr != nullptr
-                                ? static_cast<const void*>(ev.line_ptr)
-                                : static_cast<const void*>(ev.lsp_ptr));
-    }
-  }
-
-  EXPECT_EQ(via_batches, one_by_one);
-  EXPECT_EQ(batched.stats().syslog_events, one.stats().syslog_events);
-  EXPECT_EQ(batched.stats().lsp_events, one.stats().lsp_events);
-}
-
-TEST(EventMux, NextBatchBoundaries) {
-  const std::vector<syslog::ReceivedLine> lines = {line_at(1), line_at(2),
-                                                   line_at(3)};
-  const std::vector<isis::LspRecord> no_lsps;
-  EventMux mux = EventMux::over_vectors(lines, no_lsps);
-  std::vector<StreamEvent> buf;
-  EXPECT_EQ(mux.next_batch(buf, 2), 2u);  // full batch
-  EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(mux.next_batch(buf, 2), 1u);  // short final batch
-  EXPECT_EQ(buf.size(), 1u);
-  EXPECT_EQ(mux.next_batch(buf, 2), 0u);  // exhausted: empty, not an error
-  EXPECT_TRUE(buf.empty());
-}
-
 }  // namespace
 }  // namespace netfail::stream

@@ -1,0 +1,17 @@
+// The byte-at-a-time reference syslog parser: the differential oracle for
+// syslog::parse_message, the memchr/SWAR tokenizer (src/syslog/tokenizer.cpp).
+// The tokenizer must stay bit-identical to this on every input — including
+// error code and message — which tests/syslog/tokenizer_fuzz_test.cpp
+// enforces. Change them together.
+#pragma once
+
+#include <string_view>
+
+#include "src/common/result.hpp"
+#include "src/syslog/message.hpp"
+
+namespace netfail::syslog {
+
+Result<Message> parse_message_scalar(std::string_view line);
+
+}  // namespace netfail::syslog

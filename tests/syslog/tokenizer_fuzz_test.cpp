@@ -1,7 +1,8 @@
-// Differential fuzz suite for the parser backends: parse_message_fast (the
+// Differential fuzz suite for the syslog parser: parse_message (the
 // memchr/SWAR tokenizer) and parse_message_scalar (the byte-at-a-time
-// reference) must return identical Result<Message> — same acceptance, same
-// parsed fields, same error code AND message — on every input. The corpus
+// reference in reference_parser.cpp) must return identical Result<Message>
+// — same acceptance, same parsed fields, same error code AND message — on
+// every input. The corpus
 // is rendered round-trips plus every truncation, random byte mutations, and
 // outright garbage, so the strict fast paths are exercised right at their
 // bail-out edges. Runs under ASan with the tier-1 suite.
@@ -14,13 +15,13 @@
 
 #include "src/common/rng.hpp"
 #include "src/syslog/message.hpp"
-#include "src/syslog/tokenizer.hpp"
+#include "tests/syslog/reference_parser.hpp"
 
 namespace netfail::syslog {
 namespace {
 
 void expect_identical(std::string_view line) {
-  const Result<Message> fast = parse_message_fast(line);
+  const Result<Message> fast = parse_message(line);
   const Result<Message> scalar = parse_message_scalar(line);
   ASSERT_EQ(fast.ok(), scalar.ok()) << "line: [" << line << "]";
   if (!fast.ok()) {
@@ -78,7 +79,7 @@ TEST(TokenizerFuzz, RenderedRoundTripsParseIdentically) {
   for (int i = 0; i < 4000; ++i) {
     const Message m = random_message(rng);
     m.render_to(line, static_cast<unsigned>(rng.uniform_int(0, 999999)));
-    const Result<Message> fast = parse_message_fast(line);
+    const Result<Message> fast = parse_message(line);
     ASSERT_TRUE(fast.ok()) << "line: [" << line
                            << "] error: " << fast.error().to_string();
     expect_identical(line);
@@ -171,28 +172,6 @@ TEST(TokenizerFuzz, HandPickedEdgeCases) {
       "Interface Gi0, changed state to down",
   };
   for (const char* c : kCases) expect_identical(c);
-}
-
-TEST(TokenizerBackend, RuntimeSwitchDispatches) {
-  Message m;
-  m.timestamp = TimePoint::from_unix_seconds(1287540677);
-  m.reporter = Symbol("h");
-  m.interface = Symbol("Gi0");
-  m.neighbor = Symbol("n");
-  const std::string line = m.render(7);
-
-  const ParserBackend saved = parser_backend();
-  set_parser_backend(ParserBackend::kScalar);
-  EXPECT_EQ(parser_backend(), ParserBackend::kScalar);
-  const Result<Message> via_scalar = parse_message(line);
-  set_parser_backend(ParserBackend::kFast);
-  const Result<Message> via_fast = parse_message(line);
-  set_parser_backend(saved);
-
-  ASSERT_TRUE(via_scalar.ok());
-  ASSERT_TRUE(via_fast.ok());
-  EXPECT_EQ(via_fast->reporter, via_scalar->reporter);
-  EXPECT_EQ(via_fast->timestamp, via_scalar->timestamp);
 }
 
 }  // namespace
