@@ -47,17 +47,9 @@ int main(int argc, char** argv) {
   for (const AmbiguityPolicy policy :
        {AmbiguityPolicy::kDrop, AmbiguityPolicy::kAssumeDown,
         AmbiguityPolicy::kAssumeUp, AmbiguityPolicy::kHoldState}) {
-    analysis::ReconstructOptions opts;
-    opts.period = r.options_period;
-    opts.policy = policy;
-    analysis::Reconstruction recon =
-        analysis::reconstruct_from_syslog(r.syslog.transitions, opts);
-    // Apply the same sanitization as the main pipeline so the comparison is
-    // apples-to-apples.
-    (void)analysis::remove_listener_gap_failures(
-        recon.failures, r.sim.truth.listener_gaps());
-    (void)analysis::verify_long_failures(recon.failures, r.census,
-                                         r.sim.tickets);
+    // Sanitized like the main pipeline: apples to apples.
+    const analysis::Reconstruction recon =
+        analysis::sanitized_syslog(r, policy);
     const Duration downtime = analysis::total_downtime(recon.failures);
     const double gap_h = std::abs(downtime.hours_f() - isis_downtime.hours_f());
     if (best_gap < 0 || gap_h < best_gap) {

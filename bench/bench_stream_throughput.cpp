@@ -16,56 +16,33 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "src/analysis/reconstruct.hpp"
 #include "src/analysis/scenario_cache.hpp"
-#include "src/config/miner.hpp"
-#include "src/isis/extract.hpp"
 #include "src/sim/network_sim.hpp"
 #include "src/stream/engine.hpp"
 #include "src/stream/event_mux.hpp"
-#include "src/syslog/extract.hpp"
 
 namespace {
 
 using namespace netfail;
 
-struct Capture {
-  std::shared_ptr<const analysis::PipelineCapture> cap;
-  TimeRange period;
-  std::size_t event_count = 0;
-
-  const sim::SimulationResult& sim() const { return cap->sim; }
-  const LinkCensus& census() const { return cap->census; }
-};
+using Capture = analysis::PipelineCapture;
 
 /// The full CENIC-scale capture, simulated once per process (shared with
 /// any other ScenarioCache user in this binary).
 const Capture& capture() {
-  static const Capture c = [] {
-    Capture out;
-    const sim::ScenarioParams params = sim::cenic_scenario();
-    out.cap = analysis::ScenarioCache::global().capture(params);
-    out.period = params.period;
-    out.event_count =
-        out.cap->sim.collector.size() + out.cap->sim.listener.records().size();
-    return out;
-  }();
-  return c;
+  static const std::shared_ptr<const Capture> c =
+      analysis::ScenarioCache::global().capture(sim::cenic_scenario());
+  return *c;
+}
+
+std::size_t event_count(const Capture& c) {
+  return c.sim.collector.size() + c.sim.listener.records().size();
 }
 
 /// One full batch extract+reconstruct pass; returns the failure count.
 std::size_t batch_pass(const Capture& c) {
-  analysis::ReconstructOptions opts;
-  opts.period = c.period;
-  const isis::IsisExtraction isis_ex =
-      isis::extract_transitions(c.sim().listener.records(), c.census());
-  const syslog::SyslogExtraction syslog_ex =
-      syslog::extract_transitions(c.sim().collector, c.census());
-  const analysis::Reconstruction isis_recon =
-      analysis::reconstruct_from_isis(isis_ex.is_reach, opts);
-  const analysis::Reconstruction syslog_recon =
-      analysis::reconstruct_from_syslog(syslog_ex.transitions, opts);
-  return isis_recon.failures.size() + syslog_recon.failures.size();
+  const analysis::Reconstructed r = analysis::extract_and_reconstruct(c.view());
+  return r.isis_recon.failures.size() + r.syslog_recon.failures.size();
 }
 
 void BM_BatchExtractReconstruct(benchmark::State& state) {
@@ -76,7 +53,7 @@ void BM_BatchExtractReconstruct(benchmark::State& state) {
     benchmark::DoNotOptimize(failures);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.event_count));
+                          static_cast<std::int64_t>(event_count(c)));
   state.counters["failures"] =
       benchmark::Counter(static_cast<double>(failures));
 }
@@ -89,9 +66,9 @@ void BM_StreamEngine(benchmark::State& state) {
   std::uint64_t failures = 0;
   std::uint64_t pending_peak = 0;
   for (auto _ : state) {
-    stream::StreamEngine engine(c.census(), options);
+    stream::StreamEngine engine(c.census, options);
     stream::EventMux mux = stream::EventMux::over_vectors(
-        c.sim().collector.lines(), c.sim().listener.records());
+        c.sim.collector.lines(), c.sim.listener.records());
     while (auto ev = mux.next()) engine.feed(*ev);
     engine.finish();
     failures = engine.isis_tracker().counters().failures_released +
@@ -101,7 +78,7 @@ void BM_StreamEngine(benchmark::State& state) {
     benchmark::DoNotOptimize(failures);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.event_count));
+                          static_cast<std::int64_t>(event_count(c)));
   state.counters["failures"] =
       benchmark::Counter(static_cast<double>(failures));
   // The O(links + window) claim, measured: peak buffered transitions across
@@ -114,14 +91,14 @@ BENCHMARK(BM_StreamEngine)->Unit(benchmark::kMillisecond);
 void BM_StreamEngineIngestOnly(benchmark::State& state) {
   // Tracker-only cost: pre-extracted transitions, no LSP/syslog parsing.
   const Capture& c = capture();
-  const isis::IsisExtraction isis_ex =
-      isis::extract_transitions(c.sim().listener.records(), c.census());
+  const std::vector<isis::IsisTransition> is_reach =
+      analysis::extract_and_reconstruct(c.view()).isis.is_reach;
   stream::TrackerOptions options;
   options.reconstruct.period = c.period;
   std::size_t n = 0;
   for (auto _ : state) {
     stream::LinkTracker tracker(options);
-    for (const isis::IsisTransition& tr : isis_ex.is_reach) {
+    for (const isis::IsisTransition& tr : is_reach) {
       if (!tr.link.valid() || tr.multilink) continue;
       tracker.ingest({tr.link, tr.time, tr.dir});
       ++n;
@@ -150,14 +127,14 @@ double timed_ms(const std::function<void()>& fn, int reps) {
 /// one streaming-engine pass.
 std::vector<bench::BenchJsonEntry> measure_json_entries(int reps) {
   const Capture& c = capture();
-  const double events = static_cast<double>(c.event_count);
+  const double events = static_cast<double>(event_count(c));
 
   const auto stream_pass = [&] {
     stream::EngineOptions options;
     options.tracker.reconstruct.period = c.period;
-    stream::StreamEngine engine(c.census(), options);
+    stream::StreamEngine engine(c.census, options);
     stream::EventMux mux = stream::EventMux::over_vectors(
-        c.sim().collector.lines(), c.sim().listener.records());
+        c.sim.collector.lines(), c.sim.listener.records());
     while (auto ev = mux.next()) engine.feed(*ev);
     engine.finish();
     benchmark::DoNotOptimize(

@@ -1,22 +1,21 @@
-// Replay: dump the raw observation streams to files (flat syslog text +
-// NFC1 LSP capture), reload them, and run the analysis over the *files* —
-// demonstrating that the pipeline works from on-disk captures exactly as it
-// does in memory. This is the adoption path for real data: drop your
-// collector file and listener capture in, mine your config archive, go.
+// Replay: write a simulated capture to disk as a bundle (flat syslog text,
+// NFC1 LSP capture, config archive, tickets, listener gaps), read it back
+// and run the analysis over the *files* — demonstrating that the pipeline
+// works from on-disk captures exactly as it does in memory. This is the
+// adoption path for real data: lay your collector file, listener capture
+// and config archive out as a bundle, then io::read_bundle + run_analysis.
 //
 //   $ ./replay_capture [workdir]     # default: ./netfail_replay
 #include <cstdio>
-#include <filesystem>
+#include <string>
 
 #include "src/analysis/pipeline.hpp"
 #include "src/analysis/tables.hpp"
-#include "src/io/lsp_capture.hpp"
-#include "src/io/syslog_file.hpp"
+#include "src/io/bundle.hpp"
 
 int main(int argc, char** argv) {
   using namespace netfail;
-  const std::filesystem::path dir = argc > 1 ? argv[1] : "netfail_replay";
-  std::filesystem::create_directories(dir);
+  const std::string dir = argc > 1 ? argv[1] : "netfail_replay";
 
   // 1. Produce the streams (stand-in for a real deployment's capture).
   analysis::PipelineOptions options;
@@ -24,69 +23,33 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "simulating...\n");
   const analysis::PipelineResult live = analysis::run_pipeline(options);
 
-  // 2. Dump to disk.
-  const std::string syslog_path = (dir / "messages.log").string();
-  const std::string capture_path = (dir / "listener.nfc").string();
-  if (Status s = io::write_syslog_file(live.sim.collector, syslog_path); !s) {
-    std::fprintf(stderr, "error: %s\n", s.error().to_string().c_str());
-    return 1;
-  }
-  if (Status s = io::write_lsp_capture(live.sim.listener.records(),
-                                       capture_path);
+  // 2. Write them to disk.
+  const TimeRange period = options.scenario.period;
+  if (Status s = io::write_bundle(
+          dir, period, live.sim.collector, live.sim.listener.records(),
+          generate_archive(live.sim.topology, period, options.archive),
+          live.sim.tickets, live.sim.truth.listener_gaps());
       !s) {
     std::fprintf(stderr, "error: %s\n", s.error().to_string().c_str());
     return 1;
   }
-  std::printf("wrote %s (%zu lines) and %s (%zu LSPs)\n", syslog_path.c_str(),
-              live.sim.collector.size(), capture_path.c_str(),
-              live.sim.listener.records().size());
 
   // 3. Reload and re-run the analysis from the files.
-  io::SyslogReadStats syslog_stats;
-  const auto collector = io::read_syslog_file(
-      syslog_path, options.scenario.period.begin, &syslog_stats);
-  io::LspCaptureStats capture_stats;
-  const auto records = io::read_lsp_capture(capture_path, &capture_stats);
-  if (!collector || !records) {
-    std::fprintf(stderr, "reload failed\n");
+  const Result<io::Bundle> b = io::read_bundle(dir);
+  if (!b) {
+    std::fprintf(stderr, "reload failed: %s\n",
+                 b.error().to_string().c_str());
     return 1;
   }
-  std::printf("reloaded %zu lines (%zu unparsable), %zu LSP frames\n",
-              collector->size(), syslog_stats.unparsable,
-              capture_stats.frames);
+  const analysis::AnalysisResult files = analysis::run_analysis(
+      {b->period, b->census, b->collector, b->lsp_records, b->tickets,
+       b->listener_gaps},
+      options);
 
-  const auto isis_extraction =
-      isis::extract_transitions(*records, live.census);
-  const auto syslog_extraction =
-      syslog::extract_transitions(*collector, live.census);
-
-  analysis::ReconstructOptions recon;
-  recon.period = options.scenario.period;
-  const analysis::Reconstruction isis_recon =
-      analysis::reconstruct_from_isis(isis_extraction.is_reach, recon);
-  const analysis::Reconstruction syslog_recon =
-      analysis::reconstruct_from_syslog(syslog_extraction.transitions, recon);
-
-  // 4. The file-based run must reproduce the in-memory one.
-  std::printf("\n%-28s %10s %10s\n", "", "in-memory", "from-files");
-  std::printf("%-28s %10zu %10zu\n", "IS-IS transitions",
-              live.isis.is_reach.size(), isis_extraction.is_reach.size());
-  std::printf("%-28s %10zu %10zu\n", "syslog transitions",
-              live.syslog.transitions.size(),
-              syslog_extraction.transitions.size());
-  std::printf("%-28s %10zu %10zu\n", "IS-IS failures (raw)",
-              live.isis_recon.failures.size() +
-                  live.isis_gap_report.removed_listener_gap,
-              isis_recon.failures.size());
-  std::printf("%-28s %10zu %10zu\n", "syslog failures (raw)",
-              live.syslog_recon.failures.size() +
-                  live.syslog_gap_report.removed_listener_gap +
-                  live.syslog_long_report.long_failures_removed,
-              syslog_recon.failures.size());
-
-  const bool transitions_match =
-      live.isis.is_reach.size() == isis_extraction.is_reach.size() &&
-      live.syslog.transitions.size() == syslog_extraction.transitions.size();
-  std::printf("\nround-trip %s\n", transitions_match ? "EXACT" : "DIVERGED");
-  return transitions_match ? 0 : 1;
+  // 4. The file-based run must reproduce the in-memory one, table for table.
+  const std::string report = analysis::render_comparison(files, b->census);
+  const bool exact = report == analysis::render_comparison(live, live.census);
+  std::printf("%s\nround-trip through %s: %s\n", report.c_str(), dir.c_str(),
+              exact ? "EXACT" : "DIVERGED");
+  return exact ? 0 : 1;
 }

@@ -51,15 +51,8 @@ int main(int argc, char** argv) {
        {analysis::AmbiguityPolicy::kDrop, analysis::AmbiguityPolicy::kAssumeDown,
         analysis::AmbiguityPolicy::kAssumeUp,
         analysis::AmbiguityPolicy::kHoldState}) {
-    analysis::ReconstructOptions opts;
-    opts.period = r.options_period;
-    opts.policy = policy;
-    analysis::Reconstruction recon =
-        analysis::reconstruct_from_syslog(r.syslog.transitions, opts);
-    (void)analysis::remove_listener_gap_failures(recon.failures,
-                                                 r.sim.truth.listener_gaps());
-    (void)analysis::verify_long_failures(recon.failures, r.census,
-                                         r.sim.tickets);
+    const analysis::Reconstruction recon =
+        analysis::sanitized_syslog(r, policy);
     std::printf("   %-12s -> %.0f h downtime\n",
                 analysis::ambiguity_policy_name(policy),
                 analysis::total_downtime(recon.failures).hours_f());

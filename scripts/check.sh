@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Full verification sweep: static analysis first (fail fast), then the
-# architecture audit, then tier-1 tests, then ASan+UBSan, then TSan.
+# architecture audit, then tier-1 tests, then ASan+UBSan, then TSan, then e2e.
 #
-#   scripts/check.sh            # lint, audit, tier1, asan, tsan
+#   scripts/check.sh            # lint, audit, tier1, asan, tsan, e2e
 #   scripts/check.sh lint       # repo linter (+ clang-tidy where installed)
 #   scripts/check.sh audit      # layering/lock-order/alloc/header audit
 #   scripts/check.sh tier1      # just the plain build + ctest
 #   scripts/check.sh asan       # just the ASan+UBSan build + ctest
 #   scripts/check.sh tsan       # just the TSan build + threaded suites
+#   scripts/check.sh e2e        # build the e2ebench/ harness + its self-tests
 #   scripts/check.sh bench      # events/sec vs the committed BENCH_pipeline.json
 #   scripts/check.sh bench --repeat 9   # best-of-9 sampling (default 5)
 #
@@ -94,6 +95,14 @@ run_tsan() {
     --tests-regex 'ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
+run_e2e() {
+  echo "== e2e: end-to-end benchmark harness build + self-tests =="
+  # A src/ API change that breaks the harness fails here, not in a bench run.
+  cmake -S e2ebench -B build-e2ebench -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-e2ebench -j "$JOBS" --target nfbench netfail
+  PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s e2ebench -p 'test_*.py'
+}
+
 run_bench() {
   echo "== bench: events/sec vs committed BENCH_pipeline.json =="
   if [[ "${NETFAIL_SKIP_BENCH:-0}" == "1" ]]; then
@@ -145,6 +154,7 @@ case "$STAGE" in
   tier1) run_tier1 ;;
   asan) run_asan ;;
   tsan) run_tsan ;;
+  e2e) run_e2e ;;
   bench) shift; run_bench "$@" ;;
   all)
     run_lint
@@ -152,11 +162,12 @@ case "$STAGE" in
     run_tier1
     run_asan
     run_tsan
+    run_e2e
     echo "== all checks passed (run 'scripts/check.sh bench' for the =="
     echo "== throughput-regression gate; it wants a quiet machine)   =="
     ;;
   *)
-    echo "usage: $0 [lint|audit|tier1|asan|tsan|bench|all]" >&2
+    echo "usage: $0 [lint|audit|tier1|asan|tsan|e2e|bench|all]" >&2
     exit 2
     ;;
 esac

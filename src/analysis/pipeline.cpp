@@ -21,35 +21,37 @@ PipelineCapture run_capture(const sim::ScenarioParams& scenario,
   return out;
 }
 
-PipelineResult run_analysis(PipelineCapture capture,
-                            const PipelineOptions& options) {
-  PipelineResult out;
-  out.options_period = capture.period;
-  out.sim = std::move(capture.sim);
-  out.census = std::move(capture.census);
-  out.mining = capture.mining;
-  out.archive_files = capture.archive_files;
-
+Reconstructed extract_and_reconstruct(const CaptureView& capture,
+                                      ReconstructOptions options) {
+  Reconstructed out;
   // 3. Extract transitions from both raw streams.
-  out.isis = isis::extract_transitions(out.sim.listener.records(), out.census);
-  out.syslog = syslog::extract_transitions(out.sim.collector, out.census);
+  out.isis = isis::extract_transitions(capture.lsp_records, capture.census);
+  out.syslog = syslog::extract_transitions(capture.collector, capture.census);
 
   // 4. Reconstruct failures.
-  ReconstructOptions recon = options.reconstruct;
-  recon.period = capture.period;
-  out.isis_recon = reconstruct_from_isis(out.isis.is_reach, recon);
-  out.syslog_recon = reconstruct_from_syslog(out.syslog.transitions, recon);
+  options.period = capture.period;
+  out.isis_recon = reconstruct_from_isis(out.isis.is_reach, options);
+  out.syslog_recon = reconstruct_from_syslog(out.syslog.transitions, options);
+  return out;
+}
+
+AnalysisResult run_analysis(const CaptureView& capture,
+                            const PipelineOptions& options) {
+  AnalysisResult out;
+  static_cast<Reconstructed&>(out) =
+      extract_and_reconstruct(capture, options.reconstruct);
+  out.options_period = capture.period;
 
   // 5. Sanitize: listener-gap periods are trusted in neither source; long
   //    syslog failures must be corroborated by a trouble ticket.
-  const IntervalSet& gaps = out.sim.truth.listener_gaps();
+  const IntervalSet& gaps = capture.listener_gaps;
   out.isis_gap_report =
       remove_listener_gap_failures(out.isis_recon.failures, gaps);
   out.syslog_gap_report =
       remove_listener_gap_failures(out.syslog_recon.failures, gaps);
   out.syslog_long_report =
-      verify_long_failures(out.syslog_recon.failures, out.census,
-                           out.sim.tickets, options.sanitize);
+      verify_long_failures(out.syslog_recon.failures, capture.census,
+                           capture.tickets, options.sanitize);
 
   // 6. Flap detection (marks failures in place).
   out.isis_flaps = detect_flaps(out.isis_recon.failures, options.flaps);
@@ -59,8 +61,28 @@ PipelineResult run_analysis(PipelineCapture capture,
 }
 
 PipelineResult run_pipeline(const PipelineOptions& options) {
-  return run_analysis(
+  return run_pipeline(
       run_capture(options.scenario, options.archive, options.miner), options);
+}
+
+PipelineResult run_pipeline(PipelineCapture capture,
+                            const PipelineOptions& options) {
+  AnalysisResult analysis = run_analysis(capture.view(), options);
+  return {std::move(analysis), std::move(capture.sim),
+          std::move(capture.census), capture.mining, capture.archive_files};
+}
+
+Reconstruction sanitized_syslog(const PipelineResult& r,
+                                AmbiguityPolicy policy) {
+  ReconstructOptions options;
+  options.period = r.options_period;
+  options.policy = policy;
+  Reconstruction recon =
+      reconstruct_from_syslog(r.syslog.transitions, options);
+  (void)remove_listener_gap_failures(recon.failures,
+                                     r.sim.truth.listener_gaps());
+  (void)verify_long_failures(recon.failures, r.census, r.sim.tickets);
+  return recon;
 }
 
 }  // namespace netfail::analysis

@@ -1,13 +1,23 @@
-// End-to-end pipeline: scenario -> simulation -> config mining -> extraction
-// -> reconstruction -> sanitization -> flap detection.
+// The paper's methodology as one pipeline over one capture.
 //
-// This is the programmatic equivalent of the paper's whole methodology; the
-// benchmark binaries and examples call run_pipeline() and then compute their
-// table from the result.
+// A capture is what both sources recorded over a study period: syslog
+// collector, IS-IS listener LSPs, the census mined from the config archive,
+// trouble tickets and listener outage windows. CaptureView holds them by
+// const reference, so a simulation, a bundle read from disk
+// (io::read_bundle) or your own streams all run the same stages:
+//   3-4. extract_and_reconstruct(): extract transitions, rebuild failures
+//   5-6. sanitize (listener gaps, ticket checks), then mark flaps
+// Entry points:
+//   - run_analysis(view): stages 3-6 over any capture (`netfail analyze`).
+//   - run_pipeline(options): simulate and mine first (stages 1-2), keeping
+//     the simulation in the result (benches, examples, tests).
+//   - extract_and_reconstruct(view) alone: the unsanitized front that the
+//     stream engine reproduces (`netfail export`, batch-vs-stream tests).
 #pragma once
 
+#include <vector>
+
 #include "src/analysis/flaps.hpp"
-#include "src/analysis/match.hpp"
 #include "src/analysis/reconstruct.hpp"
 #include "src/analysis/sanitize.hpp"
 #include "src/config/archive.hpp"
@@ -22,59 +32,89 @@ struct PipelineOptions {
   sim::ScenarioParams scenario = sim::cenic_scenario();
   ArchiveParams archive;
   MinerParams miner;
-  ReconstructOptions reconstruct;  // period is filled from the scenario
-  MatchOptions match;
+  ReconstructOptions reconstruct;  // period is filled from the capture
   SanitizeOptions sanitize;
   FlapOptions flaps;
 };
 
-struct PipelineResult {
-  sim::SimulationResult sim;
-  LinkCensus census;
-  MiningStats mining;
-  std::size_t archive_files = 0;
+/// One capture, source-agnostic. Results never point into it.
+struct CaptureView {
+  TimeRange period;
+  const LinkCensus& census;
+  const syslog::Collector& collector;
+  const std::vector<isis::LspRecord>& lsp_records;
+  const TicketStore& tickets;
+  const IntervalSet& listener_gaps;
+};
 
+/// Stages 3-4: both sources extracted and reconstructed, unsanitized.
+struct Reconstructed {
   isis::IsisExtraction isis;
   syslog::SyslogExtraction syslog;
-
-  /// Sanitized reconstructions (listener-gap failures removed from both;
-  /// long syslog failures ticket-verified).
   Reconstruction isis_recon;
   Reconstruction syslog_recon;
+};
+
+/// `options.period` is replaced by the capture's period.
+Reconstructed extract_and_reconstruct(const CaptureView& capture,
+                                      ReconstructOptions options = {});
+
+/// Stages 3-6. The reconstructions are sanitized (listener-gap failures
+/// removed from both; long syslog failures ticket-verified) and flap-marked.
+struct AnalysisResult : Reconstructed {
+  TimeRange options_period;
   SanitizationReport isis_gap_report;
   SanitizationReport syslog_gap_report;
   SanitizationReport syslog_long_report;
 
   FlapAnalysis isis_flaps;
   FlapAnalysis syslog_flaps;
-
-  TimeRange period() const { return options_period; }
-  TimeRange options_period;
 };
 
-PipelineResult run_pipeline(const PipelineOptions& options = {});
+/// Reads options.reconstruct/sanitize/flaps; scenario/archive/miner are
+/// for run_pipeline.
+AnalysisResult run_analysis(const CaptureView& capture,
+                            const PipelineOptions& options = {});
 
-/// The expensive, options-independent front half of the pipeline: one
-/// simulation plus the mined census. ScenarioCache shares captures across
-/// call sites; run_analysis() consumes one (by value — pass a copy when the
-/// capture is shared).
+/// A simulated capture: stages 1-2, simulate and mine. ScenarioCache shares
+/// these across call sites.
 struct PipelineCapture {
   sim::SimulationResult sim;
   LinkCensus census;
   MiningStats mining;
   std::size_t archive_files = 0;
   TimeRange period;
+
+  CaptureView view() const {
+    return {period, census, sim.collector, sim.listener.records(),
+            sim.tickets, sim.truth.listener_gaps()};
+  }
 };
 
-/// Stages 1-2: simulate and mine. `archive`/`miner` default to the same
-/// parameters run_pipeline() uses.
+/// `archive`/`miner` default to the same parameters run_pipeline() uses.
 PipelineCapture run_capture(const sim::ScenarioParams& scenario,
                             const ArchiveParams& archive = {},
                             const MinerParams& miner = {});
 
-/// Stages 3-6: extraction, reconstruction, sanitization, flap detection.
-/// run_pipeline(options) == run_analysis(run_capture(...), options).
-PipelineResult run_analysis(PipelineCapture capture,
+/// The analysis of a simulated capture, kept together with the simulation
+/// and census it ran on (Tables 1 and 7 read the topology and ground truth).
+struct PipelineResult : AnalysisResult {
+  sim::SimulationResult sim;
+  LinkCensus census;
+  MiningStats mining;
+  std::size_t archive_files = 0;
+};
+
+/// Stages 1-6: run_pipeline(run_capture(...), options).
+PipelineResult run_pipeline(const PipelineOptions& options = {});
+
+/// Stages 3-6 over a simulated capture, which the result takes over.
+PipelineResult run_pipeline(PipelineCapture capture,
                             const PipelineOptions& options = {});
+
+/// Stages 4-5 for syslog again under another ambiguity policy, reusing r's
+/// extraction (default SanitizeOptions). Table 7 uses hold-state.
+Reconstruction sanitized_syslog(const PipelineResult& r,
+                                AmbiguityPolicy policy);
 
 }  // namespace netfail::analysis

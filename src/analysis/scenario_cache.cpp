@@ -148,7 +148,6 @@ std::uint64_t pipeline_options_hash(const PipelineOptions& options) {
   h.dur(options.reconstruct.merge_window)
       .i(static_cast<int>(options.reconstruct.policy))
       .range(options.reconstruct.period)
-      .dur(options.match.window)
       .dur(options.sanitize.long_failure_threshold)
       .d(options.sanitize.ticket_overlap_fraction)
       .dur(options.flaps.max_gap)
@@ -194,8 +193,8 @@ std::shared_ptr<const PipelineCapture> ScenarioCache::capture(
 std::shared_ptr<const PipelineResult> ScenarioCache::pipeline(
     const PipelineOptions& options) {
   return lookup(pipelines_, pipeline_options_hash(options), [&] {
-    // Copy the shared capture: run_analysis consumes its input.
-    return run_analysis(*capture(options.scenario, options.archive,
+    // Copy the shared capture: the result keeps its own simulation.
+    return run_pipeline(*capture(options.scenario, options.archive,
                                  options.miner),
                         options);
   });

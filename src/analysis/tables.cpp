@@ -53,7 +53,7 @@ std::string render_table1(const Table1Data& d) {
 
 // ---- Table 2 -------------------------------------------------------------------
 
-ReachabilityMatchTable compute_table2(const PipelineResult& r) {
+ReachabilityMatchTable compute_table2(const AnalysisResult& r) {
   return match_reachability(r.syslog.transitions, r.isis.is_reach,
                             r.isis.ip_reach, MatchOptions{});
 }
@@ -77,7 +77,7 @@ std::string render_table2(const ReachabilityMatchTable& t) {
 
 // ---- Table 3 -------------------------------------------------------------------
 
-TransitionMatchCounts compute_table3(const PipelineResult& r) {
+TransitionMatchCounts compute_table3(const AnalysisResult& r) {
   return match_transitions(r.isis.is_reach, r.syslog.transitions,
                            r.isis_flaps.flap_ranges, MatchOptions{});
 }
@@ -109,7 +109,7 @@ std::string render_table3(const TransitionMatchCounts& t) {
 
 // ---- Table 4 -------------------------------------------------------------------
 
-Table4Data compute_table4(const PipelineResult& r) {
+Table4Data compute_table4(const AnalysisResult& r) {
   Table4Data d;
   d.match = match_failures(r.isis_recon.failures, r.syslog_recon.failures,
                            MatchOptions{});
@@ -136,11 +136,11 @@ std::string render_table4(const Table4Data& d) {
 
 // ---- Table 5 -------------------------------------------------------------------
 
-Table5Data compute_table5(const PipelineResult& r) {
+Table5Data compute_table5(const AnalysisResult& r, const LinkCensus& census) {
   Table5Data d;
-  d.syslog = compute_link_statistics(r.syslog_recon.failures, r.census,
+  d.syslog = compute_link_statistics(r.syslog_recon.failures, census,
                                      r.options_period);
-  d.isis = compute_link_statistics(r.isis_recon.failures, r.census,
+  d.isis = compute_link_statistics(r.isis_recon.failures, census,
                                    r.options_period);
   return d;
 }
@@ -240,7 +240,7 @@ std::string render_ks(const KsData& k) {
 
 // ---- Table 6 -------------------------------------------------------------------
 
-AmbiguityClassification compute_table6(const PipelineResult& r) {
+AmbiguityClassification compute_table6(const AnalysisResult& r) {
   return classify_ambiguous(r.syslog_recon.ambiguous, r.isis_recon.failures,
                             r.isis.is_reach, MatchOptions{});
 }
@@ -279,18 +279,8 @@ Table7Data compute_table7(const PipelineResult& r) {
   // ambiguity-excluding accounting baseline: a spurious mid-failure "Down"
   // must not cut an outage in half when deciding whether a customer was
   // cut off.
-  ReconstructOptions recon;
-  recon.period = r.options_period;
-  recon.policy = AmbiguityPolicy::kHoldState;
-  Reconstruction state_recon =
-      reconstruct_from_syslog(r.syslog.transitions, recon);
-  (void)remove_listener_gap_failures(state_recon.failures,
-                                     r.sim.truth.listener_gaps());
-  SanitizeOptions sanitize;
-  (void)verify_long_failures(state_recon.failures, r.census, r.sim.tickets,
-                             sanitize);
-  const PairDowntime syslog_pairs =
-      pair_downtime_from_failures(r.census, state_recon.failures);
+  const PairDowntime syslog_pairs = pair_downtime_from_failures(
+      r.census, sanitized_syslog(r, AmbiguityPolicy::kHoldState).failures);
   d.isis = compute_isolation(r.census, isis_pairs, r.options_period);
   d.syslog = compute_isolation(r.census, syslog_pairs, r.options_period);
   d.intersection = intersect_isolation(d.isis, d.syslog);
@@ -324,6 +314,24 @@ std::string render_table7(const Table7Data& d) {
       "\nSyslog events unseen by IS-IS: %zu (paper: 58); IS-IS events missed "
       "by syslog: %zu (paper: 399)\n",
       d.syslog_only_events, d.isis_only_events);
+  return out;
+}
+
+// ---- Comparison report ---------------------------------------------------------
+
+std::string render_comparison(const AnalysisResult& r,
+                              const LinkCensus& census) {
+  std::string out = render_table2(compute_table2(r)) + "\n";
+  out += render_table3(compute_table3(r)) + "\n";
+  out += render_table4(compute_table4(r)) + "\n";
+  out += strformat(
+      "Long-failure verification removed %zu failures (%.0f h spurious)\n\n",
+      r.syslog_long_report.long_failures_removed,
+      r.syslog_long_report.spurious_hours_removed.hours_f());
+  const Table5Data t5 = compute_table5(r, census);
+  out += render_table5(t5) + "\n";
+  out += render_ks(compute_ks(t5)) + "\n";
+  out += render_table6(compute_table6(r)) + "\n";
   return out;
 }
 

@@ -1,4 +1,5 @@
 // The paper's tables, computed from a pipeline result and rendered as text.
+// Tables 2-6 need only the source-agnostic AnalysisResult.
 //
 // Each table has a compute_*() producing plain numbers (tests assert on
 // these) and a render_*() producing the printable table (benchmarks print
@@ -30,18 +31,18 @@ Table1Data compute_table1(const PipelineResult& r);
 std::string render_table1(const Table1Data& d);
 
 // ---- Table 2: IS vs IP reachability --------------------------------------------
-ReachabilityMatchTable compute_table2(const PipelineResult& r);
+ReachabilityMatchTable compute_table2(const AnalysisResult& r);
 std::string render_table2(const ReachabilityMatchTable& t);
 
 // ---- Table 3: transitions vs syslog messages ------------------------------------
-TransitionMatchCounts compute_table3(const PipelineResult& r);
+TransitionMatchCounts compute_table3(const AnalysisResult& r);
 std::string render_table3(const TransitionMatchCounts& t);
 
 // ---- Table 4: failures and downtime ----------------------------------------------
 struct Table4Data {
   FailureMatchResult match;
 };
-Table4Data compute_table4(const PipelineResult& r);
+Table4Data compute_table4(const AnalysisResult& r);
 std::string render_table4(const Table4Data& d);
 
 // ---- Table 5: per-link statistics --------------------------------------------------
@@ -49,7 +50,10 @@ struct Table5Data {
   LinkStatistics syslog;
   LinkStatistics isis;
 };
-Table5Data compute_table5(const PipelineResult& r);
+Table5Data compute_table5(const AnalysisResult& r, const LinkCensus& census);
+inline Table5Data compute_table5(const PipelineResult& r) {
+  return compute_table5(r, r.census);
+}
 std::string render_table5(const Table5Data& d);
 
 // ---- KS agreement (sect. 4.2) -------------------------------------------------------
@@ -61,7 +65,7 @@ KsData compute_ks(const Table5Data& d);
 std::string render_ks(const KsData& k);
 
 // ---- Table 6: ambiguous state changes -------------------------------------------------
-AmbiguityClassification compute_table6(const PipelineResult& r);
+AmbiguityClassification compute_table6(const AnalysisResult& r);
 std::string render_table6(const AmbiguityClassification& t);
 
 // ---- Table 7: customer isolation ---------------------------------------------------------
@@ -77,6 +81,11 @@ struct Table7Data {
 };
 Table7Data compute_table7(const PipelineResult& r);
 std::string render_table7(const Table7Data& d);
+
+// ---- The comparison report `netfail analyze` prints ------------------------------
+/// Tables 2-4, the long-failure verification line, Table 5, KS and Table 6.
+std::string render_comparison(const AnalysisResult& r,
+                              const LinkCensus& census);
 
 // ---- Figure 1: CPE cumulative distributions ------------------------------------------------
 std::string render_figure1(const Table5Data& d);

@@ -1,0 +1,50 @@
+// Capture bundles: one directory holding everything a deployment records
+// over a study period, in the formats of the readers next to this file.
+//
+//   META               period_begin_ms <ms> / period_end_ms <ms>, one per line
+//   messages.log       flat syslog archive (syslog_file.hpp)
+//   listener.nfc       NFC1 LSP capture (lsp_capture.hpp)
+//   configs/           RANCID-style config archive (config_dir.hpp)
+//   tickets.tsv        trouble tickets (ticket_file.hpp), optional
+//   listener_gaps.tsv  listener outage windows (interval_file.hpp), optional
+//
+// An optional file that does not exist reads as empty. One that exists but
+// cannot be read fails the whole load: a corrupt listener-gap file must not
+// quietly switch sanitization off.
+#pragma once
+
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "src/common/interval_set.hpp"
+#include "src/common/result.hpp"
+#include "src/config/archive.hpp"
+#include "src/config/census.hpp"
+#include "src/isis/listener.hpp"
+#include "src/syslog/collector.hpp"
+#include "src/tickets/tickets.hpp"
+
+namespace netfail::io {
+
+struct Bundle {
+  TimeRange period;
+  /// Mined from configs/ with the default MinerParams.
+  LinkCensus census;
+  std::size_t config_files = 0;
+  syslog::Collector collector;
+  std::vector<isis::LspRecord> lsp_records;
+  TicketStore tickets;
+  IntervalSet listener_gaps;
+};
+
+Result<Bundle> read_bundle(const std::string& dir);
+
+/// Writes every file, META last, so a bundle with a META is complete.
+Status write_bundle(const std::string& dir, TimeRange period,
+                    const syslog::Collector& collector,
+                    const std::vector<isis::LspRecord>& lsp_records,
+                    const ConfigArchive& configs, const TicketStore& tickets,
+                    const IntervalSet& listener_gaps);
+
+}  // namespace netfail::io

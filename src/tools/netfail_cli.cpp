@@ -2,8 +2,7 @@
 //
 //   netfail simulate --out DIR [--small] [--seed N]
 //       Run the (CENIC-scale or scaled-down) simulation and write a full
-//       capture bundle: flat syslog file, NFC1 LSP capture, per-device
-//       config archive, ticket TSV, listener-gap TSV and a META file.
+//       capture bundle (src/io/bundle.hpp).
 //
 //   netfail analyze --dir DIR [--policy drop|assume-down|assume-up|hold-state]
 //       Run the paper's analysis over a capture bundle (yours or a
@@ -42,7 +41,7 @@
 //
 // The bundle format is exactly what a real deployment can produce: a
 // syslog archive, a PyRT-style LSP capture, a RANCID-style config archive,
-// and ticket/outage exports.
+// and ticket/outage exports; every verb reads it through io::read_bundle.
 //
 // Unrecognized flags are an error (usage + exit 2), not a silent no-op.
 #include <algorithm>
@@ -57,22 +56,15 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/analysis/ambiguous.hpp"
-#include "src/analysis/availability.hpp"
-#include "src/analysis/match.hpp"
+#include "src/analysis/flaps.hpp"
 #include "src/analysis/pipeline.hpp"
 #include "src/analysis/tables.hpp"
 #include "src/common/flags.hpp"
 #include "src/common/metrics.hpp"
 #include "src/common/strfmt.hpp"
 #include "src/common/table.hpp"
-#include "src/config/miner.hpp"
-#include "src/io/config_dir.hpp"
-#include "src/io/interval_file.hpp"
-#include "src/io/lsp_capture.hpp"
-#include "src/io/syslog_file.hpp"
-#include "src/io/ticket_file.hpp"
-#include "src/analysis/flaps.hpp"
+#include "src/config/archive.hpp"
+#include "src/io/bundle.hpp"
 #include "src/net/gateway.hpp"
 #include "src/net/replay.hpp"
 #include "src/stream/engine.hpp"
@@ -260,131 +252,47 @@ int cmd_simulate(int argc, char** argv) {
                args.has("--small") ? "small" : "CENIC-scale",
                static_cast<unsigned long long>(scenario.seed));
   const sim::SimulationResult sim = sim::run_simulation(scenario);
-
-  fs::create_directories(*out);
-  const fs::path dir(*out);
-
-  auto check = [](Status s, const char* what) {
-    if (!s) {
-      std::fprintf(stderr, "error writing %s: %s\n", what,
-                   s.error().to_string().c_str());
-      std::exit(1);
-    }
-  };
-  check(io::write_syslog_file(sim.collector, (dir / "messages.log").string()),
-        "messages.log");
-  check(io::write_lsp_capture(sim.listener.records(),
-                              (dir / "listener.nfc").string()),
-        "listener.nfc");
   const ConfigArchive archive =
       generate_archive(sim.topology, scenario.period);
-  check(io::write_config_dir(archive, (dir / "configs").string()), "configs/");
-  check(io::write_ticket_file(sim.tickets, (dir / "tickets.tsv").string()),
-        "tickets.tsv");
-  check(io::write_interval_file(sim.truth.listener_gaps(),
-                                (dir / "listener_gaps.tsv").string()),
-        "listener_gaps.tsv");
-  {
-    std::FILE* meta = std::fopen((dir / "META").string().c_str(), "w");
-    if (meta == nullptr) {
-      std::fprintf(stderr, "error writing META\n");
-      return 1;
-    }
-    std::fprintf(meta, "period_begin_ms\t%lld\nperiod_end_ms\t%lld\n",
-                 static_cast<long long>(scenario.period.begin.unix_millis()),
-                 static_cast<long long>(scenario.period.end.unix_millis()));
-    std::fclose(meta);
+  if (Status s = io::write_bundle(*out, scenario.period, sim.collector,
+                                  sim.listener.records(), archive, sim.tickets,
+                                  sim.truth.listener_gaps());
+      !s) {
+    std::fprintf(stderr, "error writing bundle: %s\n",
+                 s.error().to_string().c_str());
+    return 1;
   }
 
-  std::printf("wrote capture bundle to %s:\n", out->c_str());
-  std::printf("  messages.log       %zu syslog lines\n", sim.collector.size());
-  std::printf("  listener.nfc       %zu LSP frames\n",
-              sim.listener.records().size());
-  std::printf("  configs/           %zu files\n", archive.size());
-  std::printf("  tickets.tsv        %zu tickets\n", sim.tickets.size());
-  std::printf("  listener_gaps.tsv  %zu windows\n",
+  std::printf("wrote capture bundle to %s: %zu syslog lines, %zu LSP frames, "
+              "%zu config files, %zu tickets, %zu listener-gap windows\n",
+              out->c_str(), sim.collector.size(), sim.listener.records().size(),
+              archive.size(), sim.tickets.size(),
               sim.truth.listener_gaps().ranges().size());
   return 0;
 }
 
-// ---- bundle loading (shared by analyze and stream) ---------------------------
+// ---- bundle loading (shared by every verb that reads one) --------------------
 
-Result<TimeRange> read_meta(const fs::path& dir) {
-  std::FILE* meta = std::fopen((dir / "META").string().c_str(), "r");
-  if (meta == nullptr) {
-    return make_error(ErrorCode::kNotFound, "no META file in bundle");
-  }
-  long long begin_ms = 0, end_ms = 0;
-  char key[64];
-  TimeRange period;
-  while (std::fscanf(meta, "%63s %lld", key, &begin_ms) == 2) {
-    if (std::strcmp(key, "period_begin_ms") == 0) {
-      period.begin = TimePoint::from_unix_millis(begin_ms);
-    } else if (std::strcmp(key, "period_end_ms") == 0) {
-      end_ms = begin_ms;
-      period.end = TimePoint::from_unix_millis(end_ms);
-    }
-  }
-  std::fclose(meta);
-  if (period.empty()) {
-    return make_error(ErrorCode::kParseError, "META has no valid period");
-  }
-  return period;
-}
-
-struct Bundle {
-  TimeRange period;
-  LinkCensus census;
-  syslog::Collector collector;
-  std::vector<isis::LspRecord> records;
-  TicketStore tickets;
-  IntervalSet gaps;
-};
-
-/// Load META, configs, syslog and LSP capture; tickets/gaps are optional.
-bool load_bundle(const fs::path& dir, Bundle& out) {
-  const auto period = read_meta(dir);
-  if (!period) {
-    std::fprintf(stderr, "error: %s\n", period.error().to_string().c_str());
+/// io::read_bundle plus a one-line summary on stderr; on failure prints the
+/// error and returns false, and the verb exits 1.
+bool load_bundle(const std::string& dir, io::Bundle& out) {
+  Result<io::Bundle> bundle = io::read_bundle(dir);
+  if (!bundle) {
+    std::fprintf(stderr, "error: %s\n", bundle.error().to_string().c_str());
     return false;
   }
-  out.period = *period;
-  io::ConfigDirStats config_stats;
-  const auto archive =
-      io::read_config_dir((dir / "configs").string(), &config_stats);
-  if (!archive) {
-    std::fprintf(stderr, "error: %s\n", archive.error().to_string().c_str());
-    return false;
-  }
-  auto collector =
-      io::read_syslog_file((dir / "messages.log").string(), period->begin);
-  if (!collector) {
-    std::fprintf(stderr, "error: %s\n", collector.error().to_string().c_str());
-    return false;
-  }
-  out.collector = std::move(*collector);
-  auto records = io::read_lsp_capture((dir / "listener.nfc").string());
-  if (!records) {
-    std::fprintf(stderr, "error: %s\n", records.error().to_string().c_str());
-    return false;
-  }
-  out.records = std::move(*records);
-  if (const auto t = io::read_ticket_file((dir / "tickets.tsv").string())) {
-    out.tickets = *t;
-  }
-  if (const auto g =
-          io::read_interval_file((dir / "listener_gaps.tsv").string())) {
-    out.gaps = *g;
-  }
-
-  MiningStats mining;
-  out.census = mine_archive(*archive, *period, {}, &mining);
+  out = std::move(*bundle);
   std::fprintf(stderr,
                "bundle: %zu configs -> %zu links; %zu syslog lines; %zu "
                "LSPs; %zu tickets\n",
-               config_stats.files, out.census.size(), out.collector.size(),
-               out.records.size(), out.tickets.size());
+               out.config_files, out.census.size(), out.collector.size(),
+               out.lsp_records.size(), out.tickets.size());
   return true;
+}
+
+analysis::CaptureView capture_of(const io::Bundle& b) {
+  return {b.period,      b.census,  b.collector,
+          b.lsp_records, b.tickets, b.listener_gaps};
 }
 
 // ---- analyze -----------------------------------------------------------------
@@ -398,74 +306,23 @@ int cmd_analyze(int argc, char** argv) {
   const auto dir_arg = args.value("--dir");
   if (!dir_arg) return usage();
 
-  analysis::AmbiguityPolicy policy = analysis::AmbiguityPolicy::kAssumeUp;
+  analysis::PipelineOptions options;
   if (const auto p = args.value("--policy")) {
-    if (!parse_policy(*p, policy)) return usage();
+    if (!parse_policy(*p, options.reconstruct.policy)) return usage();
   }
 
-  Bundle bundle;
-  if (!load_bundle(fs::path(*dir_arg), bundle)) return 1;
-
-  // ---- the paper's pipeline, from files --------------------------------------
-  const isis::IsisExtraction isis_ex =
-      isis::extract_transitions(bundle.records, bundle.census);
-  const syslog::SyslogExtraction syslog_ex =
-      syslog::extract_transitions(bundle.collector, bundle.census);
-
-  analysis::ReconstructOptions recon;
-  recon.period = bundle.period;
-  recon.policy = policy;
-  analysis::Reconstruction isis_recon =
-      analysis::reconstruct_from_isis(isis_ex.is_reach, recon);
-  analysis::Reconstruction syslog_recon =
-      analysis::reconstruct_from_syslog(syslog_ex.transitions, recon);
-  (void)analysis::remove_listener_gap_failures(isis_recon.failures,
-                                               bundle.gaps);
-  (void)analysis::remove_listener_gap_failures(syslog_recon.failures,
-                                               bundle.gaps);
-  const analysis::SanitizationReport long_report =
-      analysis::verify_long_failures(syslog_recon.failures, bundle.census,
-                                     bundle.tickets);
-  analysis::FlapAnalysis isis_flaps =
-      analysis::detect_flaps(isis_recon.failures);
-  (void)analysis::detect_flaps(syslog_recon.failures);
-
-  // ---- reports ----------------------------------------------------------------
-  std::printf("%s\n", analysis::render_table2(analysis::match_reachability(
-                          syslog_ex.transitions, isis_ex.is_reach,
-                          isis_ex.ip_reach, {}))
-                          .c_str());
-  std::printf("%s\n", analysis::render_table3(analysis::match_transitions(
-                          isis_ex.is_reach, syslog_ex.transitions,
-                          isis_flaps.flap_ranges, {}))
-                          .c_str());
-  analysis::Table4Data t4;
-  t4.match = analysis::match_failures(isis_recon.failures,
-                                      syslog_recon.failures, {});
-  std::printf("%s\n", analysis::render_table4(t4).c_str());
-  std::printf(
-      "Long-failure verification removed %zu failures (%.0f h spurious)\n\n",
-      long_report.long_failures_removed,
-      long_report.spurious_hours_removed.hours_f());
-
-  analysis::Table5Data t5;
-  t5.syslog = analysis::compute_link_statistics(syslog_recon.failures,
-                                                bundle.census, bundle.period);
-  t5.isis = analysis::compute_link_statistics(isis_recon.failures,
-                                              bundle.census, bundle.period);
-  std::printf("%s\n", analysis::render_table5(t5).c_str());
-  std::printf("%s\n", analysis::render_ks(analysis::compute_ks(t5)).c_str());
-  std::printf("%s\n", analysis::render_table6(analysis::classify_ambiguous(
-                          syslog_recon.ambiguous, isis_recon.failures,
-                          isis_ex.is_reach, {}))
-                          .c_str());
+  io::Bundle bundle;
+  if (!load_bundle(*dir_arg, bundle)) return 1;
+  const std::string report = analysis::render_comparison(
+      analysis::run_analysis(capture_of(bundle), options), bundle.census);
+  std::fwrite(report.data(), 1, report.size(), stdout);
   return 0;
 }
 
 // ---- stream ------------------------------------------------------------------
 
-void print_rolling(const stream::StreamEngine& engine, const Bundle& bundle,
-                   double events_per_sec) {
+void print_rolling(const stream::StreamEngine& engine,
+                   const io::Bundle& bundle, double events_per_sec) {
   const stream::LinkTracker& isis_t = engine.isis_tracker();
   const stream::LinkTracker& syslog_t = engine.syslog_tracker();
   std::printf(
@@ -539,13 +396,14 @@ int cmd_stream(int argc, char** argv) {
     if (report_every == 0) report_every = 200000;
   }
 
-  Bundle bundle;
-  if (!load_bundle(fs::path(*dir_arg), bundle)) return 1;
+  io::Bundle bundle;
+  if (!load_bundle(*dir_arg, bundle)) return 1;
   options.tracker.reconstruct.period = bundle.period;
 
   stream::StreamEngine engine(bundle.census, options);
   stream::EventMux mux =
-      stream::EventMux::over_vectors(bundle.collector.lines(), bundle.records);
+      stream::EventMux::over_vectors(bundle.collector.lines(),
+                                     bundle.lsp_records);
 
   metrics::Histogram& latency = metrics::global().histogram(
       "stream.event_latency_us", metrics::exponential_bounds(1, 4, 10));
@@ -761,8 +619,8 @@ int cmd_serve(int argc, char** argv) {
     options.engine.tracker.max_tracked_links = static_cast<std::size_t>(cap);
   }
 
-  Bundle bundle;
-  if (!load_bundle(fs::path(*dir_arg), bundle)) return 1;
+  io::Bundle bundle;
+  if (!load_bundle(*dir_arg, bundle)) return 1;
   options.capture_start = bundle.period.begin;
   options.engine.tracker.reconstruct.period = bundle.period;
 
@@ -967,9 +825,9 @@ int cmd_export(int argc, char** argv) {
   if (const auto seed = args.value("--seed")) {
     if (!parse_number("--seed", *seed, options.seed)) return usage();
   }
-  analysis::AmbiguityPolicy policy = analysis::AmbiguityPolicy::kAssumeUp;
+  analysis::ReconstructOptions recon;
   if (const auto p = args.value("--policy")) {
-    if (!parse_policy(*p, policy)) return usage();
+    if (!parse_policy(*p, recon.policy)) return usage();
   }
   std::string out_path;
   if (const auto out = args.value("--out")) {
@@ -981,36 +839,23 @@ int cmd_export(int argc, char** argv) {
     out_path = *v;
   }
 
-  Bundle bundle;
-  if (!load_bundle(fs::path(*dir_arg), bundle)) return 1;
+  io::Bundle bundle;
+  if (!load_bundle(*dir_arg, bundle)) return 1;
 
-  // The batch pipeline's extract + reconstruct + flap stages feed the
-  // renderer; both sources' failures ride in one list (the renderer splits
-  // per link and per source).
-  const isis::IsisExtraction isis_ex =
-      isis::extract_transitions(bundle.records, bundle.census);
-  const syslog::SyslogExtraction syslog_ex =
-      syslog::extract_transitions(bundle.collector, bundle.census);
-  analysis::ReconstructOptions recon;
-  recon.period = bundle.period;
-  recon.policy = policy;
-  analysis::Reconstruction isis_recon =
-      analysis::reconstruct_from_isis(isis_ex.is_reach, recon);
-  analysis::Reconstruction syslog_recon =
-      analysis::reconstruct_from_syslog(syslog_ex.transitions, recon);
-  const analysis::FlapAnalysis isis_flaps =
-      analysis::detect_flaps(isis_recon.failures);
-  const analysis::FlapAnalysis syslog_flaps =
-      analysis::detect_flaps(syslog_recon.failures);
-
+  // The unsanitized reconstruction the stream engine also produces; both
+  // sources' failures ride in one list (the renderer splits them).
+  analysis::Reconstructed r =
+      analysis::extract_and_reconstruct(capture_of(bundle), recon);
   svc::ExportInputs inputs;
   inputs.census = &bundle.census;
-  inputs.failures = std::move(syslog_recon.failures);
-  inputs.failures.insert(inputs.failures.end(), isis_recon.failures.begin(),
-                         isis_recon.failures.end());
-  inputs.syslog_episodes = syslog_flaps.episodes;
-  inputs.isis_episodes = isis_flaps.episodes;
-  inputs.transitions = syslog_ex.transitions;
+  inputs.isis_episodes =
+      analysis::detect_flaps(r.isis_recon.failures).episodes;
+  inputs.syslog_episodes =
+      analysis::detect_flaps(r.syslog_recon.failures).episodes;
+  inputs.failures = std::move(r.syslog_recon.failures);
+  inputs.failures.insert(inputs.failures.end(), r.isis_recon.failures.begin(),
+                         r.isis_recon.failures.end());
+  inputs.transitions = std::move(r.syslog.transitions);
 
   const std::string report = svc::render_export(inputs, options);
   if (out_path.empty()) {
@@ -1107,13 +952,13 @@ int cmd_replay(int argc, char** argv) {
     if (!parse_number("--seed", *v, options.faults.seed)) return usage();
   }
 
-  Bundle bundle;
-  if (!load_bundle(fs::path(*dir_arg), bundle)) return 1;
+  io::Bundle bundle;
+  if (!load_bundle(*dir_arg, bundle)) return 1;
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point started = Clock::now();
   const auto stats = net::replay_capture(bundle.collector.lines(),
-                                         bundle.records, options);
+                                         bundle.lsp_records, options);
   if (!stats) {
     std::fprintf(stderr, "netfail: replay failed: %s\n",
                  stats.error().to_string().c_str());

@@ -1,13 +1,20 @@
-// Tests for the capture-bundle pieces: config directories, ticket files,
-// interval files — plus a miner round-trip through the on-disk archive.
+// Tests for the capture bundle and its pieces: config directories, ticket
+// files, interval files, a miner round-trip through the on-disk archive, and
+// io::read_bundle / io::write_bundle — a round trip that renders the same
+// comparison as the in-memory pipeline, and hostile META / listener-gap
+// files that must fail the load instead of crashing or being ignored.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <unistd.h>
 
+#include "src/analysis/scenario_cache.hpp"
+#include "src/analysis/tables.hpp"
 #include "src/config/miner.hpp"
+#include "src/io/bundle.hpp"
 #include "src/io/config_dir.hpp"
 #include "src/io/interval_file.hpp"
 #include "src/io/ticket_file.hpp"
@@ -143,6 +150,147 @@ TEST(IntervalFile, EmptyFileIsEmptySet) {
   const auto loaded = read_interval_file(stream);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
+}
+
+// ---- capture bundles -------------------------------------------------------------
+
+/// The small simulated scenario `netfail simulate --small --seed 11` writes.
+analysis::PipelineOptions small_options() {
+  analysis::PipelineOptions options;
+  options.scenario = sim::test_scenario();
+  options.scenario.seed = 11;
+  return options;
+}
+
+/// A bundle written from that scenario into a fresh directory.
+class CaptureBundle : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const analysis::PipelineOptions options = small_options();
+    capture_ = analysis::ScenarioCache::global().capture(options.scenario);
+    const sim::SimulationResult& sim = capture_->sim;
+    ASSERT_TRUE(write_bundle(dir_.path().string(), capture_->period,
+                             sim.collector, sim.listener.records(),
+                             generate_archive(sim.topology, capture_->period),
+                             sim.tickets, sim.truth.listener_gaps())
+                    .ok());
+  }
+
+  std::string dir() const { return dir_.path().string(); }
+  void append(const char* file, const std::string& text) const {
+    std::ofstream(dir_.path() / file, std::ios::app) << text;
+  }
+
+  TempDir dir_;
+  std::shared_ptr<const analysis::PipelineCapture> capture_;
+};
+
+TEST_F(CaptureBundle, RoundTripRendersTheInMemoryComparison) {
+  const Result<Bundle> b = read_bundle(dir());
+  ASSERT_TRUE(b.ok()) << b.error().to_string();
+  const sim::SimulationResult& sim = capture_->sim;
+  EXPECT_EQ(b->period, capture_->period);
+  EXPECT_EQ(b->collector.size(), sim.collector.size());
+  EXPECT_EQ(b->lsp_records.size(), sim.listener.records().size());
+  EXPECT_EQ(b->tickets.size(), sim.tickets.size());
+  EXPECT_EQ(b->listener_gaps, sim.truth.listener_gaps());
+  EXPECT_EQ(b->census.size(), capture_->census.size());
+  EXPECT_GT(b->config_files, 0u);
+
+  // The analysis over the files is the analysis over the simulation.
+  const auto in_memory =
+      analysis::ScenarioCache::global().pipeline(small_options());
+  const analysis::AnalysisResult from_files = analysis::run_analysis(
+      {b->period, b->census, b->collector, b->lsp_records, b->tickets,
+       b->listener_gaps});
+  EXPECT_EQ(analysis::render_comparison(from_files, b->census),
+            analysis::render_comparison(*in_memory, in_memory->census));
+}
+
+TEST_F(CaptureBundle, OptionalFilesMayBeAbsent) {
+  fs::remove(dir_.path() / "tickets.tsv");
+  fs::remove(dir_.path() / "listener_gaps.tsv");
+  const Result<Bundle> b = read_bundle(dir());
+  ASSERT_TRUE(b.ok()) << b.error().to_string();
+  EXPECT_EQ(b->tickets.size(), 0u);
+  EXPECT_TRUE(b->listener_gaps.empty());
+}
+
+TEST_F(CaptureBundle, MalformedListenerGapsFailTheLoad) {
+  // Treating this as "no gaps" would silently skip sanitization.
+  append("listener_gaps.tsv", "garbage row\n");
+  const Result<Bundle> b = read_bundle(dir());
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.error().code, ErrorCode::kParseError);
+  EXPECT_NE(b.error().message.find("listener_gaps.tsv"), std::string::npos);
+}
+
+TEST_F(CaptureBundle, MissingRequiredFilesFailTheLoad) {
+  for (const char* file : {"messages.log", "listener.nfc"}) {
+    TempDir copy;
+    fs::copy(dir_.path(), copy.path(), fs::copy_options::recursive);
+    fs::remove(copy.path() / file);
+    EXPECT_FALSE(read_bundle(copy.path().string()).ok()) << file;
+  }
+}
+
+TEST_F(CaptureBundle, MalformedMetaIsAnErrorNeverACrash) {
+  const std::string valid = "period_begin_ms\t1000\nperiod_end_ms\t2000\n";
+  const struct {
+    const char* name;
+    std::string meta;
+  } cases[] = {
+      {"empty file", ""},
+      {"missing end key", "period_begin_ms\t1000\n"},
+      {"missing begin key", "period_end_ms\t2000\n"},
+      {"non-numeric value", "period_begin_ms\t1000\nperiod_end_ms\tsoon\n"},
+      {"trailing junk", "period_begin_ms\t1000\nperiod_end_ms\t2000x\n"},
+      {"extra field", "period_begin_ms\t1000 7\nperiod_end_ms\t2000\n"},
+      {"key without value", "period_begin_ms\nperiod_end_ms\t2000\n"},
+      {"end equals begin", "period_begin_ms\t1000\nperiod_end_ms\t1000\n"},
+      {"end before begin", "period_begin_ms\t2000\nperiod_end_ms\t1000\n"},
+      {"overflowing value",
+       "period_begin_ms\t1000\nperiod_end_ms\t99999999999999999999999\n"},
+      {"binary garbage", "\x01\xff\x7f\n\n\t\t"},
+      {"embedded NUL", std::string("period_begin_ms\t10\0", 19) + "00\n" +
+                           "period_end_ms\t2000\n"},
+      {"overlong line", valid + std::string(1 << 20, '7') + "\n"},
+  };
+  const fs::path meta = dir_.path() / "META";
+  std::ofstream(meta, std::ios::trunc) << valid;
+  ASSERT_TRUE(read_bundle(dir()).ok());  // the control: only META varies
+  for (const auto& c : cases) {
+    std::ofstream(meta, std::ios::trunc | std::ios::binary) << c.meta;
+    const Result<Bundle> b = read_bundle(dir());
+    ASSERT_FALSE(b.ok()) << c.name;
+    EXPECT_NE(b.error().message.find("META"), std::string::npos) << c.name;
+  }
+  fs::remove(meta);
+  EXPECT_FALSE(read_bundle(dir()).ok());
+}
+
+TEST(CaptureBundleWrite, FailedMetaWriteIsReported) {
+  const TimeRange period{at(1000), at(2000)};
+  const auto write_into = [&](const TempDir& dir) {
+    return write_bundle(dir.path().string(), period, syslog::Collector{}, {},
+                        ConfigArchive{}, TicketStore{}, IntervalSet{});
+  };
+  {
+    TempDir dir;
+    ASSERT_TRUE(write_into(dir).ok());
+  }
+  {
+    // META cannot be opened.
+    TempDir dir;
+    fs::create_directories(dir.path() / "META");
+    EXPECT_FALSE(write_into(dir).ok());
+  }
+  if (fs::exists("/dev/full")) {
+    // META opens, but flushing it on close fails (ENOSPC).
+    TempDir dir;
+    fs::create_symlink("/dev/full", dir.path() / "META");
+    EXPECT_FALSE(write_into(dir).ok());
+  }
 }
 
 }  // namespace

@@ -6,15 +6,25 @@
 //     usage and exit 2 *before* any bundle is loaded or socket opened —
 //     same contract the collector verb already honors.
 //
+// Plus `netfail analyze` end to end: a simulated bundle must print exactly
+// the comparison the in-process pipeline renders, and a corrupt optional
+// bundle file must fail the load rather than be read as absent.
+//
 // Plus the NETFAIL_ASSERT death test in the collector_test style: a
 // zero-capacity ingest queue is a programming error, not a config error.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
+#include "src/analysis/scenario_cache.hpp"
+#include "src/analysis/tables.hpp"
 #include "src/common/flags.hpp"
 #include "src/common/metrics.hpp"
 #include "src/net/queue.hpp"
@@ -190,6 +200,76 @@ TEST(CliValidation, ExportValidatesBeforeTouchingTheBundle) {
   EXPECT_EQ(cli_exit("export --dir=/nonexistent --policy=maybe"), 2);
   // Valid flags get past validation and fail on the missing bundle.
   EXPECT_EQ(cli_exit("export --dir=/nonexistent --anonymize --seed=7"), 1);
+}
+
+TEST(CliValidation, AnalyzeValidatesBeforeTouchingTheBundle) {
+  EXPECT_EQ(cli_exit("analyze"), 2);  // --dir is required
+  EXPECT_EQ(cli_exit("analyze --dir=/nonexistent --policy=maybe"), 2);
+  // Valid flags get past validation and fail on the missing bundle.
+  EXPECT_EQ(cli_exit("analyze --dir=/nonexistent"), 1);
+}
+
+/// stdout of `netfail <args>`, stderr discarded.
+std::string cli_stdout(const std::string& args) {
+  const std::string cmd =
+      std::string(NETFAIL_CLI_BIN) + " " + args + " 2>/dev/null";
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(p, nullptr) << cmd;
+  std::string out;
+  if (p != nullptr) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0) out.append(buf, n);
+    EXPECT_EQ(::pclose(p), 0) << cmd;
+  }
+  return out;
+}
+
+/// A fresh `simulate --small --seed=SEED` bundle under the test temp dir.
+std::string simulated_bundle(const std::string& name, std::uint64_t seed) {
+  const std::string dir = ::testing::TempDir() + "/" + name + "_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(cli_exit("simulate --out=" + dir + " --small --seed=" +
+                     std::to_string(seed)),
+            0);
+  return dir;
+}
+
+TEST(CliAnalyze, PrintsTheInProcessPipelineComparison) {
+  // The bundle path (simulate -> files -> analyze) and the simulator path
+  // (run_pipeline) are one computation.
+  for (const std::uint64_t seed : {3u, 11u}) {
+    const std::string dir = simulated_bundle("cli_analyze", seed);
+    analysis::PipelineOptions options;
+    options.scenario = sim::test_scenario();
+    options.scenario.seed = seed;
+    const auto r = analysis::ScenarioCache::global().pipeline(options);
+    EXPECT_EQ(cli_stdout("analyze --dir=" + dir),
+              analysis::render_comparison(*r, r->census))
+        << "seed " << seed;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CliAnalyze, CorruptListenerGapFileFailsEveryReader) {
+  const std::string dir = simulated_bundle("cli_corrupt_gaps", 11);
+  std::ofstream(dir + "/listener_gaps.tsv", std::ios::app) << "garbage row\n";
+  EXPECT_EQ(cli_exit("analyze --dir=" + dir), 1);
+  EXPECT_EQ(cli_exit("export --dir=" + dir), 1);
+  EXPECT_EQ(cli_exit("stream --dir=" + dir), 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CliAnalyze, SimulateReportsAFailedMetaWrite) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = ::testing::TempDir() + "/cli_meta_full_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir + "/META");
+  EXPECT_EQ(cli_exit("simulate --out=" + dir + " --small --seed=11"), 1);
+  std::filesystem::remove_all(dir);
 }
 
 std::string slurp(const std::string& path) {

@@ -24,14 +24,11 @@
 #include <tuple>
 #include <vector>
 
-#include "src/analysis/reconstruct.hpp"
 #include "src/analysis/scenario_cache.hpp"
-#include "src/isis/extract.hpp"
 #include "src/net/replay.hpp"
 #include "src/net/socket.hpp"
 #include "src/sim/network_sim.hpp"
 #include "src/stream/event_mux.hpp"
-#include "src/syslog/extract.hpp"
 
 namespace netfail::net {
 namespace {
@@ -87,30 +84,6 @@ ReplayOptions replay_options(const IngestGateway& gw, double rate) {
   return r;
 }
 
-/// The batch pipeline's failure lists over the same capture.
-struct BatchSide {
-  std::vector<analysis::Failure> isis;
-  std::vector<analysis::Failure> syslog;
-  analysis::Reconstruction isis_recon;
-  analysis::Reconstruction syslog_recon;
-};
-
-BatchSide run_batch(const analysis::PipelineCapture& s) {
-  BatchSide out;
-  const isis::IsisExtraction isis_ex =
-      isis::extract_transitions(s.sim.listener.records(), s.census);
-  const syslog::SyslogExtraction syslog_ex =
-      syslog::extract_transitions(s.sim.collector, s.census);
-  analysis::ReconstructOptions opts;
-  opts.period = s.period;
-  out.isis_recon = analysis::reconstruct_from_isis(isis_ex.is_reach, opts);
-  out.syslog_recon =
-      analysis::reconstruct_from_syslog(syslog_ex.transitions, opts);
-  out.isis = out.isis_recon.failures;
-  out.syslog = out.syslog_recon.failures;
-  return out;
-}
-
 // UDP pacing for the exactness-sensitive tests: slow enough that the
 // single-core kernel never overflows the 4 MB receive buffer (which would
 // turn an exact-accounting test flaky), fast enough to finish in seconds.
@@ -120,9 +93,11 @@ TEST(NetGateway, ZeroFaultReplayMatchesBatch) {
   if (!sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
   const Scenario s = scenario(1);
   ASSERT_GT(s->sim.collector.size(), 0u);
-  const BatchSide batch = run_batch(*s);
-  ASSERT_GT(batch.isis.size(), 0u);
-  ASSERT_GT(batch.syslog.size(), 0u);
+  // The batch pipeline's reconstruction over the same capture.
+  const analysis::Reconstructed batch =
+      analysis::extract_and_reconstruct(s->view());
+  ASSERT_GT(batch.isis_recon.failures.size(), 0u);
+  ASSERT_GT(batch.syslog_recon.failures.size(), 0u);
 
   Collected got;
   IngestGateway gw(s->census, gateway_options(*s, &got));
@@ -152,8 +127,8 @@ TEST(NetGateway, ZeroFaultReplayMatchesBatch) {
   EXPECT_EQ(engine.syslog_events(), s->sim.collector.size());
   EXPECT_EQ(engine.lsp_events(), s->sim.listener.records().size());
 
-  const auto batch_isis = sorted(batch.isis);
-  const auto batch_syslog = sorted(batch.syslog);
+  const auto batch_isis = sorted(batch.isis_recon.failures);
+  const auto batch_syslog = sorted(batch.syslog_recon.failures);
   const auto live_isis = sorted(got.isis);
   const auto live_syslog = sorted(got.syslog);
   ASSERT_EQ(batch_isis.size(), live_isis.size());

@@ -10,16 +10,14 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/flaps.hpp"
-#include "src/analysis/reconstruct.hpp"
 #include "src/analysis/scenario_cache.hpp"
-#include "src/isis/extract.hpp"
 #include "src/sim/network_sim.hpp"
 #include "src/stream/engine.hpp"
 #include "src/stream/event_mux.hpp"
-#include "src/syslog/extract.hpp"
 
 namespace netfail::stream {
 namespace {
@@ -56,21 +54,15 @@ Scenario make_scenario(const sim::ScenarioParams& params) {
 
 BatchSide run_batch(const analysis::PipelineCapture& s, AmbiguityPolicy policy) {
   BatchSide out;
-  const isis::IsisExtraction isis_ex =
-      isis::extract_transitions(s.sim.listener.records(), s.census);
-  const syslog::SyslogExtraction syslog_ex =
-      syslog::extract_transitions(s.sim.collector, s.census);
   analysis::ReconstructOptions opts;
-  opts.period = s.period;
   opts.policy = policy;
-  out.isis = analysis::reconstruct_from_isis(isis_ex.is_reach, opts);
-  out.syslog = analysis::reconstruct_from_syslog(syslog_ex.transitions, opts);
+  analysis::Reconstructed r = analysis::extract_and_reconstruct(s.view(), opts);
+  out.isis = std::move(r.isis_recon);
+  out.syslog = std::move(r.syslog_recon);
   // Flap detection over the *unsanitized* reconstruction — the streaming
   // engine sees no listener-gap or ticket oracle.
-  std::vector<analysis::Failure> isis_copy = out.isis.failures;
-  std::vector<analysis::Failure> syslog_copy = out.syslog.failures;
-  out.isis_episodes = analysis::detect_flaps(isis_copy).episodes;
-  out.syslog_episodes = analysis::detect_flaps(syslog_copy).episodes;
+  out.isis_episodes = analysis::detect_flaps(out.isis.failures).episodes;
+  out.syslog_episodes = analysis::detect_flaps(out.syslog.failures).episodes;
   return out;
 }
 

@@ -18,12 +18,9 @@
 #include <string_view>
 #include <vector>
 
-#include "src/analysis/reconstruct.hpp"
 #include "src/analysis/scenario_cache.hpp"
-#include "src/isis/extract.hpp"
 #include "src/sim/network_sim.hpp"
 #include "src/svc/anonymize.hpp"
-#include "src/syslog/extract.hpp"
 
 namespace netfail::svc {
 namespace {
@@ -42,23 +39,14 @@ const ExportInputs& inputs() {
     const Scenario s = scenario();
     ExportInputs out;
     out.census = &s->census;
-    const isis::IsisExtraction isis_ex =
-        isis::extract_transitions(s->sim.listener.records(), s->census);
-    syslog::SyslogExtraction syslog_ex =
-        syslog::extract_transitions(s->sim.collector, s->census);
-    analysis::ReconstructOptions opts;
-    opts.period = s->period;
-    analysis::Reconstruction isis_recon =
-        analysis::reconstruct_from_isis(isis_ex.is_reach, opts);
-    analysis::Reconstruction syslog_recon =
-        analysis::reconstruct_from_syslog(syslog_ex.transitions, opts);
+    analysis::Reconstructed r = analysis::extract_and_reconstruct(s->view());
     out.syslog_episodes =
-        analysis::detect_flaps(syslog_recon.failures).episodes;
-    out.isis_episodes = analysis::detect_flaps(isis_recon.failures).episodes;
-    out.failures = std::move(syslog_recon.failures);
-    out.failures.insert(out.failures.end(), isis_recon.failures.begin(),
-                        isis_recon.failures.end());
-    out.transitions = std::move(syslog_ex.transitions);
+        analysis::detect_flaps(r.syslog_recon.failures).episodes;
+    out.isis_episodes = analysis::detect_flaps(r.isis_recon.failures).episodes;
+    out.failures = std::move(r.syslog_recon.failures);
+    out.failures.insert(out.failures.end(), r.isis_recon.failures.begin(),
+                        r.isis_recon.failures.end());
+    out.transitions = std::move(r.syslog.transitions);
     return out;
   }();
   return in;

@@ -7,6 +7,7 @@
 // state must also equal the uninterrupted run's: the file is a pure
 // function of engine state, not of the path taken to reach it.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -33,8 +34,12 @@ Scenario make_scenario(const sim::ScenarioParams& params) {
   return analysis::ScenarioCache::global().capture(params);
 }
 
+/// Per-process names: every test here writes final.nfsnap, and ctest runs
+/// them concurrently in separate processes.
 std::string temp_path(const char* name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
+  return (std::filesystem::path(::testing::TempDir()) /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 std::string read_file(const std::string& path) {
