@@ -148,15 +148,10 @@ ALLOC_TU_ROSTER = {
     # The mux hands out borrowed events: nothing repo-owned may allocate.
     "src/stream/event_mux.cpp": (),
     "src/stream/link_tracker.cpp": (
-        ("netfail::stream::LinkTracker::LinkTracker", "construction"),
         ("netfail::stream::LinkTracker::ingest",
          "first sighting of a link creates its per-link state"),
         ("netfail::stream::LinkTracker::link_stats",
          "cold snapshot query, copies per-link rows"),
-        ("netfail::stream::LinkTracker::recent_failures",
-         "cold snapshot query"),
-        ("netfail::stream::LinkTracker::release",
-         "episode log append, amortized growth"),
     ),
     # ShardMap routes by FNV over borrowed views: nothing repo-owned may
     # allocate (vector growth happens inside std:: instantiations at

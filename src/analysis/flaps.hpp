@@ -14,6 +14,8 @@ namespace netfail::analysis {
 struct FlapOptions {
   Duration max_gap = Duration::minutes(10);
   std::size_t min_failures = 2;
+
+  bool operator==(const FlapOptions&) const = default;
 };
 
 struct FlapEpisode {

@@ -35,6 +35,8 @@ struct PipelineOptions {
   ReconstructOptions reconstruct;  // period is filled from the capture
   SanitizeOptions sanitize;
   FlapOptions flaps;
+
+  bool operator==(const PipelineOptions&) const = default;
 };
 
 /// One capture, source-agnostic. Results never point into it.

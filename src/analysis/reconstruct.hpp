@@ -55,6 +55,8 @@ struct ReconstructOptions {
   AmbiguityPolicy policy = AmbiguityPolicy::kAssumeUp;
   /// Failures still open at the end of the study are dropped (no UP seen).
   TimeRange period;
+
+  bool operator==(const ReconstructOptions&) const = default;
 };
 
 struct Reconstruction {

@@ -22,6 +22,8 @@ struct SanitizeOptions {
   Duration long_failure_threshold = Duration::hours(24);
   /// Minimum ticket/failure overlap fraction to accept a long failure.
   double ticket_overlap_fraction = 0.5;
+
+  bool operator==(const SanitizeOptions&) const = default;
 };
 
 struct SanitizationReport {

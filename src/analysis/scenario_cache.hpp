@@ -1,6 +1,6 @@
 // ScenarioCache — process-wide, thread-safe memoization of the expensive
 // pipeline front half (simulation + census mining) and of whole pipeline
-// results, keyed on a structural hash of every stochastic knob.
+// results, keyed on the parameter values themselves.
 //
 // The table benches, the differential tests, and the per-seed sweeps all
 // materialize the *identical* CENIC scenario; before this cache each call
@@ -9,16 +9,14 @@
 // different keys simulate concurrently; two concurrent requests for the
 // same key serialize on a per-entry lock and share one computation.
 //
-// The key hashes parameter *values*, not identities: a PipelineOptions
-// default-constructed in two binaries hashes identically. When a field is
-// added to ScenarioParams (or any hashed options struct), extend the
-// corresponding hash function — a missed field means false cache hits
-// across scenarios differing only in that field.
+// Entries are found by comparing the full parameter structs with their
+// defaulted operator==, so a field added to any of them takes part in the
+// key with no extra code. A process touches a handful of scenarios, so the
+// tables are scanned linearly.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "src/analysis/pipeline.hpp"
 #include "src/common/sync.hpp"
@@ -26,28 +24,8 @@
 
 namespace netfail::analysis {
 
-/// Structural hash of every field of a scenario (FNV-1a over a canonical
-/// field serialization; stable within a process run, not across versions).
-std::uint64_t scenario_hash(const sim::ScenarioParams& params);
-
-/// scenario_hash extended with the archive/miner knobs that shape a capture.
-std::uint64_t capture_hash(const sim::ScenarioParams& params,
-                           const ArchiveParams& archive,
-                           const MinerParams& miner);
-
-/// capture_hash extended with every analysis-stage option.
-std::uint64_t pipeline_options_hash(const PipelineOptions& options);
-
 class ScenarioCache {
  public:
-  ScenarioCache() {
-    // A process touches a handful of scenarios; sized so the common case
-    // never rehashes (the tables are keyed by pre-mixed 64-bit hashes, so
-    // iteration order is irrelevant — entries are only ever looked up).
-    captures_.reserve(16);
-    pipelines_.reserve(16);
-  }
-
   static ScenarioCache& global();
 
   /// Simulation + census for these parameters, computed at most once.
@@ -63,9 +41,6 @@ class ScenarioCache {
   /// Drop every cached entry (tests use this to bound memory).
   void clear();
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-
  private:
   template <typename T>
   struct Slot {
@@ -73,18 +48,30 @@ class ScenarioCache {
     std::shared_ptr<const T> value NETFAIL_GUARDED_BY(mu);
   };
 
-  template <typename T, typename ComputeFn>
-  std::shared_ptr<const T> lookup(
-      std::unordered_map<std::uint64_t, std::shared_ptr<Slot<T>>>& table,
-      std::uint64_t key, const ComputeFn& compute);
+  template <typename Key, typename T>
+  struct Entry {
+    Key key;
+    std::shared_ptr<Slot<T>> slot;
+  };
+
+  struct CaptureKey {
+    sim::ScenarioParams scenario;
+    ArchiveParams archive;
+    MinerParams miner;
+    bool operator==(const CaptureKey&) const = default;
+  };
+
+  template <typename Key, typename T, typename ComputeFn>
+  std::shared_ptr<const T> lookup(std::vector<Entry<Key, T>>& table,
+                                  const Key& key, const ComputeFn& compute);
 
   // Lock order: mu_ (table lookup) strictly before any Slot::mu (compute);
   // mu_ is never held across a compute, so distinct keys never serialize.
-  mutable sync::Mutex mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Slot<PipelineCapture>>>
-      captures_ NETFAIL_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<Slot<PipelineResult>>>
-      pipelines_ NETFAIL_GUARDED_BY(mu_);
+  sync::Mutex mu_;
+  std::vector<Entry<CaptureKey, PipelineCapture>> captures_
+      NETFAIL_GUARDED_BY(mu_);
+  std::vector<Entry<PipelineOptions, PipelineResult>> pipelines_
+      NETFAIL_GUARDED_BY(mu_);
 };
 
 }  // namespace netfail::analysis

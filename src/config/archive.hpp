@@ -35,6 +35,8 @@ struct ArchiveParams {
   /// Mean interval between successive snapshots of one router.
   Duration mean_revision_interval = Duration::days(8);
   std::uint64_t seed = 0x5ca1ab1e;
+
+  bool operator==(const ArchiveParams&) const = default;
 };
 
 /// Snapshot every router of `topo` across `period`.

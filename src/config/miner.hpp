@@ -49,6 +49,8 @@ struct MinerParams {
   Duration lifetime_slack = Duration::days(10);
   /// Classifier: hosts whose name contains this token are CPE routers.
   std::string cpe_host_token = "-gw-";
+
+  bool operator==(const MinerParams&) const = default;
 };
 
 /// Mine the whole archive into a census.

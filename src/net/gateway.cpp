@@ -103,12 +103,8 @@ IngestGateway::IngestGateway(const LinkCensus& census, GatewayOptions options)
       options_(std::move(options)),
       shard_map_(census, options_.shards) {
   NETFAIL_ASSERT(options_.shards >= 1, "gateway needs at least one shard");
-  high_watermark_ = options_.lsp_high_watermark != 0
-                        ? options_.lsp_high_watermark
-                        : options_.lsp_queue_capacity * 3 / 4;
-  low_watermark_ = options_.lsp_low_watermark != 0
-                       ? options_.lsp_low_watermark
-                       : options_.lsp_queue_capacity / 4;
+  high_watermark_ = options_.lsp_queue_capacity * 3 / 4;
+  low_watermark_ = options_.lsp_queue_capacity / 4;
   NETFAIL_ASSERT(low_watermark_ < high_watermark_ &&
                      high_watermark_ <= options_.lsp_queue_capacity,
                  "lsp watermarks must satisfy low < high <= capacity");

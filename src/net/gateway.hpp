@@ -86,10 +86,9 @@ struct GatewayOptions {
 
   /// Per-shard queue capacities (each shard gets its own pair of queues).
   std::size_t syslog_queue_capacity = 1 << 16;
+  /// LSP backpressure pauses reading above 3/4 of this and resumes below
+  /// 1/4 of it.
   std::size_t lsp_queue_capacity = 1 << 16;
-  /// 0 = derive: high = 3/4 capacity, low = 1/4 capacity.
-  std::size_t lsp_high_watermark = 0;
-  std::size_t lsp_low_watermark = 0;
 
   int recv_buffer_bytes = 4 << 20;
 

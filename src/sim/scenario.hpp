@@ -22,6 +22,8 @@ struct DurationMixture {
   double tail_median_s = 3600;
   double tail_sigma = 1.4;
   double min_s = 1.0;          // floor
+
+  bool operator==(const DurationMixture&) const = default;
 };
 
 struct ScenarioParams {
@@ -173,6 +175,8 @@ struct ScenarioParams {
   /// maintenance procedures do not log, but the IGP still records the
   /// withdrawal. Drives the paper's IS-IS-only downtime share.
   double maintenance_silent_prob = 0.25;
+
+  bool operator==(const ScenarioParams&) const = default;
 };
 
 /// The calibrated 13-month CENIC-scale scenario used by all benchmarks.

@@ -157,10 +157,6 @@ void LinkTracker::release(LinkId link, PerLink& pl, std::size_t keep) {
       pl.run_last_end = f.span.end;
     }
 
-    recent_.push_back(f);
-    while (recent_.size() > options_.recent_ring_capacity) {
-      recent_.pop_front();
-    }
     if (on_failure) on_failure(f);
   }
 }
@@ -208,10 +204,6 @@ std::vector<LinkRunningStats> LinkTracker::link_stats() const {
   out.reserve(links_.size());
   for (const auto& [link, pl] : links_) out.push_back(pl.stats);
   return out;
-}
-
-std::vector<analysis::Failure> LinkTracker::recent_failures() const {
-  return {recent_.begin(), recent_.end()};
 }
 
 }  // namespace netfail::stream

@@ -15,14 +15,12 @@
 //     the batch path gets the same effect by sorting the full trace;
 //   - finished failures leave through the `on_failure` callback as soon as
 //     retraction is impossible; only O(1) per link is held back;
-//   - a fixed-capacity ring of recent failures supports rolling displays;
 //   - optionally, `max_tracked_links` caps link state via idle-LRU eviction
 //     (approximate mode for captures with unbounded link churn; off by
 //     default and unused by the differential test).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -53,8 +51,6 @@ struct TrackerOptions {
   /// 0 = unlimited. When set, the least-recently-active idle link may be
   /// evicted to admit a new one.
   std::size_t max_tracked_links = 0;
-  /// Capacity of the recent-failures ring kept for rolling displays.
-  std::size_t recent_ring_capacity = 32;
 };
 
 /// Per-link running counters; O(1) state each.
@@ -117,8 +113,6 @@ class LinkTracker {
   std::size_t pending_transitions() const { return pending_total_; }
   /// Per-link running stats, link order.
   std::vector<LinkRunningStats> link_stats() const;
-  /// The last few released failures, oldest first.
-  std::vector<analysis::Failure> recent_failures() const;
   /// Total downtime released so far, all links.
   Duration total_downtime() const { return total_downtime_; }
   TimePoint high_water() const { return high_water_; }
@@ -166,7 +160,6 @@ class LinkTracker {
   /// walker writes those through per-link sinks).
   analysis::Reconstruction walker_counters_;
   std::vector<analysis::AmbiguousSegment> ambiguous_scratch_;
-  std::deque<analysis::Failure> recent_;
   Duration total_downtime_;
   TimePoint high_water_;
   bool has_high_water_ = false;

@@ -157,7 +157,11 @@ QueryView assemble(const std::vector<stream::Checkpoint>& checkpoints,
   view.shards = checkpoints.size();
   for (const stream::Checkpoint& cp : checkpoints) {
     const stream::StreamEngine& engine = cp.state();
-    view.events += cp.events_ingested();
+    // Same rule as stream::merge_shard_runs: syslog lines are routed to one
+    // shard each and sum; LSPs are broadcast to every shard, so shard 0's
+    // count is the stream's.
+    view.events += engine.syslog_events();
+    if (&cp == &checkpoints.front()) view.events += engine.lsp_events();
     view.high_water = std::max(view.high_water, cp.high_water());
     for (const auto& st : engine.syslog_tracker().link_stats()) {
       if (st.link.valid() && st.link.index() < link_count) {

@@ -142,8 +142,6 @@ void EngineCodec::encode_tracker(const stream::LinkTracker& t, ByteWriter& w) {
   w.u64(t.walker_counters_.double_ups);
   w.u64(t.walker_counters_.merged_duplicates);
   w.u64(t.walker_counters_.unterminated);
-  w.u32(static_cast<std::uint32_t>(t.recent_.size()));
-  for (const auto& f : t.recent_) put_failure(w, f);
   w.i64(t.total_downtime_.total_millis());
   put_time(w, t.high_water_);
   w.u8(t.has_high_water_ ? 1 : 0);
@@ -208,11 +206,6 @@ Status EngineCodec::decode_tracker(ByteReader& r, stream::LinkTracker& t) {
   t.walker_counters_.merged_duplicates = static_cast<std::size_t>(r.u64());
   t.walker_counters_.unterminated = static_cast<std::size_t>(r.u64());
   t.ambiguous_scratch_.clear();
-  t.recent_.clear();
-  const std::uint32_t recent = r.u32();
-  for (std::uint32_t i = 0; i < recent && r.ok(); ++i) {
-    t.recent_.push_back(get_failure(r));
-  }
   t.total_downtime_ = Duration::millis(r.i64());
   t.high_water_ = get_time(r);
   t.has_high_water_ = r.u8() != 0;
@@ -670,10 +663,12 @@ Result<LoadedSnapshot> LoadedSnapshot::load(const std::string& path,
   }
   ByteReader header(std::string_view(data).substr(sizeof(kSnapshotMagic)));
   const std::uint32_t version = header.u32();
-  if (version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return make_error(ErrorCode::kUnsupported,
                       "snapshot format version " + std::to_string(version) +
-                          " is newer than supported version " +
+                          (version > kSnapshotVersion ? " is newer than"
+                                                      : " is older than") +
+                          " supported version " +
                           std::to_string(kSnapshotVersion));
   }
   const std::uint64_t body_len = header.u64();

@@ -9,7 +9,7 @@
 // File layout (all integers little-endian, see binio.hpp):
 //
 //   magic[8]  "NFSNAPSH"
-//   u32       format version (kSnapshotVersion)
+//   u32       format version (kSnapshotVersion; any other is rejected)
 //   u64       body length
 //   body      (below)
 //   u64       FNV-1a 64 checksum of the body bytes
@@ -29,8 +29,9 @@
 // pure function of engine state: the restart differential test compares
 // snapshot bytes as well as digests.
 //
-// Failure modes are total: a truncated file, a flipped bit, or a
-// future-version header each fail load()/restore with a specific error
+// Failure modes are total: a truncated file, a flipped bit, or a header
+// of any version other than kSnapshotVersion (older layouts are not
+// migrated) each fail load()/restore with a specific error
 // (kTruncated / kChecksumMismatch / kUnsupported) and the target engine is
 // never left partially restored — decode runs against a scratch copy that
 // is committed only on success.
@@ -50,7 +51,7 @@
 
 namespace netfail::svc {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr char kSnapshotMagic[8] = {'N', 'F', 'S', 'N',
                                            'A', 'P', 'S', 'H'};
 /// Conventional snapshot file name inside a --state-dir.

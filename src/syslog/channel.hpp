@@ -36,6 +36,8 @@ struct ChannelParams {
   Duration burst_window = Duration::seconds(20);
   /// Drop runs last Exponential(run_mean).
   Duration run_mean = Duration::seconds(25);
+
+  bool operator==(const ChannelParams&) const = default;
 };
 
 class LossyChannel {

@@ -47,6 +47,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +70,7 @@
 #include "src/net/replay.hpp"
 #include "src/stream/engine.hpp"
 #include "src/stream/event_mux.hpp"
+#include "src/stream/merge.hpp"
 #include "src/svc/export.hpp"
 #include "src/svc/http.hpp"
 #include "src/svc/snapshot.hpp"
@@ -124,14 +126,33 @@ bool parse_or_usage(int argc, char** argv,
 }
 
 /// Parse a numeric flag value strictly: the whole string must be a
-/// non-negative decimal number, otherwise the caller exits 2.
+/// non-negative decimal number that fits in 64 bits, otherwise the caller
+/// exits 2.
 bool parse_number(const char* flag, const std::string& value,
                   std::uint64_t& out) {
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || value.front() == '-') {
+  if (value.empty() || *end != '\0' || value.front() == '-' ||
+      errno == ERANGE) {
     std::fprintf(stderr, "netfail: flag %s expects a number, got '%s'\n", flag,
                  value.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool parse_policy(const std::string& p, analysis::AmbiguityPolicy& policy) {
+  if (p == "drop") {
+    policy = analysis::AmbiguityPolicy::kDrop;
+  } else if (p == "assume-down") {
+    policy = analysis::AmbiguityPolicy::kAssumeDown;
+  } else if (p == "assume-up") {
+    policy = analysis::AmbiguityPolicy::kAssumeUp;
+  } else if (p == "hold-state") {
+    policy = analysis::AmbiguityPolicy::kHoldState;
+  } else {
+    std::fprintf(stderr, "netfail: unknown --policy %s\n", p.c_str());
     return false;
   }
   return true;
@@ -177,6 +198,38 @@ bool parse_detect_flags(const flags::Parsed& args,
   return true;
 }
 
+/// Parse the engine flags shared by stream and serve (--policy, --horizon,
+/// --max-links and the --detect knobs). Errors print the problem; the
+/// caller exits 2.
+bool parse_engine_flags(const flags::Parsed& args,
+                        stream::EngineOptions& engine) {
+  if (!parse_detect_flags(args, engine.detect)) return false;
+  if (const auto p = args.value("--policy")) {
+    if (!parse_policy(*p, engine.tracker.reconstruct.policy)) return false;
+  }
+  if (const auto h = args.value("--horizon")) {
+    // Bare seconds, bounded like flags::parse_duration so the millisecond
+    // conversion cannot overflow.
+    std::uint64_t secs = 0;
+    if (!parse_number("--horizon", *h, secs)) return false;
+    if (secs > (1ull << 40)) {
+      std::fprintf(stderr,
+                   "netfail: flag --horizon expects at most 2^40 seconds, "
+                   "got '%s'\n",
+                   h->c_str());
+      return false;
+    }
+    engine.tracker.reorder_horizon =
+        Duration::seconds(static_cast<std::int64_t>(secs));
+  }
+  if (const auto m = args.value("--max-links")) {
+    std::uint64_t cap = 0;
+    if (!parse_number("--max-links", *m, cap)) return false;
+    engine.tracker.max_tracked_links = static_cast<std::size_t>(cap);
+  }
+  return true;
+}
+
 /// Post-run alert summary for --detect. Capture bundles carry no ground
 /// truth, so the CLI reports the alert stream itself; precision/recall
 /// scoring against injected failures lives in bench_detect and the tests.
@@ -213,22 +266,6 @@ void print_alert_summary(const detect::LinkDetector& detector,
     std::printf("    %-44s %zu alerts\n",
                 census.link(worst[i].first).name.c_str(), worst[i].second);
   }
-}
-
-bool parse_policy(const std::string& p, analysis::AmbiguityPolicy& policy) {
-  if (p == "drop") {
-    policy = analysis::AmbiguityPolicy::kDrop;
-  } else if (p == "assume-down") {
-    policy = analysis::AmbiguityPolicy::kAssumeDown;
-  } else if (p == "assume-up") {
-    policy = analysis::AmbiguityPolicy::kAssumeUp;
-  } else if (p == "hold-state") {
-    policy = analysis::AmbiguityPolicy::kHoldState;
-  } else {
-    std::fprintf(stderr, "netfail: unknown --policy %s\n", p.c_str());
-    return false;
-  }
-  return true;
 }
 
 // ---- simulate ----------------------------------------------------------------
@@ -375,21 +412,7 @@ int cmd_stream(int argc, char** argv) {
   if (!dir_arg) return usage();
 
   stream::EngineOptions options;
-  if (!parse_detect_flags(args, options.detect)) return usage();
-  if (const auto p = args.value("--policy")) {
-    if (!parse_policy(*p, options.tracker.reconstruct.policy)) return usage();
-  }
-  if (const auto h = args.value("--horizon")) {
-    std::uint64_t secs = 0;
-    if (!parse_number("--horizon", *h, secs)) return usage();
-    options.tracker.reorder_horizon =
-        Duration::seconds(static_cast<std::int64_t>(secs));
-  }
-  if (const auto m = args.value("--max-links")) {
-    std::uint64_t cap = 0;
-    if (!parse_number("--max-links", *m, cap)) return usage();
-    options.tracker.max_tracked_links = static_cast<std::size_t>(cap);
-  }
+  if (!parse_engine_flags(args, options)) return usage();
   std::uint64_t report_every = 200000;
   if (const auto r = args.value("--report-every")) {
     if (!parse_number("--report-every", *r, report_every)) return usage();
@@ -583,7 +606,7 @@ int cmd_serve(int argc, char** argv) {
   }
 
   net::GatewayOptions options;
-  if (!parse_detect_flags(args, options.engine.detect)) return usage();
+  if (!parse_engine_flags(args, options.engine)) return usage();
   const auto sport = flags::parse_port("--syslog-port", *sport_arg);
   const auto lport = flags::parse_port("--lsp-port", *lport_arg);
   if (!sport || !lport) {
@@ -601,22 +624,6 @@ int cmd_serve(int argc, char** argv) {
       return usage();
     }
     options.shards = *n;
-  }
-  if (const auto p = args.value("--policy")) {
-    if (!parse_policy(*p, options.engine.tracker.reconstruct.policy)) {
-      return usage();
-    }
-  }
-  if (const auto h = args.value("--horizon")) {
-    std::uint64_t secs = 0;
-    if (!parse_number("--horizon", *h, secs)) return usage();
-    options.engine.tracker.reorder_horizon =
-        Duration::seconds(static_cast<std::int64_t>(secs));
-  }
-  if (const auto m = args.value("--max-links")) {
-    std::uint64_t cap = 0;
-    if (!parse_number("--max-links", *m, cap)) return usage();
-    options.engine.tracker.max_tracked_links = static_cast<std::size_t>(cap);
   }
 
   io::Bundle bundle;
@@ -767,33 +774,23 @@ int cmd_serve(int argc, char** argv) {
       static_cast<unsigned long long>(c.connections_closed),
       static_cast<unsigned long long>(c.backpressure_pauses),
       static_cast<unsigned long long>(c.lsp_torn_tails));
-  // Aggregate the per-shard partitions the way merge_shard_runs does:
-  // failures and downtime sum (each link's state lives on exactly one
-  // shard), syslog events sum (routed), LSP events come from shard 0 (the
-  // stream is broadcast, every shard saw all of it), high-water is the max.
-  // With --shards 1 this is just shard 0.
-  std::uint64_t events = gateway.engine(0).lsp_events();
-  std::uint64_t isis_failures = 0, syslog_failures = 0;
-  Duration isis_downtime, syslog_downtime;
-  TimePoint high_water;
+  // The summary needs only the engines' counters, so the shard runs carry
+  // no released objects.
+  std::vector<stream::ShardRun> runs(gateway.shard_count());
   for (std::uint32_t s = 0; s < gateway.shard_count(); ++s) {
-    const stream::Checkpoint& cp = gateway.final_checkpoint(s);
-    high_water = std::max(high_water, cp.high_water());
-    const stream::StreamEngine& e = gateway.engine(s);
-    events += e.syslog_events();
-    isis_failures += e.isis_tracker().counters().failures_released;
-    syslog_failures += e.syslog_tracker().counters().failures_released;
-    isis_downtime = isis_downtime + e.isis_tracker().total_downtime();
-    syslog_downtime = syslog_downtime + e.syslog_tracker().total_downtime();
+    runs[s].engine = &gateway.engine(s);
   }
+  const stream::MergedRun merged = stream::merge_shard_runs(runs);
   std::printf(
       "final checkpoint at %s after %llu events\n"
       "IS-IS reconstruction: %llu failures, %.1f h downtime | syslog "
       "reconstruction: %llu failures, %.1f h downtime\n",
-      high_water.to_string().c_str(), static_cast<unsigned long long>(events),
-      static_cast<unsigned long long>(isis_failures), isis_downtime.hours_f(),
-      static_cast<unsigned long long>(syslog_failures),
-      syslog_downtime.hours_f());
+      merged.high_water.to_string().c_str(),
+      static_cast<unsigned long long>(merged.events),
+      static_cast<unsigned long long>(merged.isis.counters.failures_released),
+      merged.isis.total_downtime.hours_f(),
+      static_cast<unsigned long long>(merged.syslog.counters.failures_released),
+      merged.syslog.total_downtime.hours_f());
   if (options.engine.detect.enabled) {
     std::printf("alerts at final checkpoint: %llu\n",
                 static_cast<unsigned long long>(gateway.final_alerts()));

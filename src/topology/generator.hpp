@@ -34,6 +34,8 @@ struct TopologyParams {
 
   /// Shrink everything by an integer factor (for unit tests).
   TopologyParams scaled_down(int factor) const;
+
+  bool operator==(const TopologyParams&) const = default;
 };
 
 /// Build a topology; aborts if the parameters are infeasible (e.g. fewer

@@ -14,10 +14,9 @@ namespace netfail::analysis {
 namespace {
 
 TEST(ScenarioCacheTest, CaptureComputedOncePerKey) {
+  // A local cache instance, so entries made by other tests through
+  // global() cannot mask a miss; identity is checked by pointer.
   ScenarioCache cache;
-  // Local cache instance so global() traffic from other tests can't skew
-  // the hit/miss accounting... but hits()/misses() are process-global
-  // metrics counters, so measure deltas and compare pointers instead.
   const auto a = cache.capture(sim::test_scenario(77));
   const auto b = cache.capture(sim::test_scenario(77));
   EXPECT_EQ(a.get(), b.get()) << "same params must share one capture";
@@ -44,26 +43,33 @@ TEST(ScenarioCacheTest, ConcurrentSameKeyRequestsShareOneComputation) {
   }
 }
 
-TEST(ScenarioCacheTest, PipelineOptionsHashSeparatesPolicies) {
+TEST(ScenarioCacheTest, PipelineCacheSeparatesPolicies) {
+  // Entries are keyed by the options' value: every field takes part, and
+  // two separately built but equal options share one result.
+  ScenarioCache cache;
   PipelineOptions base;
-  std::uint64_t seen[4] = {};
-  int n = 0;
+  base.scenario = sim::test_scenario(77);
+  std::vector<const PipelineResult*> seen;
   for (const AmbiguityPolicy policy :
        {AmbiguityPolicy::kDrop, AmbiguityPolicy::kAssumeDown,
         AmbiguityPolicy::kAssumeUp, AmbiguityPolicy::kHoldState}) {
     PipelineOptions o = base;
     o.reconstruct.policy = policy;
-    seen[n++] = pipeline_options_hash(o);
+    seen.push_back(cache.pipeline(o).get());
+    EXPECT_EQ(cache.pipeline(o).get(), seen.back());
   }
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) {
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    for (std::size_t j = i + 1; j < seen.size(); ++j) {
       EXPECT_NE(seen[i], seen[j]) << i << " vs " << j;
     }
   }
-  PipelineOptions changed_seed;
+  PipelineOptions equal;
+  equal.scenario = sim::test_scenario(77);
+  equal.reconstruct.policy = AmbiguityPolicy::kDrop;
+  EXPECT_EQ(cache.pipeline(equal).get(), seen[0]);
+  PipelineOptions changed_seed = equal;
   changed_seed.scenario.seed ^= 1;
-  EXPECT_NE(pipeline_options_hash(base), pipeline_options_hash(changed_seed));
-  EXPECT_EQ(pipeline_options_hash(base), pipeline_options_hash(PipelineOptions{}));
+  EXPECT_NE(cache.pipeline(changed_seed).get(), seen[0]);
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 // the system (not exact numbers — those are scale-dependent).
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <set>
+
 #include "src/analysis/pipeline.hpp"
 #include "src/analysis/tables.hpp"
+#include "src/isis/pdu.hpp"
 
 namespace netfail::analysis {
 namespace {
@@ -20,6 +25,81 @@ class PipelineTest : public ::testing::Test {
     return r;
   }
 };
+
+/// The newest LSP of every router the listener had heard from by `when`,
+/// read straight off the raw capture (a purge withdraws the router).
+std::map<OsiSystemId, isis::Lsp> lsps_heard_by(const PipelineResult& r,
+                                               TimePoint when) {
+  std::map<OsiSystemId, isis::Lsp> latest;
+  for (const isis::LspRecord& rec : r.sim.listener.records()) {
+    if (rec.received_at > when) break;
+    Result<isis::Lsp> lsp = isis::Lsp::decode(rec.bytes);
+    if (!lsp.ok()) continue;
+    if (lsp->remaining_lifetime == 0) {
+      latest.erase(lsp->source);
+      continue;
+    }
+    const auto it = latest.find(lsp->source);
+    if (it == latest.end() || it->second.sequence <= lsp->sequence) {
+      latest.insert_or_assign(lsp->source, std::move(*lsp));
+    }
+  }
+  return latest;
+}
+
+TEST_F(PipelineTest, ListenerHearsEveryRouterAfterBaseline) {
+  const TimePoint t = result().options_period.begin + Duration::minutes(10);
+  EXPECT_EQ(lsps_heard_by(result(), t).size(),
+            result().sim.topology.router_count());
+}
+
+TEST_F(PipelineTest, QuietMomentAdvertisesConnectedNetwork) {
+  // At an instant with no true adjacency failure and no listener gap, the
+  // captured LSPs must describe the whole network: every router reachable
+  // from a core router over adjacencies both ends advertise.
+  const auto downtime = result().sim.truth.adjacency_downtime_by_link();
+  TimePoint probe = result().options_period.begin + Duration::hours(2);
+  bool quiet = false;
+  for (int attempt = 0; attempt < 2000 && !quiet; ++attempt) {
+    quiet = !result().sim.truth.listener_gaps().contains(probe);
+    for (const auto& [name, set] : downtime) {
+      if (set.contains(probe)) quiet = false;
+    }
+    if (!quiet) probe += Duration::minutes(30);
+  }
+  ASSERT_TRUE(quiet) << "scenario has no quiet moment";
+
+  const std::map<OsiSystemId, isis::Lsp> heard = lsps_heard_by(result(), probe);
+  const auto advertises = [&heard](OsiSystemId from, OsiSystemId to) {
+    const auto it = heard.find(from);
+    if (it == heard.end()) return false;
+    for (const isis::IsReachEntry& e : it->second.is_reach) {
+      if (e.neighbor == to) return true;
+    }
+    return false;
+  };
+  OsiSystemId root;
+  for (const Router& r : result().sim.topology.routers()) {
+    if (r.cls == RouterClass::kCore) {
+      root = r.system_id;
+      break;
+    }
+  }
+  std::set<OsiSystemId> reached{root};
+  std::deque<OsiSystemId> frontier{root};
+  while (!frontier.empty()) {
+    const OsiSystemId at = frontier.front();
+    frontier.pop_front();
+    const auto it = heard.find(at);
+    if (it == heard.end()) continue;
+    for (const isis::IsReachEntry& e : it->second.is_reach) {
+      if (advertises(e.neighbor, at) && reached.insert(e.neighbor).second) {
+        frontier.push_back(e.neighbor);
+      }
+    }
+  }
+  EXPECT_EQ(reached.size(), result().sim.topology.router_count());
+}
 
 TEST_F(PipelineTest, CensusMinedCompletely) {
   EXPECT_EQ(result().census.size(), result().sim.topology.link_count());

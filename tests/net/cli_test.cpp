@@ -170,6 +170,26 @@ TEST(CliValidation, ServeRejectsBadDetectorKnobs) {
             2);
 }
 
+TEST(CliValidation, EngineFlagsRejectOutOfRangeValuesInBothVerbs) {
+  // stream and serve share one engine-flag parser: a horizon whose
+  // millisecond conversion would overflow (or wrap negative), or a count
+  // past 64 bits, is a usage error before the bundle is touched.
+  for (const std::string& base :
+       {std::string("stream --dir=/nonexistent "),
+        std::string("serve --dir=/nonexistent --syslog-port=5140 "
+                    "--lsp-port=5141 ")}) {
+    SCOPED_TRACE(base);
+    EXPECT_EQ(cli_exit(base + "--horizon=9223372036854775807"), 2);
+    EXPECT_EQ(cli_exit(base + "--horizon=18446744073709551615"), 2);
+    EXPECT_EQ(cli_exit(base + "--horizon=18446744073709551616"), 2);
+    EXPECT_EQ(cli_exit(base + "--horizon=1099511627777"), 2);  // 2^40 + 1
+    EXPECT_EQ(cli_exit(base + "--max-links=18446744073709551616"), 2);
+    EXPECT_EQ(cli_exit(base + "--policy=maybe"), 2);
+    // In-range values get past validation and fail on the bundle instead.
+    EXPECT_EQ(cli_exit(base + "--horizon=1099511627776 --max-links=64"), 1);
+  }
+}
+
 TEST(CliValidation, UnknownFlagIsRejected) {
   EXPECT_EQ(cli_exit("serve --dir=/nonexistent --syslog-port=5140 "
                      "--lsp-port=5141 --frobnicate=yes"),

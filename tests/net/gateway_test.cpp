@@ -301,8 +301,6 @@ TEST(NetGateway, BackpressurePausesTcpInsteadOfDropping) {
 
   GatewayOptions o = gateway_options(*s, nullptr);
   o.lsp_queue_capacity = 64;
-  o.lsp_high_watermark = 48;
-  o.lsp_low_watermark = 16;
   o.consumer_slowdown = std::chrono::microseconds(100);
   IngestGateway gw(s->census, o);
   ASSERT_TRUE(gw.start().ok());

@@ -187,22 +187,6 @@ TEST(LinkTracker, EvictionNeverDropsLiveState) {
   EXPECT_EQ(tracker.counters().failures_released, 3u);
 }
 
-TEST(LinkTracker, RecentRingIsBounded) {
-  TrackerOptions options = small_options();
-  options.recent_ring_capacity = 4;
-  LinkTracker tracker(options);
-  for (int i = 0; i < 20; ++i) {
-    tracker.ingest(down(0, 100 + i * 1000));
-    tracker.ingest(up(0, 150 + i * 1000));
-  }
-  tracker.finish();
-  const std::vector<Failure> recent = tracker.recent_failures();
-  ASSERT_EQ(recent.size(), 4u);
-  // Oldest first; the newest failure is the 20th.
-  EXPECT_EQ(recent.back().span.begin, at(100 + 19 * 1000));
-  EXPECT_LT(recent.front().span.begin, recent.back().span.begin);
-}
-
 TEST(LinkTracker, CopyIsIndependent) {
   // Copyability is what checkpoints are built on: mutating the copy must
   // not leak into the original.

@@ -406,5 +406,46 @@ TEST(SvcHttpGateway, LiveQueriesDuringIngestConvergeToTheFinalCheckpoint) {
   }
 }
 
+TEST(SvcHttpGateway, HealthzCountsEachEventOnceAcrossShards) {
+  // Syslog lines are routed to one shard each, but every shard ingests the
+  // whole broadcast LSP stream: /healthz must count the capture's events
+  // once, not syslog + shards x LSPs.
+  if (!net::sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
+  const Scenario s = scenario();
+  net::GatewayOptions o;
+  o.capture_start = s->period.begin;
+  o.engine.tracker.reconstruct.period = s->period;
+  o.shards = 2;
+  net::IngestGateway gw(s->census, o);
+  ASSERT_TRUE(gw.start().ok());
+  HttpOptions ho;
+  ho.period_begin = s->period.begin;
+  HttpServer srv(
+      s->census, [&gw] { return gw.snapshot_engines(); }, nullptr, ho);
+
+  net::ReplayOptions r;
+  r.syslog_port = gw.syslog_port();
+  r.lsp_port = gw.lsp_port();
+  r.rate = 20000.0;
+  const auto stats = net::replay_capture(s->sim.collector.lines(),
+                                         s->sim.listener.records(), r);
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  ASSERT_TRUE(gw.wait_replay_complete(std::chrono::seconds(60), 1));
+  const auto health = srv.handle("GET", "/healthz");
+  gw.stop();
+  // Zero-fault precondition: every datagram arrived and was enqueued.
+  const net::GatewayCounters c = gw.counters();
+  ASSERT_EQ(c.syslog_datagrams, s->sim.collector.size());
+  ASSERT_EQ(c.syslog_queue_drops, 0u);
+
+  EXPECT_EQ(health.status, 200);
+  EXPECT_NE(health.body.find("\"shards\":2"), std::string::npos);
+  const std::size_t expected =
+      s->sim.collector.size() + s->sim.listener.records().size();
+  EXPECT_NE(health.body.find("\"events\":" + std::to_string(expected) + ","),
+            std::string::npos)
+      << health.body;
+}
+
 }  // namespace
 }  // namespace netfail::svc

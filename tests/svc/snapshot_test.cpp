@@ -1,6 +1,6 @@
 // Snapshot framing and failure-mode tests: the round-trip guarantee (decode
 // then re-encode is byte-identity), and the totality of every corruption
-// path — truncation, bit flips, future versions, foreign files, census
+// path — truncation, bit flips, other format versions, foreign files, census
 // mismatches — each yielding a specific ErrorCode and, on the restore side,
 // an engine that is bitwise untouched (the never-partial commit protocol).
 #include <gtest/gtest.h>
@@ -211,6 +211,41 @@ TEST(SvcSnapshot, LoadRejectsFutureFormatVersion) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, ErrorCode::kUnsupported);
   EXPECT_NE(r.error().message.find("newer than supported"), std::string::npos);
+}
+
+TEST(SvcSnapshot, LoadRejectsEveryOtherFormatVersion) {
+  // Older layouts are not migrated: decoding a version-1 body (which still
+  // carried the recent-failures ring) with the current codec would misread
+  // every later field, so load refuses any version but the current one and
+  // a restore attempt never reaches the engine.
+  const stream::ShardMap map(scenario()->census, 1);
+  const auto e = half_fed_engine(map, 0);
+  const std::string path = save_to_temp("old.nfsnap", {e.get()});
+  const std::string current = read_file(path);
+  stream::EngineOptions options;
+  options.tracker.reconstruct.period = scenario()->period;
+  options.detect.enabled = true;
+  options.partition = &map;
+  stream::StreamEngine victim(scenario()->census, options);
+  const std::string before =
+      read_file(save_to_temp("old_victim.nfsnap", {&victim}));
+  for (const std::uint32_t version : {0u, 1u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    ASSERT_NE(version, kSnapshotVersion);
+    std::string bytes = current;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    write_file(path, bytes);
+    auto r = LoadedSnapshot::load(path, scenario()->census);
+    if (r.ok()) (void)r->restore_shard(0, victim);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::kUnsupported);
+    EXPECT_NE(r.error().message.find("older than supported"),
+              std::string::npos);
+  }
+  EXPECT_EQ(victim.events_ingested(), 0u);
+  EXPECT_EQ(read_file(save_to_temp("old_victim2.nfsnap", {&victim})), before);
 }
 
 TEST(SvcSnapshot, LoadRejectsCensusMismatch) {
