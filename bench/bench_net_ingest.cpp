@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
     e.name = s.name;
     e.wall_ms = r.wall_ms;
     e.events_per_sec = r.events_per_sec();
-    e.threads = static_cast<int>(2 * s.shards);  // IO loop + consumer per shard
+    e.threads = static_cast<int>(1 + s.shards);  // one IO loop + N consumers
     e.allocs_per_event = r.allocs_per_event();
     if (s.shards > 1 && mixed_serial_eps > 0) {
       e.speedup_vs_serial = r.events_per_sec() / mixed_serial_eps;
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
         se.name = netfail::strformat("%s.shard%u", s.name, i);
         se.wall_ms = r.wall_ms;
         se.events_per_sec = eps;
-        se.threads = 2;
+        se.threads = 1;  // the shard's consumer
         entries.push_back(se);
       }
     }

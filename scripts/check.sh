@@ -86,7 +86,7 @@ run_tsan() {
   # The suites that actually exercise threads: the concurrent metrics/cache
   # paths, sim determinism across threads, the streaming engine, the socket
   # ingest path (IO + consumer threads; the net suites skip themselves where
-  # the sandbox forbids sockets), and the sharded gateway (N IO loops x N
+  # the sandbox forbids sockets), and the sharded gateway (one IO loop x N
   # consumer shards racing on the merge/backpressure paths), plus the service
   # layer: the HTTP server's loop-thread handler racing live
   # snapshot_engines() reads against ingest, and snapshot save/restore across

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace netfail::flags {
 namespace {
@@ -184,16 +185,21 @@ Result<Duration> parse_duration(const std::string& flag,
   char* end = nullptr;
   const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
   const std::string unit(end);
-  // The count must be positive and leave room for the ms multiplier; the
-  // unit suffix is mandatory (a bare number is ambiguous).
-  if (n < 1 || n > (1ull << 40)) return fail();
-  const auto count = static_cast<std::int64_t>(n);
-  if (unit == "ms") return Duration::millis(count);
-  if (unit == "s") return Duration::seconds(count);
-  if (unit == "m") return Duration::minutes(count);
-  if (unit == "h") return Duration::hours(count);
-  if (unit == "d") return Duration::days(count);
-  return fail();
+  // The unit suffix is mandatory (a bare number is ambiguous). The count
+  // must be positive, at most 2^40, and small enough for its unit that the
+  // millisecond total fits in an int64.
+  std::int64_t unit_ms = 0;
+  if (unit == "ms") unit_ms = 1;
+  if (unit == "s") unit_ms = 1000;
+  if (unit == "m") unit_ms = 60 * 1000;
+  if (unit == "h") unit_ms = 60 * 60 * 1000;
+  if (unit == "d") unit_ms = 24 * 60 * 60 * 1000;
+  if (unit_ms == 0 || n < 1 || n > (1ull << 40) ||
+      n > static_cast<unsigned long long>(
+              std::numeric_limits<std::int64_t>::max() / unit_ms)) {
+    return fail();
+  }
+  return Duration::millis(static_cast<std::int64_t>(n) * unit_ms);
 }
 
 }  // namespace netfail::flags

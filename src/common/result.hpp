@@ -23,8 +23,8 @@ enum class ErrorCode {
   kNotFound,
   kOutOfRange,
   kInternal,
-  /// The platform/kernel lacks an optional capability (e.g. SO_REUSEPORT);
-  /// callers with a fallback path should treat this as "use the fallback".
+  /// The input uses a capability or format this build does not support
+  /// (e.g. a snapshot of another format version).
   kUnsupported,
 };
 

@@ -62,9 +62,15 @@ class NameTable {
     const std::uint32_t id = size_.load(std::memory_order_relaxed);
     NETFAIL_ASSERT(id != kEmptySlot, "interner full");
     store_entry(id, s);
-    if ((id + 1) * 10 >= (idx->mask + 1) * 7) idx = grow(idx);
-    insert(idx, hash, id);
+    // Publish the id to view()/c_str() before any index slot can hand it to
+    // a lock-free find(): a reader that finds the id must be able to read
+    // it back.
     size_.store(id + 1, std::memory_order_release);
+    if ((id + 1) * 10 >= (idx->mask + 1) * 7) {
+      grow(idx);  // rehashes every id below size_, the new one included
+    } else {
+      insert(idx, hash, id);
+    }
     return id;
   }
 
@@ -156,7 +162,7 @@ class NameTable {
 
   /// Writer-only: double the index. The old generation is retired, never
   /// freed, so concurrent readers mid-probe stay valid.
-  Index* grow(Index* old) NETFAIL_REQUIRES(mu_) {
+  void grow(Index* old) NETFAIL_REQUIRES(mu_) {
     auto next = std::make_unique<Index>((old->mask + 1) * 2);
     const std::uint32_t n = size_.load(std::memory_order_relaxed);
     for (std::uint32_t id = 0; id < n; ++id) {
@@ -164,9 +170,7 @@ class NameTable {
       insert(next.get(), fnv1a({e.data, e.len}), id);
     }
     retired_.push_back(std::unique_ptr<Index>(old));
-    Index* fresh = next.release();
-    index_.store(fresh, std::memory_order_release);
-    return fresh;
+    index_.store(next.release(), std::memory_order_release);
   }
 
   struct Chunk {

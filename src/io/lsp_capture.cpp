@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <string>
 
 namespace netfail::io {
 namespace {
@@ -85,6 +86,13 @@ Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
   while (true) {
     std::uint64_t at_ms = 0;
     if (!get_u64(in, at_ms)) break;  // clean end of file
+    const TimePoint at =
+        TimePoint::from_unix_millis(static_cast<std::int64_t>(at_ms));
+    if (!isis::kLspArrivalRange.contains(at)) {
+      return make_error(ErrorCode::kOutOfRange,
+                        "frame " + std::to_string(st.frames) +
+                            ": arrival time outside the accepted range");
+    }
     std::uint32_t len = 0;
     if (!get_u32(in, len)) {
       st.truncated_tail = true;
@@ -96,9 +104,7 @@ Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
       st.truncated_tail = true;
       break;
     }
-    out.push_back(isis::LspRecord{
-        TimePoint::from_unix_millis(static_cast<std::int64_t>(at_ms)),
-        std::move(payload)});
+    out.push_back(isis::LspRecord{at, std::move(payload)});
     ++st.frames;
   }
   return out;

@@ -47,25 +47,6 @@ void EventLoop::drain_wake_pipe() {
   }
 }
 
-void EventLoop::post(std::function<void()> task) {
-  {
-    sync::MutexLock lock(posted_mu_);
-    posted_.push_back(std::move(task));
-  }
-  wake();
-}
-
-void EventLoop::drain_posted() { run_posted(); }
-
-void EventLoop::run_posted() {
-  std::vector<std::function<void()>> tasks;
-  {
-    sync::MutexLock lock(posted_mu_);
-    tasks.swap(posted_);
-  }
-  for (auto& task : tasks) task();
-}
-
 bool EventLoop::run_once(int timeout_ms) {
   if (stop_flag_.load(std::memory_order_acquire)) return false;
 
@@ -83,7 +64,6 @@ bool EventLoop::run_once(int timeout_ms) {
   if (n < 0 && errno != EINTR) return !stop_flag_.load(std::memory_order_acquire);
 
   if (fds[0].revents != 0) drain_wake_pipe();
-  run_posted();
   if (on_wake_) on_wake_();
   if (stop_flag_.load(std::memory_order_acquire)) return false;
 

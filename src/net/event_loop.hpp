@@ -4,12 +4,9 @@
 // registration machinery, and poll keeps the loop portable to any POSIX.
 //
 // Thread model: add/remove/set_want_read and the callbacks run on the loop
-// thread only. stop() and wake() are the two cross-thread entry points —
+// thread only. stop() and wake() are the only cross-thread entry points —
 // both write one byte to a self-pipe, which is async-signal-safe, so the
 // CLI's SIGINT handler may call them directly from the signal context.
-// post() is a third, mutex-protected (NOT signal-safe) cross-thread entry:
-// it hands a task to the loop thread, which is how the sharded gateway
-// distributes accepted TCP connections across shard loops.
 #pragma once
 
 #include <atomic>
@@ -17,8 +14,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/thread_annotations.hpp"
-#include "src/common/sync.hpp"
 #include "src/net/socket.hpp"
 
 namespace netfail::net {
@@ -55,20 +50,6 @@ class EventLoop {
   /// Cross-thread (and signal-safe): interrupt the current poll.
   void wake();
 
-  /// Cross-thread (mutex, NOT signal-safe): run `task` on the loop thread
-  /// before the next dispatch pass. Tasks run in post order and may call
-  /// add/remove/set_want_read. Tasks posted to a stopped loop run during
-  /// the final run_once pass or not at all — an owner that must not lose
-  /// them calls drain_posted() after joining the loop thread.
-  void post(std::function<void()> task);
-
-  /// Run any tasks still queued by post() on the *caller's* thread. Only
-  /// legal once run() has returned and the loop thread is joined (there is
-  /// no loop thread left to race); the gateway uses it so a connection
-  /// registration that raced a stop is executed and accounted instead of
-  /// silently discarded.
-  void drain_posted();
-
   bool stopped() const;
 
  private:
@@ -80,12 +61,9 @@ class EventLoop {
   };
 
   void drain_wake_pipe();
-  void run_posted();
 
   std::vector<Entry> entries_;
   std::function<void()> on_wake_;
-  sync::Mutex posted_mu_;
-  std::vector<std::function<void()>> posted_ NETFAIL_GUARDED_BY(posted_mu_);
   Fd wake_read_;
   Fd wake_write_;
   // Written from other threads / signal handlers, read by the loop

@@ -40,7 +40,8 @@ void append_frame(std::vector<std::uint8_t>& out,
 void append_lsp_frame(std::vector<std::uint8_t>& out,
                       const isis::LspRecord& record);
 
-/// Decode an LSP-feed frame payload back into a record.
+/// Decode an LSP-feed frame payload back into a record. An arrival time
+/// outside isis::kLspArrivalRange is an error.
 Result<isis::LspRecord> decode_lsp_payload(
     std::span<const std::uint8_t> payload);
 

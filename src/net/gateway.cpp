@@ -43,42 +43,6 @@ metrics::Gauge* shard_gauge(const char* base, std::uint32_t shard) {
   return &metrics::global().gauge(shard_metric(base, shard));
 }
 
-// Bind `count` SO_REUSEPORT sockets sharing one UDP port; fills `out` and
-// returns the bound port. kUnsupported tells the caller to fall back to a
-// single socket; partial binds are released by `out`'s destructors.
-Result<std::uint16_t> bind_reuseport_set(const std::string& host,
-                                         std::uint16_t port,
-                                         std::uint32_t count,
-                                         std::vector<Fd>& out) {
-  auto first = udp_bind_reuseport(host, port);
-  if (!first) return first.error();
-  auto bound = local_port(*first);
-  if (!bound) return bound.error();
-  out.push_back(std::move(*first));
-  for (std::uint32_t i = 1; i < count; ++i) {
-    auto fd = udp_bind_reuseport(host, *bound);
-    if (!fd) return fd.error();
-    out.push_back(std::move(*fd));
-  }
-  return *bound;
-}
-
-void add_counters(GatewayCounters& into, const GatewayCounters& from) {
-  into.syslog_datagrams += from.syslog_datagrams;
-  into.syslog_enqueued += from.syslog_enqueued;
-  into.syslog_queue_drops += from.syslog_queue_drops;
-  into.end_markers += from.end_markers;
-  into.lsp_frames += from.lsp_frames;
-  into.lsp_decode_errors += from.lsp_decode_errors;
-  into.lsp_torn_tails += from.lsp_torn_tails;
-  into.lsp_corrupt_streams += from.lsp_corrupt_streams;
-  into.lsp_out_of_order += from.lsp_out_of_order;
-  into.connections_accepted += from.connections_accepted;
-  into.connections_closed += from.connections_closed;
-  into.backpressure_pauses += from.backpressure_pauses;
-  into.udp_sockets += from.udp_sockets;
-}
-
 }  // namespace
 
 IngestGateway::Shard::Shard(const LinkCensus& census,
@@ -101,7 +65,10 @@ IngestGateway::Shard::Shard(const LinkCensus& census,
 IngestGateway::IngestGateway(const LinkCensus& census, GatewayOptions options)
     : census_(&census),
       options_(std::move(options)),
-      shard_map_(census, options_.shards) {
+      shard_map_(census, options_.shards),
+      cursor_(options_.capture_start),
+      recv_buf_(kRecvBatch * kMaxDatagram),
+      buckets_(options_.shards) {
   NETFAIL_ASSERT(options_.shards >= 1, "gateway needs at least one shard");
   high_watermark_ = options_.lsp_queue_capacity * 3 / 4;
   low_watermark_ = options_.lsp_queue_capacity / 4;
@@ -111,34 +78,13 @@ IngestGateway::IngestGateway(const LinkCensus& census, GatewayOptions options)
   for (std::uint32_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(
         std::make_unique<Shard>(census, options_, shard_map_, i));
-    loops_.push_back(std::make_unique<IoLoop>(options_.capture_start));
     if (options_.engine_setup) options_.engine_setup(i, *shards_[i]->engine);
   }
 }
 
 IngestGateway::~IngestGateway() { stop(); }
 
-Status IngestGateway::bind_udp_sockets() {
-  if (options_.shards > 1 && !options_.force_single_udp_socket) {
-    std::vector<Fd> fds;
-    auto port = bind_reuseport_set(options_.bind_host, options_.syslog_port,
-                                   options_.shards, fds);
-    if (port) {
-      syslog_port_ = *port;
-      for (std::uint32_t i = 0; i < options_.shards; ++i) {
-        (void)set_recv_buffer(fds[i], options_.recv_buffer_bytes);
-        if (Status st = set_nonblocking(fds[i]); !st.ok()) return st;
-        loops_[i]->udp = std::move(fds[i]);
-        loops_[i]->io.udp_sockets = 1;
-      }
-      return Status::ok_status();
-    }
-    if (port.error().code != ErrorCode::kUnsupported) {
-      return Status(port.error());
-    }
-    // SO_REUSEPORT refused at runtime: fall through to one socket on loop 0;
-    // shard routing still happens per datagram via the hash dispatch.
-  }
+Status IngestGateway::bind_sockets() {
   auto udp = udp_bind(options_.bind_host, options_.syslog_port);
   if (!udp) return Status(udp.error());
   (void)set_recv_buffer(*udp, options_.recv_buffer_bytes);
@@ -146,34 +92,26 @@ Status IngestGateway::bind_udp_sockets() {
   auto sport = local_port(*udp);
   if (!sport) return Status(sport.error());
   syslog_port_ = *sport;
-  loops_[0]->udp = std::move(*udp);
-  loops_[0]->io.udp_sockets = 1;
+  udp_ = std::move(*udp);
+
+  auto listener = tcp_listen(options_.bind_host, options_.lsp_port, 16);
+  if (!listener) return Status(listener.error());
+  if (Status st = set_nonblocking(*listener); !st.ok()) return st;
+  auto lport = local_port(*listener);
+  if (!lport) return Status(lport.error());
+  lsp_port_ = *lport;
+  listener_ = std::move(*listener);
   return Status::ok_status();
 }
 
 Status IngestGateway::start() {
   NETFAIL_ASSERT(!running_ && !stopped_, "gateway started twice");
-  if (Status st = bind_udp_sockets(); !st.ok()) return st;
-  auto listener = tcp_listen(options_.bind_host, options_.lsp_port, 16);
-  if (!listener) return Status(listener.error());
-  listener_ = std::move(*listener);
-  if (Status st = set_nonblocking(listener_); !st.ok()) return st;
-  auto lport = local_port(listener_);
-  if (!lport) return Status(lport.error());
-  lsp_port_ = *lport;
+  if (Status st = bind_sockets(); !st.ok()) return st;
+  loop_.add(udp_.get(), [this](short) { on_udp_readable(); });
+  loop_.add(listener_.get(), [this](short) { on_accept(); });
+  loop_.set_on_wake([this] { maybe_resume_connections(); });
 
-  for (std::size_t i = 0; i < loops_.size(); ++i) {
-    IoLoop& lp = *loops_[i];
-    if (lp.udp.valid()) {
-      lp.loop.add(lp.udp.get(), [this, i](short) { on_udp_readable(i); });
-    }
-    lp.loop.set_on_wake([this, i] { maybe_resume_connections(i); });
-  }
-  loops_[0]->loop.add(listener_.get(), [this](short) { on_accept(); });
-
-  for (std::size_t i = 0; i < loops_.size(); ++i) {
-    loops_[i]->thread = std::thread(&IngestGateway::io_thread, this, i);
-  }
+  io_thread_ = std::thread([this] { loop_.run(); });
   for (auto& shard : shards_) {
     shard->consumer =
         std::thread(&IngestGateway::consumer_thread, this, std::ref(*shard));
@@ -182,49 +120,40 @@ Status IngestGateway::start() {
   return Status::ok_status();
 }
 
-void IngestGateway::io_thread(std::size_t loop_idx) {
-  loops_[loop_idx]->loop.run();
-}
-
-void IngestGateway::on_udp_readable(std::size_t loop_idx) {
-  IoLoop& lp = *loops_[loop_idx];
+void IngestGateway::on_udp_readable() {
   mmsghdr msgs[kRecvBatch];
   iovec iovs[kRecvBatch];
-  static thread_local std::vector<std::uint8_t> bufs(kRecvBatch * kMaxDatagram);
-  // Per-shard routing buckets, reused sweep to sweep: one try_push_batch
-  // (one lock + one notify) per shard per recvmmsg sweep.
-  static thread_local std::vector<std::vector<syslog::ReceivedLine>> buckets;
   const std::uint32_t nshards = options_.shards;
-  if (buckets.size() < nshards) buckets.resize(nshards);
   for (;;) {
     std::memset(msgs, 0, sizeof(msgs));
     for (int i = 0; i < kRecvBatch; ++i) {
-      iovs[i].iov_base = bufs.data() + static_cast<std::size_t>(i) * kMaxDatagram;
+      iovs[i].iov_base =
+          recv_buf_.data() + static_cast<std::size_t>(i) * kMaxDatagram;
       iovs[i].iov_len = kMaxDatagram;
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
-    const int n = ::recvmmsg(lp.udp.get(), msgs, kRecvBatch, 0, nullptr);
+    const int n = ::recvmmsg(udp_.get(), msgs, kRecvBatch, 0, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: drained
     }
     // Peel markers out (rare, end-of-replay only), stamp each line's
-    // arrival with this socket's cursor, route it to the owning shard's
+    // arrival with the socket's cursor, route it to the owning shard's
     // bucket by the stable link hash, then hand each bucket to its queue
-    // as one batch. Stamping precedes routing on purpose: the cursor's
-    // monotonic clamp runs over the socket's arrival order (the ingress
-    // ordering domain), never over a shard's routed subset — a line
-    // clamped here is clamped identically for every shard count.
+    // as one batch (one lock + one notify per shard per sweep). Stamping
+    // precedes routing on purpose: the cursor's monotonic clamp runs over
+    // the socket's arrival order, never over a shard's routed subset — a
+    // line clamped here is clamped identically for every shard count.
     // shard_of_line is the IO-thread half of the partition invariant:
     // every event for a link lands on the shard whose engine owns that
     // link's state.
-    for (std::uint32_t s = 0; s < nshards; ++s) buckets[s].clear();
+    for (std::vector<syslog::ReceivedLine>& bucket : buckets_) bucket.clear();
     for (int i = 0; i < n; ++i) {
       const std::string_view payload(
           reinterpret_cast<const char*>(iovs[i].iov_base), msgs[i].msg_len);
       if (payload == kReplayEndMarker) {
-        ++lp.io.end_markers;
+        ++counters_.end_markers;
         {
           sync::MutexLock lock(done_mu_);
           ++markers_seen_;
@@ -235,80 +164,55 @@ void IngestGateway::on_udp_readable(std::size_t loop_idx) {
       // One parse per datagram, shared by the cursor and the router.
       const Result<syslog::Message> msg = syslog::parse_message(payload);
       syslog::ReceivedLine rec;
-      rec.received_at = lp.cursor.arrival_of_parsed(msg);
+      rec.received_at = cursor_.arrival_of_parsed(msg);
       rec.line.assign(payload);
-      buckets[shard_map_.shard_of_parsed(msg, payload)].push_back(
+      buckets_[shard_map_.shard_of_parsed(msg, payload)].push_back(
           std::move(rec));
     }
     for (std::uint32_t s = 0; s < nshards; ++s) {
-      std::vector<syslog::ReceivedLine>& bucket = buckets[s];
+      std::vector<syslog::ReceivedLine>& bucket = buckets_[s];
       if (bucket.empty()) continue;
-      lp.io.syslog_datagrams += bucket.size();
+      counters_.syslog_datagrams += bucket.size();
       const std::size_t taken =
           shards_[s]->syslog_queue.try_push_batch(bucket.data(), bucket.size());
-      lp.io.syslog_enqueued += taken;
-      lp.io.syslog_queue_drops += bucket.size() - taken;
+      counters_.syslog_enqueued += taken;
+      counters_.syslog_queue_drops += bucket.size() - taken;
     }
     if (n < kRecvBatch) return;
   }
 }
 
 void IngestGateway::on_accept() {
-  // Runs on loop 0 (the listener's loop). Accepted connections are dealt
-  // round-robin across all IO loops; the handoff is an EventLoop::post so
-  // the target loop adds the fd to its own poll set on its own thread.
   for (;;) {
     const int fd = ::accept(listener_.get(), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN (or transient accept error): wait for next event
     }
-    auto conn = std::make_shared<Connection>();
+    auto conn = std::make_unique<Connection>();
     conn->fd = Fd(fd);
     (void)set_nonblocking(conn->fd);
-    const std::size_t target = next_conn_loop_;
-    next_conn_loop_ = (next_conn_loop_ + 1) % loops_.size();
-    conn->loop = target;
-    ++loops_[0]->io.connections_accepted;
+    ++counters_.connections_accepted;
     {
       sync::MutexLock lock(done_mu_);
       ++conns_accepted_;
       ++conns_open_;
     }
     done_cv_.notify_all();
-    if (target == 0) {
-      register_connection(0, std::move(conn));
-    } else {
-      loops_[target]->loop.post(
-          [this, target, c = std::move(conn)]() mutable {
-            register_connection(target, std::move(c));
-          });
-    }
+    Connection* raw = conn.get();
+    connections_.push_back(std::move(conn));
+    loop_.add(fd, [this, raw](short) { on_connection_readable(*raw); });
   }
 }
 
-void IngestGateway::register_connection(std::size_t loop_idx,
-                                        std::shared_ptr<Connection> conn) {
-  IoLoop& lp = *loops_[loop_idx];
-  const int fd = conn->fd.get();
-  Connection* raw = conn.get();
-  lp.connections.push_back(std::move(conn));
-  lp.loop.add(fd, [this, loop_idx, raw](short revents) {
-    on_connection_readable(loop_idx, *raw, revents);
-  });
-}
-
-void IngestGateway::on_connection_readable(std::size_t loop_idx,
-                                           Connection& conn,
-                                           short /*revents*/) {
-  IoLoop& lp = *loops_[loop_idx];
+void IngestGateway::on_connection_readable(Connection& conn) {
   bool closed = false;
   std::uint8_t buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::read(conn.fd.get(), buf, sizeof(buf));
     if (n > 0) {
       conn.decoder.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
-      extract_frames(lp, conn);
+      extract_frames(conn);
       // Paused: leave further bytes in the socket buffer so TCP flow
       // control reaches the sender. Corrupt: no point reading more.
       if (conn.paused || conn.decoder.corrupt()) break;
@@ -324,91 +228,72 @@ void IngestGateway::on_connection_readable(std::size_t loop_idx,
     break;
   }
   if (conn.decoder.corrupt()) {
-    ++lp.io.lsp_corrupt_streams;
+    ++counters_.lsp_corrupt_streams;
     closed = true;
   }
-  if (closed) close_connection(loop_idx, conn.fd.get());
+  if (closed) close_connection(conn.fd.get());
 }
 
-void IngestGateway::extract_frames(IoLoop& lp, Connection& conn) {
+void IngestGateway::extract_frames(Connection& conn) {
   const std::uint32_t nshards = options_.shards;
   for (;;) {
     if (any_lsp_queue_above_high()) {
       if (!conn.paused) {
         conn.paused = true;
-        ++lp.io.backpressure_pauses;
+        ++counters_.backpressure_pauses;
         paused_conns_.fetch_add(1, std::memory_order_relaxed);
-        lp.loop.set_want_read(conn.fd.get(), false);
+        loop_.set_want_read(conn.fd.get(), false);
       }
       return;
     }
     const auto payload = conn.decoder.next();
     if (!payload) return;
-    ++lp.io.lsp_frames;
+    ++counters_.lsp_frames;
     auto record = decode_lsp_payload(*payload);
     if (!record) {
-      ++lp.io.lsp_decode_errors;
+      ++counters_.lsp_decode_errors;
       continue;
     }
+    // Monotonic out-of-order drop, mirroring EventMux's policy: it never
+    // fires on an in-order replay and protects the trackers when reconnect
+    // races interleave old frames behind new ones. Decided here, once, on
+    // the one IO thread, before the broadcast.
+    if (have_lsp_ && record->received_at < last_lsp_arrival_) {
+      ++counters_.lsp_out_of_order;
+      continue;
+    }
+    last_lsp_arrival_ = record->received_at;
+    have_lsp_ = true;
     // Broadcast: every shard's IS-IS extractor consumes the full LSP
     // stream (pair state spans both endpoints of a link); the ownership
-    // filter is applied per transition inside the engine. The monotonic
-    // out-of-order drop (mirroring EventMux's policy — never fires on an
-    // in-order replay, protects the trackers when reconnect races
-    // interleave old frames behind new ones) is decided HERE, once, under
-    // the gateway-wide order lock, and the kept record is pushed to every
-    // shard before the lock drops: with concurrent connections on
-    // different IO threads, each shard queue still carries the identical
-    // frame sequence, so per-shard engines cannot diverge. Copy to all
+    // filter is applied per transition inside the engine. Every shard
+    // queue therefore carries the identical frame sequence. Copy to all
     // shards but the last, move into the last. push_wait, not try_push:
-    // TCP frames are the reliable source — the watermark check above
-    // bounds occupancy, and the blocking path only triggers when several
-    // IO loops overshoot it at once. A refusal means a closed queue
-    // (shutdown) — the rest of the stream is moot then anyway.
-    bool dropped = false;
-    bool queue_closed = false;
-    {
-      sync::MutexLock order(lsp_order_mu_);
-      if (have_lsp_ && record->received_at < last_lsp_arrival_) {
-        dropped = true;
-      } else {
-        last_lsp_arrival_ = record->received_at;
-        have_lsp_ = true;
-        for (std::uint32_t s = 0; s + 1 < nshards; ++s) {
-          isis::LspRecord copy = *record;
-          // push_wait takes the shard queue's WaitSet lock while we hold
-          // lsp_order_mu_ — the one call-mediated edge in the gateway.
-          // netfail-audit: locks(mu)
-          if (!shards_[s]->lsp_queue.push_wait(std::move(copy))) {
-            queue_closed = true;
-            break;
-          }
-        }
-        if (!queue_closed &&
-            !shards_[nshards - 1]->lsp_queue.push_wait(std::move(*record))) {
-          queue_closed = true;
-        }
-      }
+    // TCP frames are the reliable source, and the watermark check above
+    // already bounds occupancy (this thread is the only LSP producer). A
+    // refusal means a closed queue (shutdown) — the rest of the stream is
+    // moot then anyway.
+    for (std::uint32_t s = 0; s + 1 < nshards; ++s) {
+      isis::LspRecord copy = *record;
+      if (!shards_[s]->lsp_queue.push_wait(std::move(copy))) return;
     }
-    if (queue_closed) return;
-    if (dropped) ++lp.io.lsp_out_of_order;
+    if (!shards_[nshards - 1]->lsp_queue.push_wait(std::move(*record))) return;
   }
 }
 
-void IngestGateway::close_connection(std::size_t loop_idx, int fd) {
-  IoLoop& lp = *loops_[loop_idx];
-  for (auto it = lp.connections.begin(); it != lp.connections.end(); ++it) {
+void IngestGateway::close_connection(int fd) {
+  for (auto it = connections_.begin(); it != connections_.end(); ++it) {
     Connection& conn = **it;
     if (conn.fd.get() != fd) continue;
     if (conn.decoder.corrupt()) {
       (void)conn.decoder.reset();
     } else if (conn.decoder.buffered() > 0) {
-      ++lp.io.lsp_torn_tails;  // connection cut mid-frame
+      ++counters_.lsp_torn_tails;  // connection cut mid-frame
     }
     if (conn.paused) paused_conns_.fetch_sub(1, std::memory_order_relaxed);
-    lp.loop.remove(fd);
-    ++lp.io.connections_closed;
-    lp.connections.erase(it);
+    loop_.remove(fd);
+    ++counters_.connections_closed;
+    connections_.erase(it);
     {
       sync::MutexLock lock(done_mu_);
       --conns_open_;
@@ -432,12 +317,7 @@ bool IngestGateway::all_lsp_queues_below_low() const {
   return true;
 }
 
-void IngestGateway::wake_all_loops() {
-  for (auto& lp : loops_) lp->loop.wake();
-}
-
-void IngestGateway::maybe_resume_connections(std::size_t loop_idx) {
-  IoLoop& lp = *loops_[loop_idx];
+void IngestGateway::maybe_resume_connections() {
   if (paused_conns_.load(std::memory_order_relaxed) == 0) return;
   // ALL shards below low, mirroring the ANY-above-high pause: a resumed
   // connection broadcasts into every queue, so one hot shard must keep
@@ -446,19 +326,19 @@ void IngestGateway::maybe_resume_connections(std::size_t loop_idx) {
   // Drain each paused connection's decoder backlog first; only re-arm the
   // socket if that did not immediately push us back above the watermark.
   std::vector<int> dead;
-  for (auto& conn : lp.connections) {
+  for (auto& conn : connections_) {
     if (!conn->paused) continue;
     conn->paused = false;
     paused_conns_.fetch_sub(1, std::memory_order_relaxed);
-    extract_frames(lp, *conn);
+    extract_frames(*conn);
     if (conn->decoder.corrupt()) {
-      ++lp.io.lsp_corrupt_streams;
+      ++counters_.lsp_corrupt_streams;
       dead.push_back(conn->fd.get());
       continue;
     }
-    if (!conn->paused) lp.loop.set_want_read(conn->fd.get(), true);
+    if (!conn->paused) loop_.set_want_read(conn->fd.get(), true);
   }
-  for (const int fd : dead) close_connection(loop_idx, fd);
+  for (const int fd : dead) close_connection(fd);
 }
 
 void IngestGateway::consumer_thread(Shard& shard) {
@@ -522,12 +402,11 @@ void IngestGateway::consumer_thread(Shard& shard) {
       }
     }
 
-    // We may just have drained below the low watermark: nudge every IO
-    // loop (resume requires ALL queues low, and the paused connection may
-    // live on any of them).
+    // We may just have drained below the low watermark: nudge the IO
+    // loop, which resumes paused connections once ALL queues are low.
     if (paused_conns_.load(std::memory_order_relaxed) > 0 &&
         shard.lsp_queue.below_low_watermark(low_watermark_)) {
-      wake_all_loops();
+      loop_.wake();
     }
     lock.lock();
   }
@@ -609,31 +488,20 @@ bool IngestGateway::wait_replay_complete(std::chrono::milliseconds timeout,
   }
 }
 
-void IngestGateway::request_stop() {
-  for (auto& lp : loops_) lp->loop.stop();
-}
+void IngestGateway::request_stop() { loop_.stop(); }
 
 void IngestGateway::stop() {
   if (stopped_) return;
   stopped_ = true;
   if (!running_) return;
 
-  for (auto& lp : loops_) lp->loop.stop();
-  for (auto& lp : loops_) {
-    if (lp->thread.joinable()) lp->thread.join();
-  }
-  // A registration posted to a loop that stopped before running it would
-  // otherwise leave the Connection unregistered forever (conns_open_ never
-  // settles, its fd never enters the shutdown sweep). The loops are joined,
-  // so running the leftovers here is single-threaded and safe.
-  for (auto& lp : loops_) lp->loop.drain_posted();
+  loop_.stop();
+  if (io_thread_.joinable()) io_thread_.join();
   // Connections still open at shutdown: account their partial tails the
   // same way a mid-frame cut is accounted.
-  for (auto& lp : loops_) {
-    for (const auto& conn : lp->connections) {
-      if (!conn->decoder.corrupt() && conn->decoder.buffered() > 0) {
-        ++lp->io.lsp_torn_tails;
-      }
+  for (const auto& conn : connections_) {
+    if (!conn->decoder.corrupt() && conn->decoder.buffered() > 0) {
+      ++counters_.lsp_torn_tails;
     }
   }
   // No producers remain: close the queues and let each consumer drain
@@ -646,15 +514,10 @@ void IngestGateway::stop() {
     if (shard->consumer.joinable()) shard->consumer.join();
   }
 
-  for (auto& lp : loops_) {
-    lp->connections.clear();
-    lp->udp.reset();
-  }
+  connections_.clear();
+  udp_.reset();
   listener_.reset();
   running_ = false;
-
-  counters_ = GatewayCounters{};
-  for (const auto& lp : loops_) add_counters(counters_, lp->io);
 
   metrics::Registry& m = metrics::global();
   m.counter("net.syslog.datagrams").inc(counters_.syslog_datagrams);
@@ -664,7 +527,6 @@ void IngestGateway::stop() {
   m.counter("net.lsp.out_of_order").inc(counters_.lsp_out_of_order);
   m.counter("net.connections.accepted").inc(counters_.connections_accepted);
   m.counter("net.backpressure.pauses").inc(counters_.backpressure_pauses);
-  m.counter("net.udp.sockets").inc(counters_.udp_sockets);
 }
 
 stream::StreamEngine& IngestGateway::engine(std::uint32_t shard) {
@@ -694,8 +556,8 @@ std::uint64_t IngestGateway::final_alerts() const {
 }
 
 GatewayCounters IngestGateway::counters() const {
-  // Per-loop and per-shard counters are written lock-free on their owning
-  // threads; the aggregate is only coherent once all of them have joined.
+  // The IO thread writes the counters lock-free; they are only coherent
+  // once it has joined.
   NETFAIL_ASSERT(!running_, "counters() is a post-stop() snapshot");
   return counters_;
 }

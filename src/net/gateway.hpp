@@ -14,36 +14,31 @@
 //     socket and lets TCP flow control push back to the sender; reading
 //     resumes below the low watermark.
 //
-// Sharded operation (`GatewayOptions::shards = N`, DESIGN.md §14): N IO
-// event loops and N analysis shards. Each shard is an independent lane —
+// One ingress lane, N analysis lanes (`GatewayOptions::shards = N`,
+// DESIGN.md §14). A single IO event loop on one thread owns the one UDP
+// socket, the TCP listener and every accepted connection, like the paper's
+// one central syslog collector and one passive IS-IS listener. Sharding
+// lives where the work is: each shard is an independent analysis lane —
 // bounded MPSC queues, one consumer thread, one stream::StreamEngine
 // partitioned by the stable link hash (stream::ShardMap) — so per-link
-// analysis state never crosses a thread boundary. UDP datagrams arrive on
-// per-loop SO_REUSEPORT sockets when the kernel grants them (detected at
-// start(); single-socket fallback otherwise) and are *routed* to the
-// owning shard's queue by parsing the line on the IO thread; TCP
-// connections are accepted on loop 0 and distributed round-robin across
-// loops via EventLoop::post; decoded LSP records are *broadcast* to every
-// shard (the IS-IS extractor needs both endpoints' LSPs for its pair
-// state). The broadcast runs under a single gateway-wide order lock: the
-// out-of-order drop decision is made once, on the IO thread, and the kept
-// record is pushed to every shard before the lock is released, so all
-// shard queues carry the identical LSP sequence no matter how many
-// connections or IO threads are live. Syslog arrival times are likewise
-// assigned at dispatch time, one ArrivalCursor per UDP socket (each
-// socket is one ingress ordering domain), so the monotonic clamp never
-// depends on how lines were routed across shards. Backpressure pauses a
-// connection when ANY shard's LSP queue is above its high watermark and
-// resumes when ALL are below the low one.
-// stream::merge_shard_runs folds the per-shard results into output
+// analysis state never crosses a thread boundary. The IO thread stamps each
+// datagram's arrival with the socket's ArrivalCursor and then *routes* the
+// line to the owning shard's queue; stamping before routing means
+// received_at never depends on how lines were split across shards. Decoded
+// LSP records are *broadcast* to every shard (the IS-IS extractor needs
+// both endpoints' LSPs for its pair state): the out-of-order drop decision
+// and the push to every shard queue happen at one point on the IO thread,
+// so all shard queues carry the identical LSP sequence however many
+// connections are live. Backpressure pauses a connection when ANY shard's
+// LSP queue is above its high watermark and resumes when ALL are below the
+// low one. stream::merge_shard_runs folds the per-shard results into output
 // byte-identical to the serial single-shard run.
 //
-// With shards == 1 (the default) the wiring degenerates to the original
-// single-loop single-consumer gateway: a zero-loss replay of a capture
-// bundle yields analysis output byte-identical to the batch pipeline over
-// the same files. Shutdown (stop(), or request_stop() from a SIGINT
-// handler) stops the IO loops, drains all queues through the engines, and
-// snapshots a final Checkpoint per shard before finish().
+// With shards == 1 (the default) a zero-loss replay of a capture bundle
+// yields analysis output byte-identical to the batch pipeline over the
+// same files. Shutdown (stop(), or request_stop() from a SIGINT handler)
+// stops the IO loop, drains all queues through the engines, and snapshots
+// a final Checkpoint per shard before finish().
 #pragma once
 
 #include <atomic>
@@ -78,11 +73,9 @@ struct GatewayOptions {
   std::uint16_t syslog_port = 0;  // 0 = ephemeral, read back via accessor
   std::uint16_t lsp_port = 0;
 
-  /// Number of shards (IO loops x consumer lanes). 1 = the serial gateway.
+  /// Number of analysis shards (consumer lanes). 1 = the serial gateway.
+  /// The IO side is one loop and one UDP socket at any shard count.
   std::uint32_t shards = 1;
-  /// Test knob: behave as if the kernel refused SO_REUSEPORT, forcing the
-  /// single-socket + hash-dispatch fallback even for shards > 1.
-  bool force_single_udp_socket = false;
 
   /// Per-shard queue capacities (each shard gets its own pair of queues).
   std::size_t syslog_queue_capacity = 1 << 16;
@@ -111,8 +104,8 @@ struct GatewayOptions {
 };
 
 /// Post-stop accounting snapshot. Exact: every datagram and frame the
-/// kernel handed us lands in exactly one of these buckets. Counts are
-/// aggregated across all IO loops and consumer lanes.
+/// kernel handed us lands in exactly one of these buckets. Written by the
+/// IO thread only.
 struct GatewayCounters {
   std::uint64_t syslog_datagrams = 0;    // received, excluding end markers
   std::uint64_t syslog_enqueued = 0;
@@ -130,10 +123,6 @@ struct GatewayCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
   std::uint64_t backpressure_pauses = 0; // pause transitions, not duration
-
-  /// UDP sockets actually bound: options.shards when SO_REUSEPORT was
-  /// granted, 1 in the fallback (or serial) configuration.
-  std::uint64_t udp_sockets = 0;
 };
 
 class IngestGateway {
@@ -165,7 +154,7 @@ class IngestGateway {
                             std::uint64_t min_connections = 0);
 
   /// Async-signal-safe stop request (the CLI SIGINT handler calls this):
-  /// flags the IO loops; the owner must still call stop() to join+drain.
+  /// flags the IO loop; the owner must still call stop() to join+drain.
   void request_stop();
 
   /// One read-consistent deep-copy Checkpoint per shard, each taken by that
@@ -208,27 +197,6 @@ class IngestGateway {
     Fd fd;
     FrameDecoder decoder;
     bool paused = false;
-    std::size_t loop = 0;  // owning IO loop index
-  };
-
-  /// One IO lane: an event loop on its own thread, its UDP socket (when
-  /// bound) and the TCP connections it owns. All fields except `loop`'s
-  /// cross-thread entry points are loop-thread-only once started.
-  struct IoLoop {
-    explicit IoLoop(TimePoint capture_start) : cursor(capture_start) {}
-
-    EventLoop loop;
-    std::thread thread;
-    Fd udp;
-    /// Arrival-time reconstruction for this socket's datagrams. One cursor
-    /// per UDP socket — each socket is one ingress ordering domain, so the
-    /// monotonic clamp runs over the socket's own arrival order exactly as
-    /// the batch reader's cursor runs over file order. Stamping happens on
-    /// the IO thread *before* shard routing: received_at never depends on
-    /// how lines were split across consumer lanes.
-    syslog::ArrivalCursor cursor;
-    std::vector<std::shared_ptr<Connection>> connections;
-    GatewayCounters io;  // this loop's share; summed after join
   };
 
   /// One analysis lane: queues + consumer thread + partitioned engine.
@@ -253,21 +221,16 @@ class IngestGateway {
     bool consumer_done NETFAIL_GUARDED_BY(ws.mu) = false;
   };
 
-  Status bind_udp_sockets();
-  void io_thread(std::size_t loop_idx);
+  Status bind_sockets();
   void consumer_thread(Shard& shard);
-  void on_udp_readable(std::size_t loop_idx);
+  void on_udp_readable();
   void on_accept();
-  void register_connection(std::size_t loop_idx,
-                           std::shared_ptr<Connection> conn);
-  void on_connection_readable(std::size_t loop_idx, Connection& conn,
-                              short revents);
-  void extract_frames(IoLoop& lp, Connection& conn);
-  void close_connection(std::size_t loop_idx, int fd);
-  void maybe_resume_connections(std::size_t loop_idx);
+  void on_connection_readable(Connection& conn);
+  void extract_frames(Connection& conn);
+  void close_connection(int fd);
+  void maybe_resume_connections();
   bool any_lsp_queue_above_high() const;
   bool all_lsp_queues_below_low() const;
-  void wake_all_loops();
   bool replay_complete(std::uint64_t min_connections);
 
   const LinkCensus* census_;
@@ -277,36 +240,36 @@ class IngestGateway {
 
   stream::ShardMap shard_map_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<IoLoop>> loops_;
 
+  // ---- the ingress lane: IO-thread-only once started --------------------
+  EventLoop loop_;
+  std::thread io_thread_;
+  Fd udp_;
   Fd listener_;
   std::uint16_t syslog_port_ = 0;
   std::uint16_t lsp_port_ = 0;
+  /// Arrival-time reconstruction for the socket's datagrams: the monotonic
+  /// clamp runs over socket arrival order exactly as the batch reader's
+  /// cursor runs over file order.
+  syslog::ArrivalCursor cursor_;
+  std::vector<std::unique_ptr<Connection>> connections_;
+  /// recvmmsg slots and per-shard routing buckets, reused sweep to sweep.
+  std::vector<std::uint8_t> recv_buf_;
+  std::vector<std::vector<syslog::ReceivedLine>> buckets_;
+  /// The LSP broadcast's monotonic order guard (mirrors EventMux's policy).
+  TimePoint last_lsp_arrival_;
+  bool have_lsp_ = false;
+  /// Read by callers only after stop() has joined the IO thread.
+  GatewayCounters counters_;
 
-  GatewayCounters counters_;  // aggregated during stop()
-  /// How many connections are read-paused (any loop); consumers poll this
-  /// to know whether draining below the low watermark warrants a wakeup.
+  /// How many connections are read-paused; consumers poll this to know
+  /// whether draining below the low watermark warrants waking the IO loop.
   std::atomic<int> paused_conns_{0};
-  /// Round-robin cursor for TCP accept distribution (loop 0 only).
-  std::size_t next_conn_loop_ = 0;
 
-  // LSP broadcast order lock. The monotonic out-of-order drop decision and
-  // the push to every shard queue happen atomically under this mutex, so
-  // the drop set AND the delivery order are identical across shards no
-  // matter how concurrent IO threads interleave — the invariant
-  // merge_shard_runs asserts. Held only on IO threads; consumers never
-  // take it, so a push_wait blocking under it cannot deadlock. The shard
-  // queue lock (WaitSet::mu, taken inside push_wait) therefore nests
-  // under this one, never the other way around.
-  // netfail-audit: acquired-before(mu)
-  sync::Mutex lsp_order_mu_;
-  TimePoint last_lsp_arrival_ NETFAIL_GUARDED_BY(lsp_order_mu_);
-  bool have_lsp_ NETFAIL_GUARDED_BY(lsp_order_mu_) = false;
-
-  // Replay-completion state. Its own wait set: producers on any IO loop
-  // update it, the watcher sleeps on it, and per-shard queue/idle state is
-  // polled under the shards' own locks (never both at once — no ordering
-  // edge between done_mu_ and any shard's ws.mu).
+  // Replay-completion state. Its own wait set: the IO thread updates it,
+  // the watcher sleeps on it, and per-shard queue/idle state is polled
+  // under the shards' own locks (never both at once — no ordering edge
+  // between done_mu_ and any shard's ws.mu).
   sync::Mutex done_mu_;
   sync::CondVar done_cv_;
   std::uint64_t markers_seen_ NETFAIL_GUARDED_BY(done_mu_) = 0;

@@ -68,36 +68,6 @@ Result<Fd> udp_bind(const std::string& host, std::uint16_t port) {
   return fd;
 }
 
-Result<Fd> udp_bind_reuseport(const std::string& host, std::uint16_t port) {
-#ifndef SO_REUSEPORT
-  (void)host;
-  (void)port;
-  return make_error(ErrorCode::kUnsupported,
-                    "SO_REUSEPORT not available on this platform");
-#else
-  const auto addr = make_addr(host, port);
-  if (!addr) return addr.error();
-  auto fd = make_socket(SOCK_DGRAM);
-  if (!fd) return fd;
-  const int one = 1;
-  if (::setsockopt(fd->get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-      0) {
-    // Runtime detection: an old kernel (or a sandbox seccomp filter) that
-    // rejects the option is a supported configuration, not an error the
-    // caller should die on.
-    return make_error(ErrorCode::kUnsupported,
-                      std::string("setsockopt SO_REUSEPORT: ") +
-                          std::strerror(errno));
-  }
-  if (::bind(fd->get(), reinterpret_cast<const sockaddr*>(&*addr),
-             sizeof(*addr)) != 0) {
-    return errno_error("bind udp/reuseport " + host + ":" +
-                       std::to_string(port));
-  }
-  return fd;
-#endif
-}
-
 Result<Fd> udp_connect(const std::string& host, std::uint16_t port) {
   const auto addr = make_addr(host, port);
   if (!addr) return addr.error();

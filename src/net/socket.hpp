@@ -49,12 +49,6 @@ bool sockets_available();
 // All helpers return an error with errno detail on failure. `port` 0 asks
 // the kernel for an ephemeral port; read it back with local_port().
 Result<Fd> udp_bind(const std::string& host, std::uint16_t port);
-/// Like udp_bind, but sets SO_REUSEPORT before binding so N sockets can
-/// share one port (the kernel hash-distributes datagrams across them).
-/// Fails with kUnsupported when the platform lacks SO_REUSEPORT or the
-/// kernel refuses it — the sharded gateway then falls back to a single
-/// socket with user-space hash dispatch.
-Result<Fd> udp_bind_reuseport(const std::string& host, std::uint16_t port);
 Result<Fd> udp_connect(const std::string& host, std::uint16_t port);
 Result<Fd> tcp_listen(const std::string& host, std::uint16_t port,
                       int backlog = 8);

@@ -16,8 +16,6 @@ struct TrackerMetrics {
       metrics::global().counter("stream.tracker.failures_released");
   metrics::Counter& episodes =
       metrics::global().counter("stream.tracker.flap_episodes");
-  metrics::Counter& evicted =
-      metrics::global().counter("stream.tracker.links_evicted");
 };
 
 // Namespace-scope so the per-transition hot path carries no static-init guard.
@@ -34,43 +32,13 @@ constexpr TimePoint time_max() {
 LinkTracker::LinkTracker(TrackerOptions options)
     : options_(std::move(options)) {}
 
-LinkTracker::PerLink& LinkTracker::link_state(LinkId link, TimePoint arrival) {
+LinkTracker::PerLink& LinkTracker::link_state(LinkId link) {
   auto it = links_.find(link);
   if (it == links_.end()) {
-    maybe_evict(arrival);
     it = links_.emplace(link, PerLink{}).first;
     it->second.stats.link = link;
   }
-  it->second.last_active = arrival;
   return it->second;
-}
-
-void LinkTracker::maybe_evict(TimePoint arrival) {
-  if (options_.max_tracked_links == 0 ||
-      links_.size() < options_.max_tracked_links) {
-    return;
-  }
-  // Evict the least-recently-active link that holds no unprocessed or
-  // unreleased state; if every link is mid-failure or mid-buffer, exceed the
-  // cap rather than corrupt results.
-  auto victim = links_.end();
-  for (auto it = links_.begin(); it != links_.end(); ++it) {
-    const PerLink& pl = it->second;
-    if (pl.walker.state != LinkDirection::kUp || !pl.pending.empty() ||
-        !pl.held.empty() || pl.run_count != 0) {
-      continue;
-    }
-    if (pl.last_active >= arrival) continue;
-    if (victim == links_.end() ||
-        pl.last_active < victim->second.last_active) {
-      victim = it;
-    }
-  }
-  if (victim != links_.end()) {
-    links_.erase(victim);
-    ++counters_.links_evicted;
-    tracker_metrics().evicted.inc();
-  }
 }
 
 void LinkTracker::ingest(const analysis::RawTransition& tr, TimePoint arrival) {
@@ -82,7 +50,7 @@ void LinkTracker::ingest(const analysis::RawTransition& tr, TimePoint arrival) {
     has_high_water_ = true;
   }
 
-  PerLink& pl = link_state(tr.link, arrival);
+  PerLink& pl = link_state(tr.link);
   pl.pending.push_back(PendingTransition{tr.time, next_seq_++, tr.dir});
   std::push_heap(pl.pending.begin(), pl.pending.end(),
                  [](const PendingTransition& a, const PendingTransition& b) {

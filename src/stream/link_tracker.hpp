@@ -15,9 +15,9 @@
 //     the batch path gets the same effect by sorting the full trace;
 //   - finished failures leave through the `on_failure` callback as soon as
 //     retraction is impossible; only O(1) per link is held back;
-//   - optionally, `max_tracked_links` caps link state via idle-LRU eviction
-//     (approximate mode for captures with unbounded link churn; off by
-//     default and unused by the differential test).
+//   - link state exists only for links that produced a transition, and the
+//     engine feeds only census-resolved links, so it is bounded by the
+//     census.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,6 @@ struct TrackerOptions {
   /// skew + delivery delay; seconds in practice) for exact batch
   /// equivalence.
   Duration reorder_horizon = Duration::seconds(60);
-  /// 0 = unlimited. When set, the least-recently-active idle link may be
-  /// evicted to admit a new one.
-  std::size_t max_tracked_links = 0;
 };
 
 /// Per-link running counters; O(1) state each.
@@ -68,7 +65,6 @@ struct TrackerCounters {
   std::uint64_t transitions_ingested = 0;
   std::uint64_t failures_released = 0;
   std::uint64_t flap_episodes = 0;
-  std::uint64_t links_evicted = 0;
   std::uint64_t pending_peak = 0;  // high-water mark of buffered transitions
   // FSM counters (same meaning as analysis::Reconstruction).
   std::uint64_t double_downs = 0;
@@ -143,15 +139,13 @@ class LinkTracker {
     std::size_t run_count = 0;
     TimePoint run_start;
     TimePoint run_last_end;
-    TimePoint last_active;  // newest arrival touching this link
   };
 
-  PerLink& link_state(LinkId link, TimePoint arrival);
+  PerLink& link_state(LinkId link);
   void flush_link(LinkId link, PerLink& pl, TimePoint up_to);
   void apply(LinkId link, PerLink& pl, const PendingTransition& tr);
   void release(LinkId link, PerLink& pl, std::size_t keep);
   void close_run(LinkId link, PerLink& pl);
-  void maybe_evict(TimePoint arrival);
 
   TrackerOptions options_;
   std::map<LinkId, PerLink> links_;

@@ -25,7 +25,6 @@ void accumulate(TrackerCounters& out, const TrackerCounters& in) {
   out.transitions_ingested += in.transitions_ingested;
   out.failures_released += in.failures_released;
   out.flap_episodes += in.flap_episodes;
-  out.links_evicted += in.links_evicted;
   out.pending_peak = std::max(out.pending_peak, in.pending_peak);
   out.double_downs += in.double_downs;
   out.double_ups += in.double_ups;
@@ -108,8 +107,6 @@ void render_side(std::string& out, std::string_view label,
   put_u64(out, c.failures_released);
   put(out, " episodes=");
   put_u64(out, c.flap_episodes);
-  put(out, " evicted=");
-  put_u64(out, c.links_evicted);
   put(out, " ddown=");
   put_u64(out, c.double_downs);
   put(out, " dup=");

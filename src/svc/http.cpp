@@ -240,7 +240,6 @@ void HttpServer::stop() {
   if (!running_) return;
   loop_.stop();
   thread_.join();
-  loop_.drain_posted();
   conns_.clear();  // Fd destructors close the sockets
   loop_.remove(listen_fd_.get());
   listen_fd_.reset();

@@ -127,12 +127,10 @@ void EngineCodec::encode_tracker(const stream::LinkTracker& t, ByteWriter& w) {
     w.u64(pl.run_count);
     put_time(w, pl.run_start);
     put_time(w, pl.run_last_end);
-    put_time(w, pl.last_active);
   }
   w.u64(t.counters_.transitions_ingested);
   w.u64(t.counters_.failures_released);
   w.u64(t.counters_.flap_episodes);
-  w.u64(t.counters_.links_evicted);
   w.u64(t.counters_.pending_peak);
   w.u64(t.counters_.double_downs);
   w.u64(t.counters_.double_ups);
@@ -188,12 +186,10 @@ Status EngineCodec::decode_tracker(ByteReader& r, stream::LinkTracker& t) {
     pl.run_count = static_cast<std::size_t>(r.u64());
     pl.run_start = get_time(r);
     pl.run_last_end = get_time(r);
-    pl.last_active = get_time(r);
   }
   t.counters_.transitions_ingested = r.u64();
   t.counters_.failures_released = r.u64();
   t.counters_.flap_episodes = r.u64();
-  t.counters_.links_evicted = r.u64();
   t.counters_.pending_peak = r.u64();
   t.counters_.double_downs = r.u64();
   t.counters_.double_ups = r.u64();

@@ -51,7 +51,7 @@
 
 namespace netfail::svc {
 
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr char kSnapshotMagic[8] = {'N', 'F', 'S', 'N',
                                            'A', 'P', 'S', 'H'};
 /// Conventional snapshot file name inside a --state-dir.

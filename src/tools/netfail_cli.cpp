@@ -8,7 +8,7 @@
 //       Run the paper's analysis over a capture bundle (yours or a
 //       simulated one) and print the comparison tables.
 //
-//   netfail stream --dir DIR [--policy P] [--horizon SECS] [--max-links N]
+//   netfail stream --dir DIR [--policy P] [--horizon SECS]
 //                  [--report-every N] [--json-metrics]
 //       Tail a capture bundle through the online engine: interleave the
 //       syslog and LSP streams in arrival order, maintain per-link failure
@@ -20,8 +20,8 @@
 //       feed draining into the online engine. The bundle supplies the link
 //       census and analysis period. Runs until SIGINT (drains, prints the
 //       final reconstruction) or until a replay signals completion.
-//       --shards N partitions ingest and analysis across N event loops and
-//       N engines keyed by a stable link hash (DESIGN.md sect. 14).
+//       --shards N partitions analysis across N engines keyed by a stable
+//       link hash, fed by one ingress loop (DESIGN.md sect. 14).
 //       --state-dir DIR persists a durable engine checkpoint (restored on
 //       the next start); --snapshot-every DUR writes it periodically and
 //       SIGINT always writes a final one. --http-port N serves the live
@@ -87,13 +87,12 @@ int usage() {
       "  netfail simulate --out DIR [--small] [--seed N]\n"
       "  netfail analyze --dir DIR [--policy drop|assume-down|assume-up|"
       "hold-state]\n"
-      "  netfail stream --dir DIR [--policy P] [--horizon SECS] "
-      "[--max-links N]\n"
+      "  netfail stream --dir DIR [--policy P] [--horizon SECS]\n"
       "                 [--report-every N] [--json-metrics] [--detect]\n"
       "                 [--ewma-alpha A] [--cusum-threshold T] "
       "[--drift-window MIN]\n"
       "  netfail serve --dir DIR --syslog-port N --lsp-port N [--policy P]\n"
-      "                [--horizon SECS] [--max-links N] [--host ADDR]\n"
+      "                [--horizon SECS] [--host ADDR]\n"
       "                [--shards N] [--detect] [--ewma-alpha A]\n"
       "                [--cusum-threshold T] [--drift-window MIN]\n"
       "                [--state-dir DIR] [--snapshot-every DUR]\n"
@@ -198,8 +197,8 @@ bool parse_detect_flags(const flags::Parsed& args,
   return true;
 }
 
-/// Parse the engine flags shared by stream and serve (--policy, --horizon,
-/// --max-links and the --detect knobs). Errors print the problem; the
+/// Parse the engine flags shared by stream and serve (--policy, --horizon
+/// and the --detect knobs). Errors print the problem; the
 /// caller exits 2.
 bool parse_engine_flags(const flags::Parsed& args,
                         stream::EngineOptions& engine) {
@@ -221,11 +220,6 @@ bool parse_engine_flags(const flags::Parsed& args,
     }
     engine.tracker.reorder_horizon =
         Duration::seconds(static_cast<std::int64_t>(secs));
-  }
-  if (const auto m = args.value("--max-links")) {
-    std::uint64_t cap = 0;
-    if (!parse_number("--max-links", *m, cap)) return false;
-    engine.tracker.max_tracked_links = static_cast<std::size_t>(cap);
   }
   return true;
 }
@@ -398,7 +392,6 @@ int cmd_stream(int argc, char** argv) {
                       {{"--dir", true},
                        {"--policy", true},
                        {"--horizon", true},
-                       {"--max-links", true},
                        {"--report-every", true},
                        {"--json-metrics", false},
                        {"--detect", false},
@@ -551,7 +544,6 @@ int cmd_serve(int argc, char** argv) {
                        {"--shards", true},
                        {"--policy", true},
                        {"--horizon", true},
-                       {"--max-links", true},
                        {"--detect", false},
                        {"--ewma-alpha", true},
                        {"--cusum-threshold", true},
@@ -761,15 +753,13 @@ int cmd_serve(int argc, char** argv) {
   const net::GatewayCounters c = gateway.counters();
   std::printf(
       "\ningested %llu syslog datagrams (%llu enqueued, %llu dropped at the "
-      "queue) and %llu LSP frames across %llu udp socket%s\n"
+      "queue) and %llu LSP frames\n"
       "connections: %llu accepted, %llu closed; backpressure pauses: %llu; "
       "torn frame tails: %llu\n",
       static_cast<unsigned long long>(c.syslog_datagrams),
       static_cast<unsigned long long>(c.syslog_enqueued),
       static_cast<unsigned long long>(c.syslog_queue_drops),
       static_cast<unsigned long long>(c.lsp_frames),
-      static_cast<unsigned long long>(c.udp_sockets),
-      c.udp_sockets == 1 ? "" : "s",
       static_cast<unsigned long long>(c.connections_accepted),
       static_cast<unsigned long long>(c.connections_closed),
       static_cast<unsigned long long>(c.backpressure_pauses),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace netfail::flags {
 namespace {
 
@@ -126,6 +128,23 @@ TEST(ParseDuration, RejectsMissingUnitZeroAndGarbage) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("500ms"), std::string::npos);
   EXPECT_NE(r.error().message.find("--snapshot-every"), std::string::npos);
+}
+
+TEST(ParseDuration, BoundsTheCountPerUnitSoMillisecondsFit) {
+  // 2^40 of the unit fits for ms/s/m/h; for days the int64 millisecond
+  // total is the tighter bound (INT64_MAX / 86'400'000 = 106751991167).
+  for (const char* v : {"1099511627776ms", "1099511627776s", "1099511627776m",
+                        "1099511627776h", "106751991167d"}) {
+    const auto r = parse_duration("--snapshot-every", v);
+    ASSERT_TRUE(r.ok()) << v << ": " << r.error().to_string();
+    EXPECT_GT(r->total_millis(), 0) << v;
+  }
+  EXPECT_EQ(parse_duration("--snapshot-every", "106751991167d")->total_millis(),
+            std::int64_t{106751991167} * 86'400'000);
+  for (const char* v : {"1099511627776d", "106751991168d", "1099511627777ms",
+                        "1099511627777h"}) {
+    EXPECT_FALSE(parse_duration("--snapshot-every", v).ok()) << v;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "src/isis/pdu.hpp"
@@ -73,14 +75,42 @@ TEST(LspCapture, MissingFileReported) {
 }
 
 TEST(LspCapture, NegativeEpochSurvives) {
-  // Pre-1970 timestamps shouldn't occur, but the format must round-trip the
-  // full signed range without mangling.
+  // Pre-1970 timestamps shouldn't occur, but the format must round-trip
+  // signed times inside isis::kLspArrivalRange without mangling.
   const std::vector<isis::LspRecord> records{record(-1000, 1)};
   std::stringstream stream;
   write_lsp_capture(records, stream);
   const auto loaded = read_lsp_capture(stream);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ((*loaded)[0].received_at, TimePoint::from_unix_millis(-1000));
+}
+
+TEST(LspCapture, ArrivalOutsideAcceptedRangeIsRejected) {
+  // A hostile arrival time must fail the read, not reach the trackers'
+  // arrival arithmetic (INT64_MIN minus the reorder horizon overflows).
+  for (const std::int64_t ms :
+       {std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max(),
+        isis::kLspArrivalRange.end.unix_millis(),
+        isis::kLspArrivalRange.begin.unix_millis() - 1}) {
+    SCOPED_TRACE(ms);
+    const std::vector<isis::LspRecord> records{record(1000, 1),
+                                               record(ms, 2)};
+    std::stringstream stream;
+    write_lsp_capture(records, stream);
+    const auto loaded = read_lsp_capture(stream);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::kOutOfRange);
+  }
+  // The range's own ends are inclusive-exclusive.
+  for (const std::int64_t ms :
+       {isis::kLspArrivalRange.begin.unix_millis(),
+        isis::kLspArrivalRange.end.unix_millis() - 1}) {
+    const std::vector<isis::LspRecord> records{record(ms, 1)};
+    std::stringstream stream;
+    write_lsp_capture(records, stream);
+    EXPECT_TRUE(read_lsp_capture(stream).ok()) << ms;
+  }
 }
 
 }  // namespace

@@ -183,10 +183,9 @@ TEST(CliValidation, EngineFlagsRejectOutOfRangeValuesInBothVerbs) {
     EXPECT_EQ(cli_exit(base + "--horizon=18446744073709551615"), 2);
     EXPECT_EQ(cli_exit(base + "--horizon=18446744073709551616"), 2);
     EXPECT_EQ(cli_exit(base + "--horizon=1099511627777"), 2);  // 2^40 + 1
-    EXPECT_EQ(cli_exit(base + "--max-links=18446744073709551616"), 2);
     EXPECT_EQ(cli_exit(base + "--policy=maybe"), 2);
     // In-range values get past validation and fail on the bundle instead.
-    EXPECT_EQ(cli_exit(base + "--horizon=1099511627776 --max-links=64"), 1);
+    EXPECT_EQ(cli_exit(base + "--horizon=1099511627776"), 1);
   }
 }
 
@@ -206,6 +205,10 @@ TEST(CliValidation, ServeRejectsBadPersistenceFlags) {
   EXPECT_EQ(cli_exit(base + "--state-dir=/tmp/x --snapshot-every=30"), 2);
   EXPECT_EQ(cli_exit(base + "--state-dir=/tmp/x --snapshot-every=0s"), 2);
   EXPECT_EQ(cli_exit(base + "--state-dir=/tmp/x --snapshot-every=fast"), 2);
+  // A count whose millisecond total overflows int64 (2^40 days).
+  EXPECT_EQ(cli_exit(base +
+                     "--state-dir=/tmp/x --snapshot-every=1099511627776d"),
+            2);
   // --snapshot-every without --state-dir has nowhere to write.
   EXPECT_EQ(cli_exit(base + "--snapshot-every=30s"), 2);
   // --http-port shares parse_port's contract.

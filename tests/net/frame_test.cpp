@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -140,6 +141,29 @@ TEST(Frame, LspPayloadRoundTrips) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->received_at, record.received_at);
   EXPECT_EQ(got->bytes, record.bytes);
+}
+
+TEST(Frame, LspArrivalOutsideAcceptedRangeIsError) {
+  // A hostile arrival time must be a decode error (the gateway counts it
+  // in lsp_decode_errors), not reach the trackers' arrival arithmetic.
+  for (const std::int64_t ms :
+       {std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max(),
+        isis::kLspArrivalRange.end.unix_millis(),
+        isis::kLspArrivalRange.begin.unix_millis() - 1}) {
+    isis::LspRecord record;
+    record.received_at = TimePoint::from_unix_millis(ms);
+    record.bytes = payload_of(27, 3);
+    std::vector<std::uint8_t> wire;
+    append_lsp_frame(wire, record);
+    FrameDecoder dec;
+    dec.feed(wire);
+    const auto p = dec.next();
+    ASSERT_TRUE(p.has_value());
+    const auto got = decode_lsp_payload(*p);
+    ASSERT_FALSE(got.ok()) << ms;
+    EXPECT_EQ(got.error().code, ErrorCode::kOutOfRange);
+  }
 }
 
 TEST(Frame, LspPayloadTooShortIsError) {

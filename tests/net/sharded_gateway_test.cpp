@@ -1,12 +1,13 @@
 // The sharded gateway over real sockets: replaying the same capture bundle
 // at 1-, 2- and 4-shard gateways must produce byte-identical merged
 // analysis (stream::render_digest) — the socket-level restatement of the
-// in-process sharded differential. Also covered: the SO_REUSEPORT
-// single-socket fallback, and counter aggregation across IO loops and
-// consumer lanes. Detection stays off here: drift windows roll on arrival
-// time, which the wire reconstructs at second resolution, so byte-identity
-// across *gateway runs* is only guaranteed for the tracker pipeline (the
-// in-process sharded differential covers detection exactly).
+// in-process sharded differential. Also covered: the one ingress lane (one
+// IO thread and one UDP socket at every shard count), and exact counter
+// accounting across consumer lanes. Detection stays off here: drift
+// windows roll on arrival time, which the wire reconstructs at second
+// resolution, so byte-identity across *gateway runs* is only guaranteed
+// for the tracker pipeline (the in-process sharded differential covers
+// detection exactly).
 //
 // Every test skips gracefully when the sandbox forbids sockets.
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -42,13 +46,6 @@ Scenario scenario(std::uint64_t seed) {
 // single-core kernel never drops a datagram, fast enough for CI.
 constexpr double kPacedRate = 20000.0;
 
-/// True when this kernel grants SO_REUSEPORT (the sharded gateway probes
-/// the same way at start()).
-bool reuseport_available() {
-  auto fd = udp_bind_reuseport("127.0.0.1", 0);
-  return fd.ok();
-}
-
 struct GatewayRun {
   std::string digest;
   GatewayCounters counters;
@@ -59,13 +56,11 @@ struct GatewayRun {
 /// Replay the capture at a `shards`-shard gateway and merge the per-shard
 /// results into the canonical digest.
 GatewayRun replay_sharded(const analysis::PipelineCapture& s,
-                          std::uint32_t shards, bool force_single_socket,
-                          FaultParams faults = {}) {
+                          std::uint32_t shards, FaultParams faults = {}) {
   GatewayOptions o;
   o.capture_start = s.period.begin;
   o.engine.tracker.reconstruct.period = s.period;
   o.shards = shards;
-  o.force_single_udp_socket = force_single_socket;
 
   // Per-shard release logs, filled on that shard's consumer thread only.
   std::vector<stream::ShardRun> runs(shards);
@@ -127,17 +122,15 @@ TEST(ShardedGateway, ShardSweepProducesByteIdenticalMergedDigests) {
   const Scenario s = scenario(1);
   ASSERT_GT(s->sim.collector.size(), 0u);
 
-  const GatewayRun serial = replay_sharded(*s, 1, /*force_single_socket=*/false);
+  const GatewayRun serial = replay_sharded(*s, 1);
   ASSERT_FALSE(serial.digest.empty());
   // The exactness preconditions, or the digest comparison is vacuous.
   ASSERT_EQ(serial.counters.syslog_queue_drops, 0u);
   ASSERT_EQ(serial.counters.lsp_out_of_order, 0u);
-  EXPECT_EQ(serial.counters.udp_sockets, 1u);
 
   for (const std::uint32_t shards : {2u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    const GatewayRun sharded =
-        replay_sharded(*s, shards, /*force_single_socket=*/false);
+    const GatewayRun sharded = replay_sharded(*s, shards);
     ASSERT_EQ(sharded.counters.syslog_queue_drops, 0u);
     ASSERT_EQ(sharded.counters.lsp_out_of_order, 0u);
     EXPECT_EQ(sharded.digest, serial.digest);
@@ -147,32 +140,78 @@ TEST(ShardedGateway, ShardSweepProducesByteIdenticalMergedDigests) {
     for (const std::uint64_t lsp : sharded.lsp_events_per_shard) {
       EXPECT_EQ(lsp, s->sim.listener.records().size());
     }
-    EXPECT_EQ(sharded.counters.udp_sockets,
-              reuseport_available() ? shards : 1u);
   }
 }
 
-TEST(ShardedGateway, ForcedSingleSocketFallbackIsEquivalent) {
-  // The hash-dispatch fallback (old kernel, seccomp filter) must be
-  // invisible in the analysis: same digest, one socket doing all the
-  // receiving, datagrams still routed to their owning shards.
-  if (!sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
-  const Scenario s = scenario(1);
+/// Threads of this process, from /proc/self/task; -1 without procfs.
+int process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++n;
+  }
+  return n;
+}
 
-  const GatewayRun reference =
-      replay_sharded(*s, 1, /*force_single_socket=*/false);
-  const GatewayRun fallback =
-      replay_sharded(*s, 2, /*force_single_socket=*/true);
-  ASSERT_EQ(fallback.counters.syslog_queue_drops, 0u);
-  EXPECT_EQ(fallback.counters.udp_sockets, 1u);
-  EXPECT_EQ(fallback.digest, reference.digest);
-  EXPECT_EQ(fallback.syslog_events_total, s->sim.collector.size());
+/// UDP sockets in this network namespace bound to local `port`, from
+/// /proc/net/udp; -1 without procfs.
+int udp_sockets_on_port(std::uint16_t port) {
+  std::ifstream in("/proc/net/udp");
+  if (!in) return -1;
+  char want[8];
+  std::snprintf(want, sizeof(want), ":%04X", static_cast<unsigned>(port));
+  std::string line;
+  std::getline(in, line);  // column header
+  int n = 0;
+  while (std::getline(in, line)) {
+    // "  sl  local_address rem_address ..." — the local address is the
+    // second field, "HEXADDR:HEXPORT".
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::size_t local = line.find_first_not_of(' ', colon + 1);
+    if (local == std::string::npos) continue;
+    const std::size_t end = line.find(' ', local);
+    const std::string addr = line.substr(local, end - local);
+    if (addr.size() >= 5 && addr.compare(addr.size() - 5, 5, want) == 0) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ShardedGateway, OneIoThreadAndOneUdpSocketAtEveryShardCount) {
+  // The ingress lane does not scale with the shard count: start() spawns
+  // one IO thread plus one consumer per shard, and binds one UDP socket.
+  if (!sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
+  if (process_threads() < 0 || udp_sockets_on_port(0) < 0) {
+    GTEST_SKIP() << "no procfs";
+  }
+  const Scenario s = scenario(1);
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    GatewayOptions o;
+    o.capture_start = s->period.begin;
+    o.engine.tracker.reconstruct.period = s->period;
+    o.shards = shards;
+    IngestGateway gw(s->census, o);
+    ASSERT_TRUE(gw.start().ok());
+    const int running = process_threads();
+    EXPECT_EQ(udp_sockets_on_port(gw.syslog_port()), 1);
+    gw.stop();
+    // Counted as the threads stop() joins, not as the threads start()
+    // added: a sanitizer runtime may start a helper thread of its own on
+    // the first thread creation, and that one outlives the gateway.
+    EXPECT_EQ(running - process_threads(), static_cast<int>(1 + shards));
+  }
 }
 
 /// One raw LSP connection: frame the records[offset::stride] slice and
 /// push it all through a blocking socket, then FIN. Run on its own thread
-/// this exercises a *concurrent* producer on whichever IO loop the
-/// round-robin accept handed the connection to.
+/// this exercises a *concurrent* sender, interleaved with the others on
+/// the gateway's one IO loop.
 void blast_lsp_slice(std::uint16_t port,
                      const std::vector<isis::LspRecord>& records,
                      std::size_t offset, std::size_t stride) {
@@ -195,10 +234,10 @@ void blast_lsp_slice(std::uint16_t port,
 }
 
 TEST(ShardedGateway, ConcurrentConnectionsKeepShardBroadcastsIdentical) {
-  // The reconnect-race regression test for the broadcast order lock:
-  // several TCP connections live at once, distributed across different IO
-  // loops, their frame slices interleaved so arrival timestamps travel
-  // backwards *between* connections (never within one). The out-of-order
+  // The reconnect-race regression test for the broadcast order guard:
+  // several TCP connections live at once, their frame slices interleaved
+  // so arrival timestamps travel backwards *between* connections (never
+  // within one). The out-of-order
   // drop decision and the broadcast must be made once, globally — if each
   // shard's consumer decided from its own queue interleaving, shards
   // would drop different frames and merge_shard_runs would abort on its
@@ -257,9 +296,9 @@ TEST(ShardedGateway, ConcurrentConnectionsKeepShardBroadcastsIdentical) {
 }
 
 TEST(ShardedGateway, ReconnectsAcrossLoopsStillMerge) {
-  // Abortive resets force sequential reconnects, which round-robin onto
-  // *different* IO loops — the exact multi-connection shape the order
-  // lock exists for, over the real fault injector. Frame loss from an RST
+  // Abortive resets force sequential reconnects — the multi-connection
+  // shape the broadcast order guard exists for, over the real fault
+  // injector. Frame loss from an RST
   // is racy, so the serial digest is not comparable; what must hold is
   // that all shards saw the identical surviving stream (asserted inside
   // merge_shard_runs, called by replay_sharded) on every lane.
@@ -269,8 +308,7 @@ TEST(ShardedGateway, ReconnectsAcrossLoopsStillMerge) {
   FaultParams f;
   f.tcp_resets = 3;
   f.seed = 7;
-  const GatewayRun run =
-      replay_sharded(*s, 4, /*force_single_socket=*/false, f);
+  const GatewayRun run = replay_sharded(*s, 4, f);
   EXPECT_EQ(run.counters.connections_accepted, 4u);
   ASSERT_EQ(run.lsp_events_per_shard.size(), 4u);
   for (const std::uint64_t lsp : run.lsp_events_per_shard) {
@@ -284,11 +322,10 @@ TEST(ShardedGateway, CountersAggregateAcrossLoopsAndShards) {
   if (!sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
   const Scenario s = scenario(2);
 
-  const GatewayRun run = replay_sharded(*s, 2, /*force_single_socket=*/false);
+  const GatewayRun run = replay_sharded(*s, 2);
   const GatewayCounters& c = run.counters;
   // Every datagram and frame the kernel handed us lands in exactly one
-  // bucket, regardless of which loop received it or which shard consumed
-  // it.
+  // bucket, regardless of which shard consumed it.
   EXPECT_EQ(c.syslog_datagrams, s->sim.collector.size());
   EXPECT_EQ(c.syslog_enqueued, c.syslog_datagrams);
   EXPECT_EQ(c.syslog_queue_drops, 0u);

@@ -153,40 +153,6 @@ TEST(LinkTracker, PendingDrainsAtWatermark) {
   EXPECT_EQ(tracker.pending_transitions(), 0u);
 }
 
-TEST(LinkTracker, EvictionCapsTrackedLinks) {
-  // Only fully idle links (state UP, nothing pending or held, no open flap
-  // run) may be evicted; a link with real unreleased state never is. UP
-  // reminders leave a link idle once flushed, so they make good filler.
-  TrackerOptions options = small_options();
-  options.max_tracked_links = 2;
-  LinkTracker tracker(options);
-  tracker.ingest(up(0, 100));
-  tracker.ingest(up(1, 200));
-  tracker.poll();  // watermark 190: link 0 is now fully idle
-  EXPECT_EQ(tracker.tracked_links(), 2u);
-  tracker.ingest(up(2, 300));  // admits link 2 by evicting idle link 0
-  EXPECT_LE(tracker.tracked_links(), 2u);
-  EXPECT_EQ(tracker.counters().links_evicted, 1u);
-  tracker.finish();
-}
-
-TEST(LinkTracker, EvictionNeverDropsLiveState) {
-  // All links mid-failure: the cap is exceeded rather than results
-  // corrupted, and every failure is still released.
-  TrackerOptions options = small_options();
-  options.max_tracked_links = 1;
-  LinkTracker tracker(options);
-  for (std::uint32_t link = 0; link < 3; ++link) {
-    tracker.ingest(down(link, 100 + 10 * link));
-  }
-  EXPECT_EQ(tracker.tracked_links(), 3u);  // nothing evictable
-  for (std::uint32_t link = 0; link < 3; ++link) {
-    tracker.ingest(up(link, 500 + 10 * link));
-  }
-  tracker.finish();
-  EXPECT_EQ(tracker.counters().failures_released, 3u);
-}
-
 TEST(LinkTracker, CopyIsIndependent) {
   // Copyability is what checkpoints are built on: mutating the copy must
   // not leak into the original.
