@@ -142,7 +142,7 @@ ALLOC_TU_ROSTER = {
     "src/syslog/tokenizer.cpp": (
         ("netfail::syslog::(anonymous namespace)::parse_direction",
          "error path builds the Error reason string"),
-        ("netfail::syslog::parse_message",
+        ("netfail::syslog::tokenize",
          "error path builds the Error reason string"),
     ),
     # The mux hands out borrowed events: nothing repo-owned may allocate.

@@ -72,7 +72,7 @@ DETERMINISM_DIRS = (
     "src/analysis",
     "src/detect",
     "src/stream",
-    "src/syslog",  # both parser backends must stay bit-identical
+    "src/syslog",  # the one parse feeds byte-identical batch and stream output
     "src/net",     # sharded ingest feeds the byte-identical merge; only
                    # steady_clock (monotonic, not banned) belongs here
     "src/svc",     # snapshot bytes and anonymized pseudonyms must be

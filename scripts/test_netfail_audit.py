@@ -124,8 +124,9 @@ class DemangledOwnership(unittest.TestCase):
     repo-owned."""
 
     def test_repo_function_with_std_args_is_owned(self):
-        name = ("netfail::syslog::parse_message(std::basic_string_view"
-                "<char, std::char_traits<char> >)")
+        name = ("netfail::syslog::tokenize(std::basic_string_view"
+                "<char, std::char_traits<char> >, "
+                "netfail::syslog::LineParse&)")
         self.assertFalse(netfail_audit._demangled_is_internal(name))
 
     def test_std_instantiation_with_repo_args_is_internal(self):

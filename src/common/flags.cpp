@@ -138,21 +138,6 @@ Result<double> parse_nonneg_real(const std::string& flag,
   return v;
 }
 
-Result<double> parse_positive_real(const std::string& flag,
-                                   const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0' ||
-      !(std::isdigit(static_cast<unsigned char>(value.front())) ||
-        value.front() == '.') ||
-      !std::isfinite(v) || v <= 0.0) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "flag " + flag + " expects a positive number, got '" +
-                          value + "'");
-  }
-  return v;
-}
-
 Result<std::string> parse_path(const std::string& flag,
                                const std::string& value) {
   // A value starting with '-' is almost always the *next* flag swallowed

@@ -74,11 +74,6 @@ Result<double> parse_probability(const std::string& flag,
 Result<double> parse_nonneg_real(const std::string& flag,
                                  const std::string& value);
 
-/// A strictly positive decimal float (smoothing weights, thresholds —
-/// knobs where zero would divide by zero or disable the math silently).
-Result<double> parse_positive_real(const std::string& flag,
-                                   const std::string& value);
-
 /// A filesystem path argument (--state-dir). Strictness here is about
 /// catching shell mishaps, not legalising POSIX: empty values and values
 /// that look like another flag ("--state-dir --http-port" swallowed the

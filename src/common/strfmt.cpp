@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
 namespace netfail {
 
@@ -71,7 +72,11 @@ bool parse_uint(std::string_view s, std::uint64_t& out) {
   std::uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return false;  // overflow
+    }
+    v = v * 10 + digit;
   }
   out = v;
   return true;

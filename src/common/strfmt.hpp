@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,7 +26,8 @@ std::string_view trim(std::string_view s);
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Parse a non-negative decimal integer; returns false on any non-digit.
+/// Parse a non-negative decimal integer; returns false on any non-digit
+/// and on a value past 2^64 - 1 (never wraps).
 bool parse_uint(std::string_view s, std::uint64_t& out);
 
 /// Render a double with `decimals` places ("%.*f").

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/assert.hpp"
+#include "src/common/strfmt.hpp"
 
 namespace netfail {
 namespace {
@@ -131,6 +132,16 @@ std::string TimePoint::to_syslog_string() const {
 
 std::string TimeRange::to_string() const {
   return "[" + begin.to_string() + ", " + end.to_string() + ")";
+}
+
+bool parse_input_millis(std::string_view s, TimePoint& out) {
+  std::uint64_t ms = 0;
+  if (!parse_uint(s, ms) ||
+      ms >= static_cast<std::uint64_t>(kInputTimeRange.end.unix_millis())) {
+    return false;
+  }
+  out = TimePoint::from_unix_millis(static_cast<std::int64_t>(ms));
+  return true;
 }
 
 }  // namespace netfail

@@ -10,6 +10,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace netfail {
 
@@ -118,5 +119,20 @@ struct TimeRange {
 
   std::string to_string() const;
 };
+
+/// The timestamps a reader accepts from outside bytes: [-2^53, 2^53) ms
+/// around the epoch (about 285,000 years either way). The TCP LSP feed's
+/// frame decoder, the NFC1 capture reader and the listener-gap and ticket
+/// file readers reject anything else, so arrival arithmetic (high water
+/// minus the reorder horizon, and the like) can never overflow on hostile
+/// input.
+inline constexpr TimeRange kInputTimeRange{
+    TimePoint::from_unix_millis(-(std::int64_t{1} << 53)),
+    TimePoint::from_unix_millis(std::int64_t{1} << 53)};
+
+/// Parse a decimal count of milliseconds since the epoch (digits only, as
+/// the bundle's text files write them) into `out`. False on anything that
+/// is not such a count or lies outside kInputTimeRange.
+bool parse_input_millis(std::string_view s, TimePoint& out);
 
 }  // namespace netfail

@@ -60,8 +60,12 @@ Result<ConfigArchive> read_config_dir(const std::string& root,
         ++st.skipped;
         continue;
       }
+      // The stem is the capture time in seconds since the epoch, bounded
+      // like every other time read from outside bytes.
       std::uint64_t ts = 0;
-      if (!parse_uint(entry.path().stem().string(), ts)) {
+      if (!parse_uint(entry.path().stem().string(), ts) ||
+          ts >= static_cast<std::uint64_t>(kInputTimeRange.end.unix_millis() /
+                                           1000)) {
         ++st.skipped;
         continue;
       }

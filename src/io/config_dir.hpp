@@ -21,7 +21,9 @@ Status write_config_dir(const ConfigArchive& archive, const std::string& root);
 
 struct ConfigDirStats {
   std::size_t files = 0;
-  std::size_t skipped = 0;  // non-.cfg files or unparsable timestamps
+  // Non-.cfg files, and stems that are not a seconds count inside
+  // kInputTimeRange.
+  std::size_t skipped = 0;
 };
 
 /// Read every `<host>/<ts>.cfg` under `root`. Hostname comes from the

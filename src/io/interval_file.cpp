@@ -32,15 +32,13 @@ Result<IntervalSet> read_interval_file(std::istream& in) {
     ++lineno;
     if (line.empty()) continue;
     const std::vector<std::string> cols = split(line, '\t');
-    std::uint64_t begin_ms = 0, end_ms = 0;
-    if (cols.size() < 2 || !parse_uint(cols[0], begin_ms) ||
-        !parse_uint(cols[1], end_ms)) {
+    TimeRange gap;
+    if (cols.size() < 2 || !parse_input_millis(cols[0], gap.begin) ||
+        !parse_input_millis(cols[1], gap.end) || gap.end < gap.begin) {
       return make_error(ErrorCode::kParseError,
                         strformat("bad interval at line %zu", lineno));
     }
-    set.add(TimeRange{
-        TimePoint::from_unix_millis(static_cast<std::int64_t>(begin_ms)),
-        TimePoint::from_unix_millis(static_cast<std::int64_t>(end_ms))});
+    set.add(gap);
   }
   return set;
 }

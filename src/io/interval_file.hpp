@@ -15,6 +15,8 @@ namespace netfail::io {
 void write_interval_file(const IntervalSet& set, std::ostream& out);
 Status write_interval_file(const IntervalSet& set, const std::string& path);
 
+/// A row that is not two millisecond counts inside kInputTimeRange, or
+/// whose end precedes its begin, fails the whole read (kParseError).
 Result<IntervalSet> read_interval_file(std::istream& in);
 Result<IntervalSet> read_interval_file(const std::string& path);
 

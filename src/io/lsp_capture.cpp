@@ -88,7 +88,7 @@ Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
     if (!get_u64(in, at_ms)) break;  // clean end of file
     const TimePoint at =
         TimePoint::from_unix_millis(static_cast<std::int64_t>(at_ms));
-    if (!isis::kLspArrivalRange.contains(at)) {
+    if (!kInputTimeRange.contains(at)) {
       return make_error(ErrorCode::kOutOfRange,
                         "frame " + std::to_string(st.frames) +
                             ": arrival time outside the accepted range");

@@ -31,7 +31,7 @@ struct LspCaptureStats {
 /// Read a capture; returns records in file order. A truncated final frame
 /// is dropped (and flagged), matching how one recovers a capture cut short
 /// by a listener crash. A frame whose arrival time lies outside
-/// isis::kLspArrivalRange fails the whole read.
+/// kInputTimeRange fails the whole read.
 Result<std::vector<isis::LspRecord>> read_lsp_capture(
     std::istream& in, LspCaptureStats* stats = nullptr);
 Result<std::vector<isis::LspRecord>> read_lsp_capture(

@@ -25,7 +25,9 @@ Status write_syslog_file(const syslog::Collector& collector,
 struct SyslogReadStats {
   std::size_t lines = 0;
   std::size_t blank = 0;
-  std::size_t unparsable = 0;  // no usable timestamp; line is kept anyway
+  /// Lines that are not a tracked message (parse errors and untracked
+  /// types alike): they take the cursor as arrival and are kept anyway.
+  std::size_t unparsable = 0;
 };
 
 /// Load a flat syslog file into a Collector. `capture_start` anchors year

@@ -33,18 +33,13 @@ Result<TicketStore> read_ticket_file(std::istream& in, TicketReadStats* stats) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> cols = split(line, '\t');
-    std::uint64_t begin_ms = 0, end_ms = 0;
-    if (cols.size() < 4 || !parse_uint(cols[1], begin_ms) ||
-        !parse_uint(cols[2], end_ms) || end_ms <= begin_ms) {
+    TimeRange outage;
+    if (cols.size() < 4 || !parse_input_millis(cols[1], outage.begin) ||
+        !parse_input_millis(cols[2], outage.end) || outage.empty()) {
       ++st.malformed;
       continue;
     }
-    store.file(cols[0],
-               TimeRange{TimePoint::from_unix_millis(
-                             static_cast<std::int64_t>(begin_ms)),
-                         TimePoint::from_unix_millis(
-                             static_cast<std::int64_t>(end_ms))},
-               cols[3]);
+    store.file(cols[0], outage, cols[3]);
     ++st.rows;
   }
   return store;

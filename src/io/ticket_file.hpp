@@ -20,7 +20,9 @@ Status write_ticket_file(const TicketStore& tickets, const std::string& path);
 
 struct TicketReadStats {
   std::size_t rows = 0;
-  std::size_t malformed = 0;  // skipped
+  /// Skipped rows: too few columns, a time that is not a millisecond count
+  /// inside kInputTimeRange, or an outage that does not end after it begins.
+  std::size_t malformed = 0;
 };
 
 Result<TicketStore> read_ticket_file(std::istream& in,

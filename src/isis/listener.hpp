@@ -21,15 +21,6 @@ struct LspRecord {
   std::vector<std::uint8_t> bytes;
 };
 
-/// The arrival times an LSP reader accepts from outside bytes: [-2^53, 2^53)
-/// ms around the epoch (about 285,000 years either way). Both wire readers
-/// — the TCP feed's frame decoder and the NFC1 capture reader — reject
-/// anything else, so the trackers' arrival arithmetic (high water minus the
-/// reorder horizon, and the like) can never overflow on hostile input.
-inline constexpr TimeRange kLspArrivalRange{
-    TimePoint::from_unix_millis(-(std::int64_t{1} << 53)),
-    TimePoint::from_unix_millis(std::int64_t{1} << 53)};
-
 class Listener {
  public:
   /// Declare the maintenance windows during which the listener is down.

@@ -54,7 +54,7 @@ Result<isis::LspRecord> decode_lsp_payload(
   isis::LspRecord record;
   record.received_at = TimePoint::from_unix_millis(
       static_cast<std::int64_t>(read_u64be(payload.data())));
-  if (!isis::kLspArrivalRange.contains(record.received_at)) {
+  if (!kInputTimeRange.contains(record.received_at)) {
     return make_error(ErrorCode::kOutOfRange,
                       "LSP frame arrival time outside the accepted range");
   }

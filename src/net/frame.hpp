@@ -41,7 +41,7 @@ void append_lsp_frame(std::vector<std::uint8_t>& out,
                       const isis::LspRecord& record);
 
 /// Decode an LSP-feed frame payload back into a record. An arrival time
-/// outside isis::kLspArrivalRange is an error.
+/// outside kInputTimeRange is an error.
 Result<isis::LspRecord> decode_lsp_payload(
     std::span<const std::uint8_t> payload);
 

@@ -13,7 +13,6 @@
 #include "src/common/metrics.hpp"
 #include "src/common/sync.hpp"
 #include "src/syslog/collector.hpp"
-#include "src/syslog/message.hpp"
 
 namespace netfail::net {
 namespace {
@@ -27,6 +26,13 @@ constexpr std::size_t kMaxDatagram = 2048;
 
 // How many items the consumer moves out of a queue per lock acquisition.
 constexpr std::size_t kDrainBatch = 256;
+
+// Per-shard syslog queue depth; a datagram arriving at a full queue is
+// dropped and counted.
+constexpr std::size_t kSyslogQueueCapacity = 1 << 16;
+
+// SO_RCVBUF asked of the kernel for the UDP socket (best effort).
+constexpr int kRecvBufferBytes = 4 << 20;
 
 // Shard 0 keeps the legacy metric names (dashboards and tests depend on
 // them, and the serial gateway *is* shard 0); other shards get a suffix.
@@ -50,7 +56,7 @@ IngestGateway::Shard::Shard(const LinkCensus& census,
                             const stream::ShardMap& map,
                             std::uint32_t shard_index)
     : index(shard_index),
-      syslog_queue(ws, options.syslog_queue_capacity,
+      syslog_queue(ws, kSyslogQueueCapacity,
                    shard_gauge("net.syslog_queue.depth", shard_index),
                    shard_gauge("net.syslog_queue.peak", shard_index)),
       lsp_queue(ws, options.lsp_queue_capacity,
@@ -87,7 +93,7 @@ IngestGateway::~IngestGateway() { stop(); }
 Status IngestGateway::bind_sockets() {
   auto udp = udp_bind(options_.bind_host, options_.syslog_port);
   if (!udp) return Status(udp.error());
-  (void)set_recv_buffer(*udp, options_.recv_buffer_bytes);
+  (void)set_recv_buffer(*udp, kRecvBufferBytes);
   if (Status st = set_nonblocking(*udp); !st.ok()) return st;
   auto sport = local_port(*udp);
   if (!sport) return Status(sport.error());
@@ -145,9 +151,10 @@ void IngestGateway::on_udp_readable() {
     // precedes routing on purpose: the cursor's monotonic clamp runs over
     // the socket's arrival order, never over a shard's routed subset — a
     // line clamped here is clamped identically for every shard count.
-    // shard_of_line is the IO-thread half of the partition invariant:
+    // ShardMap::shard_of is the IO-thread half of the partition invariant:
     // every event for a link lands on the shard whose engine owns that
-    // link's state.
+    // link's state. stamp() parses the datagram once; routing, and later
+    // the shard's engine, read that parse.
     for (std::vector<syslog::ReceivedLine>& bucket : buckets_) bucket.clear();
     for (int i = 0; i < n; ++i) {
       const std::string_view payload(
@@ -161,13 +168,8 @@ void IngestGateway::on_udp_readable() {
         done_cv_.notify_all();
         continue;
       }
-      // One parse per datagram, shared by the cursor and the router.
-      const Result<syslog::Message> msg = syslog::parse_message(payload);
-      syslog::ReceivedLine rec;
-      rec.received_at = cursor_.arrival_of_parsed(msg);
-      rec.line.assign(payload);
-      buckets_[shard_map_.shard_of_parsed(msg, payload)].push_back(
-          std::move(rec));
+      syslog::ReceivedLine rec = cursor_.stamp(std::string(payload));
+      buckets_[shard_map_.shard_of(rec)].push_back(std::move(rec));
     }
     for (std::uint32_t s = 0; s < nshards; ++s) {
       std::vector<syslog::ReceivedLine>& bucket = buckets_[s];

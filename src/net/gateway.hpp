@@ -21,10 +21,11 @@
 // lives where the work is: each shard is an independent analysis lane —
 // bounded MPSC queues, one consumer thread, one stream::StreamEngine
 // partitioned by the stable link hash (stream::ShardMap) — so per-link
-// analysis state never crosses a thread boundary. The IO thread stamps each
-// datagram's arrival with the socket's ArrivalCursor and then *routes* the
-// line to the owning shard's queue; stamping before routing means
-// received_at never depends on how lines were split across shards. Decoded
+// analysis state never crosses a thread boundary. The IO thread parses each
+// datagram once as it stamps its arrival with the socket's ArrivalCursor,
+// then *routes* the line by that parse to the owning shard's queue, and the
+// shard's engine extracts from the same parse; stamping before routing
+// means received_at never depends on how lines were split across shards. Decoded
 // LSP records are *broadcast* to every shard (the IS-IS extractor needs
 // both endpoints' LSPs for its pair state): the out-of-order drop decision
 // and the push to every shard queue happen at one point on the IO thread,
@@ -77,13 +78,10 @@ struct GatewayOptions {
   /// The IO side is one loop and one UDP socket at any shard count.
   std::uint32_t shards = 1;
 
-  /// Per-shard queue capacities (each shard gets its own pair of queues).
-  std::size_t syslog_queue_capacity = 1 << 16;
-  /// LSP backpressure pauses reading above 3/4 of this and resumes below
-  /// 1/4 of it.
+  /// Per-shard LSP queue capacity (each shard gets its own pair of queues;
+  /// the syslog queue's capacity is fixed). LSP backpressure pauses reading
+  /// above 3/4 of this and resumes below 1/4 of it.
   std::size_t lsp_queue_capacity = 1 << 16;
-
-  int recv_buffer_bytes = 4 << 20;
 
   /// Anchors syslog arrival-time reconstruction (the bundle's period
   /// begin, same as the batch reader's capture_start).

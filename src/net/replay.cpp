@@ -24,6 +24,10 @@ constexpr std::size_t kTcpFlushBytes = 32 * 1024;
 // replay_capture so paced replays flush exactly one batch per sleep.
 constexpr std::size_t kUdpBatch = 32;
 
+// End-of-replay markers sent after everything else (several, because the
+// marker itself rides UDP).
+constexpr int kEndMarkerRepeats = 3;
+
 Error errno_error(const std::string& what) {
   return Error{ErrorCode::kInternal, what + ": " + std::strerror(errno)};
 }
@@ -211,7 +215,7 @@ Result<ReplayStats> replay_capture(const std::vector<syslog::ReceivedLine>& line
         j >= records.size() ||
         (i < lines.size() && lines[i].received_at <= records[j].received_at);
     if (take_syslog) {
-      if (Status st = channel.send_syslog(lines[i++].line); !st.ok()) {
+      if (Status st = channel.send_syslog(lines[i++].line()); !st.ok()) {
         return st.error();
       }
     } else {
@@ -229,7 +233,7 @@ Result<ReplayStats> replay_capture(const std::vector<syslog::ReceivedLine>& line
     }
   }
   if (Status st = channel.finish(); !st.ok()) return st.error();
-  for (int k = 0; k < options.end_marker_repeats; ++k) {
+  for (int k = 0; k < kEndMarkerRepeats; ++k) {
     if (Status st = channel.send_raw_datagram(kReplayEndMarker); !st.ok()) {
       return st.error();
     }

@@ -49,9 +49,6 @@ struct ReplayOptions {
   /// 0 = as fast as the sockets accept.
   double rate = 0.0;
   FaultParams faults;
-  /// End-of-replay markers sent after everything else (multiple, because
-  /// the marker itself rides UDP).
-  int end_marker_repeats = 3;
 };
 
 struct ReplayStats {

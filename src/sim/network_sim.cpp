@@ -222,7 +222,7 @@ void Simulation::send_syslog(RouterId reporter, TimePoint t,
       const TimePoint arrival =
           now + Duration::millis(1) + jitter(params_.syslog_net_delay_max);
       queue_.push(arrival, [this, line = syslog_line_](TimePoint at) {
-        result_.collector.receive(at, line);
+        result_.collector.receive({at, line});
       });
     }
   });

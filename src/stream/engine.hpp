@@ -2,10 +2,12 @@
 // interleaved syslog + IS-IS event stream.
 //
 // The engine is the streaming counterpart of `analysis::run_pipeline`'s
-// extract+reconstruct stages: it parses each syslog line and diffs each LSP
-// as it arrives (sharing the exact extractor code with the batch path) and
-// feeds the resulting transitions into two LinkTrackers — one per
-// observation source, mirroring the paper's two reconstructions. All state
+// extract+reconstruct stages: it extracts each syslog line from the parse
+// the line carries since it was received (never re-tokenizing the text)
+// and diffs each LSP as it arrives, sharing the exact extractor code with
+// the batch path, and feeds the resulting transitions into two
+// LinkTrackers — one per observation source, mirroring the paper's two
+// reconstructions. All state
 // is O(links + reorder window); the full event trace is never buffered.
 //
 // `Checkpoint` captures the engine mid-stream (extractor LSP baselines,

@@ -9,18 +9,18 @@
 // file or a corrupt capture can contain such records; the online FSMs
 // require per-source order). Ties go to syslog so runs are deterministic.
 //
-// Sources are pull callbacks, so the mux works equally over in-memory
-// vectors (see `over_vectors`), file readers, or live sockets, and holds
-// O(1) state: one pending event per source.
+// The sources are two in-memory captures (a loaded bundle's received
+// lines, already parsed, and its LSP records); the mux holds O(1) state, a
+// read position and the last accepted arrival per source. The live path
+// does not come through here: the gateway stamps and routes datagrams
+// itself.
 //
-// Events are *borrowed*, not owned: a StreamEvent points into the storage
-// the source returned (zero copies on the per-event path). For a callback
-// source that reuses a buffer, the event is valid until the next call to
-// next(); for `over_vectors` it stays valid as long as the vectors do.
+// Events are *borrowed*, not owned: a StreamEvent points into the vectors
+// (zero copies on the per-event path) and stays valid as long as they do.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -54,14 +54,10 @@ struct MuxStats {
 
 class EventMux {
  public:
-  /// Pull callbacks: return the next record, or nullptr when exhausted.
-  /// The pointee must stay valid until the callback is invoked again (a
-  /// reused buffer is fine; the mux never holds more than the lookahead).
-  using SyslogSource = std::function<const syslog::ReceivedLine*()>;
-  using LspSource = std::function<const isis::LspRecord*()>;
-
-  /// Either source may be null (single-source streaming).
-  EventMux(SyslogSource syslog_source, LspSource lsp_source);
+  /// Mux over in-memory captures (e.g. a loaded bundle). The vectors must
+  /// outlive the mux and any events it returned.
+  static EventMux over_vectors(const std::vector<syslog::ReceivedLine>& lines,
+                               const std::vector<isis::LspRecord>& records);
 
   /// The next event in merged arrival order, or nullopt when both sources
   /// are exhausted.
@@ -69,23 +65,15 @@ class EventMux {
 
   const MuxStats& stats() const { return stats_; }
 
-  /// Convenience: mux over in-memory captures (e.g. a loaded bundle). The
-  /// vectors must outlive the mux and any events it returned.
-  static EventMux over_vectors(const std::vector<syslog::ReceivedLine>& lines,
-                               const std::vector<isis::LspRecord>& records);
-
  private:
-  void refill_syslog();
-  void refill_lsp();
+  EventMux(const std::vector<syslog::ReceivedLine>& lines,
+           const std::vector<isis::LspRecord>& records)
+      : lines_(&lines), records_(&records) {}
 
-  SyslogSource syslog_source_;
-  LspSource lsp_source_;
-  // Lookahead, borrowed from the sources. Refills are deferred to the next
-  // next() call so a handed-out event is never invalidated by its own pull.
-  const syslog::ReceivedLine* pending_line_ = nullptr;
-  const isis::LspRecord* pending_lsp_ = nullptr;
-  bool need_refill_syslog_ = true;
-  bool need_refill_lsp_ = true;
+  const std::vector<syslog::ReceivedLine>* lines_;
+  const std::vector<isis::LspRecord>* records_;
+  std::size_t next_line_ = 0;
+  std::size_t next_lsp_ = 0;
   TimePoint last_syslog_;
   TimePoint last_lsp_;
   bool have_last_syslog_ = false;

@@ -1,7 +1,6 @@
 #include "src/stream/sharded.hpp"
 
 #include "src/common/assert.hpp"
-#include "src/syslog/message.hpp"
 
 namespace netfail::stream {
 
@@ -14,26 +13,21 @@ ShardMap::ShardMap(const LinkCensus& census, std::uint32_t shard_count)
   }
 }
 
-std::uint32_t ShardMap::shard_of_line(std::string_view line) const {
+std::uint32_t ShardMap::shard_of(const syslog::ReceivedLine& rec) const {
   if (shard_count_ == 1) return 0;
-  return shard_of_parsed(syslog::parse_message(line), line);
-}
-
-std::uint32_t ShardMap::shard_of_parsed(const Result<syslog::Message>& parsed,
-                                        std::string_view line) const {
-  if (shard_count_ == 1) return 0;
-  if (!parsed) {
+  const syslog::LineParse& parsed = rec.parse();
+  if (parsed.status != syslog::ParseStatus::kOk) {
     // Unparsable / untracked shape: no per-link state downstream, any
     // deterministic spread keeps the summed stats exact.
-    return static_cast<std::uint32_t>(stable_hash64(line) % shard_count_);
+    return static_cast<std::uint32_t>(stable_hash64(rec.line()) % shard_count_);
   }
   if (const std::optional<LinkId> link =
-          census_->find_by_interface(parsed->reporter, parsed->interface)) {
+          census_->find_by_interface(parsed.reporter, parsed.interface)) {
     return shard_of(*link);
   }
   // Parsed but unresolved against the census (the extractor will count it
   // as unresolved_links on whichever shard gets it).
-  return shard_of_name(parsed->reporter.view());
+  return shard_of_name(parsed.reporter.view());
 }
 
 }  // namespace netfail::stream

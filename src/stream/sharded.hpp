@@ -10,11 +10,12 @@
 // restart or a library upgrade. FNV-1a over the name bytes is fixed by
 // this header forever — the sharded differential tests pin golden values.
 //
-// Syslog lines are routed *before* extraction: the dispatcher parses the
-// line (the same zero-copy parse_message the extractor uses) and resolves
-// (reporter, interface) through the census, so both endpoints' reports of
-// one link reach the same shard. Lines that do not resolve to a census
-// link carry no per-link analysis state; they are spread deterministically
+// Syslog lines are routed *before* extraction: the dispatcher reads the
+// parse the received line already carries (the same fields the extractor
+// reads; nothing here tokenizes) and resolves (reporter, interface)
+// through the census, so both endpoints' reports of one link reach the
+// same shard. Lines that do not resolve to a census link carry no
+// per-link analysis state; they are spread deterministically
 // (reporter-name hash, or raw-byte hash for unparsable lines) so that the
 // per-shard extraction stats still sum to the serial run's stats.
 #pragma once
@@ -23,9 +24,8 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/result.hpp"
 #include "src/config/census.hpp"
-#include "src/syslog/message.hpp"
+#include "src/syslog/collector.hpp"
 
 namespace netfail::stream {
 
@@ -45,13 +45,13 @@ constexpr std::uint64_t stable_hash64(std::string_view bytes) {
   return h;
 }
 
-/// The partition function: census link -> shard, plus the raw-line router
-/// the gateway's IO threads use. Immutable after construction; safe to
-/// share across threads by const reference.
+/// The partition function: census link -> shard, plus the received-line
+/// router the gateway's IO thread uses. Immutable after construction;
+/// safe to share across threads by const reference.
 class ShardMap {
  public:
   /// `shard_count` >= 1. The census must outlive the map (links are
-  /// re-resolved when routing raw lines).
+  /// re-resolved when routing received lines).
   ShardMap(const LinkCensus& census, std::uint32_t shard_count);
 
   std::uint32_t shard_count() const { return shard_count_; }
@@ -67,17 +67,11 @@ class ShardMap {
     return static_cast<std::uint32_t>(stable_hash64(name) % shard_count_);
   }
 
-  /// Route one raw syslog line: resolve its link through the census and
-  /// return the owning shard; deterministic fallbacks for lines that do
-  /// not resolve (see file comment). Total: every line gets a shard.
-  std::uint32_t shard_of_line(std::string_view line) const;
-
-  /// Same routing over an already-parsed line (`line` is still needed for
-  /// the unparsable-fallback hash). The gateway's IO threads parse each
-  /// datagram exactly once and reuse the result here and for arrival
-  /// stamping. Must agree with shard_of_line for every input.
-  std::uint32_t shard_of_parsed(const Result<syslog::Message>& parsed,
-                                std::string_view line) const;
+  /// Route one received syslog line: resolve its parsed (reporter,
+  /// interface) through the census and return the owning shard;
+  /// deterministic fallbacks for lines that do not resolve (see file
+  /// comment). Total: every line gets a shard.
+  std::uint32_t shard_of(const syslog::ReceivedLine& rec) const;
 
   /// True when `shard` owns `link` — the engine-side partition filter.
   bool owns(std::uint32_t shard, LinkId link) const {

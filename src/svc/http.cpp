@@ -479,7 +479,7 @@ HttpServer::Response HttpServer::handle_checkpoint() {
 
 const Anonymizer& HttpServer::anonymizer() {
   if (!anonymizer_.has_value()) {
-    anonymizer_.emplace(*census_, options_.anonymize_seed);
+    anonymizer_.emplace(*census_, kDefaultAnonymizeSeed);
   }
   return *anonymizer_;
 }

@@ -8,8 +8,8 @@
 //   GET /links/{name}       one link (percent-encoded canonical name)
 //   GET /checkpoint         trigger an on-demand durable snapshot
 //
-// `?anonymize=1` on /links and /links/{name} remaps every name through the
-// seeded Anonymizer before rendering.
+// `?anonymize=1` on /links and /links/{name} remaps every name through an
+// Anonymizer seeded with kDefaultAnonymizeSeed before rendering.
 //
 // No new dependencies: requests are reassembled from partial reads with
 // the same buffer-and-scan discipline as net::FrameDecoder (bytes
@@ -55,7 +55,6 @@ struct HttpOptions {
   /// 1 - downtime / (high_water - period_begin). With the default (epoch),
   /// availability degenerates to ~1 and downtime_ms is the useful figure.
   TimePoint period_begin;
-  std::uint64_t anonymize_seed = kDefaultAnonymizeSeed;
 };
 
 class HttpServer {

@@ -1,11 +1,12 @@
 #include "src/syslog/collector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/common/assert.hpp"
 #include "src/common/metrics.hpp"
-#include "src/syslog/message.hpp"
 
 namespace netfail::syslog {
 namespace {
@@ -21,11 +22,25 @@ CollectorMetrics g_collector_metrics;
 
 }  // namespace
 
-void Collector::receive(TimePoint t, std::string line) {
-  NETFAIL_ASSERT(lines_.empty() || lines_.back().received_at <= t,
+ReceivedLine::ReceivedLine(TimePoint at, std::string text)
+    : received_at(at), line_(std::move(text)) {
+  if (line_.size() > std::numeric_limits<std::uint32_t>::max()) return;
+  const Status st = tokenize(line_, parse_);
+  if (st.ok()) {
+    parse_.status = ParseStatus::kOk;
+    return;
+  }
+  parse_ = LineParse{};  // no half-filled fields survive a failed parse
+  parse_.status = st.error().code == ErrorCode::kNotFound
+                      ? ParseStatus::kNotFound
+                      : ParseStatus::kParseError;
+}
+
+void Collector::receive(ReceivedLine rec) {
+  NETFAIL_ASSERT(lines_.empty() || lines_.back().received_at <= rec.received_at,
                  "collector lines must arrive in time order");
   g_collector_metrics.received.inc();
-  lines_.push_back(ReceivedLine{t, std::move(line)});
+  lines_.push_back(std::move(rec));
 }
 
 TimePoint resolve_year(TimePoint parsed, TimePoint received) {
@@ -51,22 +66,14 @@ TimePoint resolve_year(TimePoint parsed, TimePoint received) {
   return best;
 }
 
-TimePoint ArrivalCursor::arrival_of(std::string_view line, bool* parsable) {
-  return arrival_of_parsed(parse_message(line), parsable);
-}
-
-TimePoint ArrivalCursor::arrival_of_parsed(const Result<Message>& parsed,
-                                           bool* parsable) {
-  TimePoint arrival = cursor_;
-  bool ok = false;
-  if (parsed) {
-    arrival = resolve_year(parsed->timestamp, cursor_);
-    ok = true;
+ReceivedLine ArrivalCursor::stamp(std::string line) {
+  ReceivedLine rec(cursor_, std::move(line));
+  if (rec.status() == ParseStatus::kOk) {
+    // Keep arrival order monotonic: never step back past the cursor.
+    cursor_ = std::max(cursor_, resolve_year(rec.parse().timestamp, cursor_));
+    rec.received_at = cursor_;
   }
-  if (parsable != nullptr) *parsable = ok;
-  if (arrival < cursor_) arrival = cursor_;  // keep arrival order monotonic
-  cursor_ = arrival;
-  return arrival;
+  return rec;
 }
 
 }  // namespace netfail::syslog

@@ -1,30 +1,57 @@
-// The central syslog collector: an append-only store of raw received lines.
+// The central syslog collector: an append-only store of received lines.
 //
 // Like CENIC's logging host, the collector records the raw text plus its own
 // arrival timestamp. The arrival time matters because RFC 3164 timestamps
 // carry no year — the extractor resolves the year against the capture time,
 // exactly as operational log pipelines must.
+//
+// Each line is parsed exactly once, where it is received: constructing a
+// ReceivedLine runs the tokenizer and stores its compact parse (LineParse)
+// next to the text. Arrival stamping, shard routing (stream::ShardMap),
+// extraction (extract_line) and the streaming engine all read those fields;
+// none of them tokenizes the text again.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/common/result.hpp"
 #include "src/common/time.hpp"
 #include "src/syslog/message.hpp"
 
 namespace netfail::syslog {
 
-struct ReceivedLine {
+/// One received raw line and its parse. Construction always parses, so no
+/// ReceivedLine can hold fields that disagree with its text. `received_at`
+/// is the collector's arrival stamp, not part of the parse.
+class ReceivedLine {
+ public:
+  /// Parse `line`: the one place src/ calls the tokenizer. A line longer
+  /// than the 32-bit reason offsets can address is a parse error.
+  ReceivedLine(TimePoint at, std::string text);
+
   TimePoint received_at;
-  std::string line;
+
+  const std::string& line() const { return line_; }
+  const LineParse& parse() const { return parse_; }
+  ParseStatus status() const { return parse_.status; }
+  /// Adjacency messages' free-text reason, rebuilt from the stored offsets.
+  std::string_view reason() const {
+    return std::string_view(line_).substr(parse_.reason_offset,
+                                          parse_.reason_length);
+  }
+
+ private:
+  std::string line_;
+  LineParse parse_;
 };
 
 class Collector {
  public:
   /// Lines must arrive in nondecreasing time order.
-  void receive(TimePoint t, std::string line);
+  void receive(ReceivedLine rec);
+  void reserve(std::size_t lines) { lines_.reserve(lines); }
 
   const std::vector<ReceivedLine>& lines() const { return lines_; }
   std::size_t size() const { return lines_.size(); }
@@ -40,23 +67,18 @@ TimePoint resolve_year(TimePoint parsed, TimePoint received);
 /// Arrival-time reconstruction for raw syslog lines that carry no arrival
 /// timestamp of their own (a flat capture file, a UDP datagram): each
 /// line's arrival is its own message timestamp year-resolved against a
-/// moving cursor and clamped monotonic; unparsable lines inherit the
-/// cursor. Both the file reader and the live UDP receiver use this, so a
-/// replayed capture reconstructs byte-identical arrival times to the batch
-/// load of the same file.
+/// moving cursor and clamped monotonic; lines that do not parse as a
+/// tracked message (parse errors and kNotFound alike) inherit the cursor.
+/// Both the file reader and the live UDP receiver use this, so a replayed
+/// capture reconstructs byte-identical arrival times to the batch load of
+/// the same file.
 class ArrivalCursor {
  public:
   explicit ArrivalCursor(TimePoint capture_start) : cursor_(capture_start) {}
 
-  /// Arrival time for the next line, advancing the cursor. `parsable` (when
-  /// non-null) reports whether the line yielded a usable timestamp.
-  TimePoint arrival_of(std::string_view line, bool* parsable = nullptr);
-
-  /// Same, over an already-parsed line — for callers (the gateway's IO
-  /// threads) that parse once and reuse the result for both arrival
-  /// stamping and shard routing.
-  TimePoint arrival_of_parsed(const Result<Message>& parsed,
-                              bool* parsable = nullptr);
+  /// Receive the next line: parse it once and stamp its arrival, advancing
+  /// the cursor.
+  ReceivedLine stamp(std::string line);
 
   TimePoint cursor() const { return cursor_; }
 

@@ -27,25 +27,16 @@ std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
                                              SyslogExtractionStats& stats) {
   ++stats.lines_seen;
   syslog_metrics().lines.inc();
-  Result<Message> parsed = parse_message(rec.line);
-  if (!parsed) {
-    if (parsed.error().code == ErrorCode::kNotFound) {
-      ++stats.irrelevant_lines;
-    } else {
-      ++stats.parse_failures;
-      syslog_metrics().parse_failures.inc();
-    }
+  const LineParse& m = rec.parse();
+  if (m.status == ParseStatus::kNotFound) {
+    ++stats.irrelevant_lines;
     return std::nullopt;
   }
-  Message& m = *parsed;
-
-  SyslogTransition tr;
-  tr.time = resolve_year(m.timestamp, rec.received_at);
-  tr.dir = m.dir;
-  tr.cls = classify(m.type);
-  tr.type = m.type;
-  tr.reporter = m.reporter;
-  tr.reason = std::move(m.reason);
+  if (m.status == ParseStatus::kParseError) {
+    ++stats.parse_failures;
+    syslog_metrics().parse_failures.inc();
+    return std::nullopt;
+  }
   const std::optional<LinkId> link =
       census.find_by_interface(m.reporter, m.interface);
   if (!link) {
@@ -53,7 +44,15 @@ std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
     syslog_metrics().unresolved.inc();
     return std::nullopt;
   }
+
+  SyslogTransition tr;
+  tr.time = resolve_year(m.timestamp, rec.received_at);
+  tr.dir = m.dir();
+  tr.cls = classify(m.type());
+  tr.type = m.type();
   tr.link = *link;
+  tr.reporter = m.reporter;
+  tr.reason = std::string(rec.reason());
   syslog_metrics().transitions.inc();
   return tr;
 }

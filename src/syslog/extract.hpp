@@ -1,7 +1,8 @@
 // Collector lines -> link state transitions.
 //
-// Parses every stored raw line, resolves (reporter, interface) to a census
-// link, and emits one transition per message. Messages stay per-reporter:
+// Reads the parse each received line already carries (ReceivedLine,
+// collector.hpp; nothing here tokenizes), resolves (reporter, interface) to
+// a census link, and emits one transition per message. Messages stay per-reporter:
 // the matcher needs to know whether one or both ends of a link reported
 // (paper Table 3); the failure reconstruction merges the two ends later.
 #pragma once
@@ -43,11 +44,11 @@ struct SyslogExtraction {
 SyslogExtraction extract_transitions(const Collector& collector,
                                      const LinkCensus& census);
 
-/// Incremental form: parse and resolve one received line. Returns the
-/// transition when the line is a tracked message type on a census link;
-/// otherwise updates `stats` and returns nullopt. Batch extraction is a
-/// loop over this function, so the streaming engine sees identical
-/// transitions.
+/// Incremental form: resolve one received line from its stored parse.
+/// Returns the transition when the line is a tracked message type on a
+/// census link; otherwise updates `stats` and returns nullopt. Batch
+/// extraction is a loop over this function, so the streaming engine sees
+/// identical transitions.
 std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
                                              const LinkCensus& census,
                                              SyslogExtractionStats& stats);

@@ -1,16 +1,20 @@
 // Router syslog messages: structured form, Cisco-dialect rendering, and the
-// parser that recovers structure from raw RFC 3164 lines.
+// tokenizer that recovers structure from raw RFC 3164 lines.
 //
 // The study consumes two families of messages (paper Table 1 / sect. 3.4):
 //   - IS-IS adjacency changes: "%CLNS-5-ADJCHANGE" (classic IOS) and
 //     "%ROUTING-ISIS-4-ADJCHANGE" (IOS-XR);
 //   - physical media state: "%LINK-3-UPDOWN" and "%LINEPROTO-5-UPDOWN"
 //     (plus their IOS-XR "%PKT_INFRA-..." spellings).
-// Messages travel as plain text; the analysis pipeline re-parses them, so
-// rendering and parsing must round-trip.
+// Messages travel as plain text; the collector parses each one once on
+// receipt (ReceivedLine, collector.hpp), so rendering and parsing must
+// round-trip.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "src/common/events.hpp"
 #include "src/common/result.hpp"
@@ -58,12 +62,46 @@ struct Message {
   void render_to(std::string& out, unsigned sequence_number) const;
 };
 
-/// Parse a raw syslog line back into structure. Zero-copy: tokenizes the
-/// line as string_views and resolves names straight into interned Symbols;
-/// only the free-text `reason` is copied. Lines that are valid syslog but
-/// not one of the message types above return kNotFound; garbled lines
-/// return kParseError. Implemented by the memchr/SWAR tokenizer in
-/// tokenizer.cpp (DESIGN.md §13).
-Result<Message> parse_message(std::string_view line);
+/// What the tokenizer makes of one raw line. kNotFound is valid syslog of a
+/// message type the study does not track; kParseError covers every garbled
+/// or truncated line.
+enum class ParseStatus : std::uint8_t { kOk, kNotFound, kParseError };
+
+/// The parse of one raw line in compact, trivially copyable form: names are
+/// interned Symbols and the free-text reason is an offset and length into
+/// the parsed line. Offsets, not a string_view, because a moved short
+/// (SSO) std::string moves its bytes and a view would dangle. Fields other
+/// than `status` are meaningful only when status == kOk.
+struct LineParse {
+  TimePoint timestamp;  // RFC 3164 time, year not yet resolved
+  Symbol reporter;      // hostname of the originating router
+  Symbol interface;     // local interface the event refers to
+  Symbol neighbor;      // adjacency messages: far-end hostname
+  std::uint32_t reason_offset = 0;  // adjacency messages: free-text reason
+  std::uint32_t reason_length = 0;
+  ParseStatus status = ParseStatus::kParseError;
+  // The three enums are int-sized; stored as one byte each, they keep the
+  // whole parse at 32 bytes. Read them through the accessors below.
+  std::uint8_t type_code = 0;     // MessageType
+  std::uint8_t dir_code = 0;      // LinkDirection
+  std::uint8_t dialect_code = 0;  // RouterOs
+
+  MessageType type() const { return static_cast<MessageType>(type_code); }
+  LinkDirection dir() const { return static_cast<LinkDirection>(dir_code); }
+  RouterOs dialect() const { return static_cast<RouterOs>(dialect_code); }
+};
+static_assert(sizeof(LineParse) == 32 &&
+              std::is_trivially_copyable_v<LineParse>);
+
+/// The memchr/SWAR tokenizer (tokenizer.cpp, DESIGN.md §13): overwrite
+/// `out` with the fields of a raw line (all but `status`, which the caller
+/// sets), interning names straight into Symbols and recording the reason's
+/// position in `line`. Zero-copy and
+/// allocation-free on success. Valid syslog of an untracked type returns a
+/// kNotFound error, anything garbled another error; the error text exists
+/// for the differential oracle in tests/syslog. In src/ only
+/// ReceivedLine's constructor calls this: every line is parsed exactly
+/// once, where it is received.
+Status tokenize(std::string_view line, LineParse& out);
 
 }  // namespace netfail::syslog

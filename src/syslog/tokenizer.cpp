@@ -1,4 +1,4 @@
-// syslog::parse_message — the memchr/SWAR tokenizer (DESIGN.md §13).
+// syslog::tokenize — the memchr/SWAR tokenizer (DESIGN.md §13).
 //
 // Cuts fields with memchr, decodes the fixed-width RFC 3164 timestamp by
 // loading the digit block and subtracting '0' in parallel, and dispatches
@@ -6,8 +6,9 @@
 // Irregular spacing falls back to a lenient field walk with sscanf "%d"
 // semantics. A byte-at-a-time reference parser in tests/syslog is the
 // differential oracle: the fuzz suite (tests/syslog/tokenizer_fuzz_test.cpp)
-// asserts both return identical Result<Message> — including error code and
-// message — on rendered, mutated, truncated, and garbage input.
+// asserts both accept the same lines with the same fields and reject the
+// rest with the same error code and message, on rendered, mutated,
+// truncated, and garbage input.
 #include <cstdint>
 #include <cstring>
 
@@ -116,65 +117,48 @@ inline std::size_t find_byte(std::string_view s, char c) {
            : std::string_view::npos;
 }
 
-enum class Shape { kAdj, kLink, kLineProto, kUnknown };
+enum class Shape { kAdj, kUpDown, kUnknown };
 
-/// Resolve the %FAC-SEV-MNEMONIC token in one switch: the six recognized
-/// spellings all have distinct lengths, so one memcmp settles each.
-inline Shape classify_mnemonic(std::string_view m, RouterOs& dialect,
-                               MessageType& type) {
-  switch (m.size()) {
-    case 16:
-      if (std::memcmp(m.data(), "CLNS-5-ADJCHANGE", 16) == 0) {
-        dialect = RouterOs::kIos;
-        type = MessageType::kIsisAdjChange;
-        return Shape::kAdj;
-      }
-      break;
-    case 24:
-      if (std::memcmp(m.data(), "ROUTING-ISIS-4-ADJCHANGE", 24) == 0) {
-        dialect = RouterOs::kIosXr;
-        type = MessageType::kIsisAdjChange;
-        return Shape::kAdj;
-      }
-      break;
-    case 13:
-      if (std::memcmp(m.data(), "LINK-3-UPDOWN", 13) == 0) {
-        dialect = RouterOs::kIos;
-        type = MessageType::kLinkUpDown;
-        return Shape::kLink;
-      }
-      break;
-    case 23:
-      if (std::memcmp(m.data(), "PKT_INFRA-LINK-3-UPDOWN", 23) == 0) {
-        dialect = RouterOs::kIosXr;
-        type = MessageType::kLinkUpDown;
-        return Shape::kLink;
-      }
-      break;
-    case 18:
-      if (std::memcmp(m.data(), "LINEPROTO-5-UPDOWN", 18) == 0) {
-        dialect = RouterOs::kIos;
-        type = MessageType::kLineProtoUpDown;
-        return Shape::kLineProto;
-      }
-      break;
-    case 28:
-      if (std::memcmp(m.data(), "PKT_INFRA-LINEPROTO-5-UPDOWN", 28) == 0) {
-        dialect = RouterOs::kIosXr;
-        type = MessageType::kLineProtoUpDown;
-        return Shape::kLineProto;
-      }
-      break;
-    default:
-      break;
+struct Mnemonic {
+  std::string_view text;
+  Shape shape;
+  RouterOs dialect;
+  MessageType type;
+};
+
+/// The six recognized %FAC-SEV-MNEMONIC spellings. Their lengths are all
+/// distinct, so a length match and one memcmp settle each.
+constexpr Mnemonic kMnemonics[] = {
+    {"CLNS-5-ADJCHANGE", Shape::kAdj, RouterOs::kIos,
+     MessageType::kIsisAdjChange},
+    {"ROUTING-ISIS-4-ADJCHANGE", Shape::kAdj, RouterOs::kIosXr,
+     MessageType::kIsisAdjChange},
+    {"LINK-3-UPDOWN", Shape::kUpDown, RouterOs::kIos, MessageType::kLinkUpDown},
+    {"PKT_INFRA-LINK-3-UPDOWN", Shape::kUpDown, RouterOs::kIosXr,
+     MessageType::kLinkUpDown},
+    {"LINEPROTO-5-UPDOWN", Shape::kUpDown, RouterOs::kIos,
+     MessageType::kLineProtoUpDown},
+    {"PKT_INFRA-LINEPROTO-5-UPDOWN", Shape::kUpDown, RouterOs::kIosXr,
+     MessageType::kLineProtoUpDown},
+};
+
+/// Resolve the mnemonic token, recording its dialect and type in `out`.
+inline Shape classify_mnemonic(std::string_view m, LineParse& out) {
+  for (const Mnemonic& k : kMnemonics) {
+    if (m.size() == k.text.size() &&
+        std::memcmp(m.data(), k.text.data(), m.size()) == 0) {
+      out.dialect_code = static_cast<std::uint8_t>(k.dialect);
+      out.type_code = static_cast<std::uint8_t>(k.type);
+      return k.shape;
+    }
   }
   return Shape::kUnknown;
 }
 
 }  // namespace
 
-Result<Message> parse_message(std::string_view line) {
-  Message m;
+Status tokenize(std::string_view line, LineParse& out) {
+  out = LineParse{};
 
   // -- priority: '<' then '>' within the first five bytes. The reference
   // parser rejects a '>' past index 4 with the same message it uses for a
@@ -229,7 +213,7 @@ Result<Message> parse_message(std::string_view line) {
   // RFC 3164 timestamps carry no year; same convention as the reference
   // parser (collector rewrites it via assign_year when it knows the capture
   // date): 2010 covers Oct-Dec, 2011 the rest.
-  m.timestamp = TimePoint::from_civil(month >= 10 ? 2010 : 2011, month, day, hh,
+  out.timestamp = TimePoint::from_civil(month >= 10 ? 2010 : 2011, month, day, hh,
                                       mm, ss);
 
   rest = rest.substr(16);
@@ -240,7 +224,7 @@ Result<Message> parse_message(std::string_view line) {
   if (host_end == std::string_view::npos) {
     return make_error(ErrorCode::kTruncated, "missing hostname");
   }
-  m.reporter = Symbol(rest.substr(0, host_end));
+  out.reporter = Symbol(rest.substr(0, host_end));
   rest = rest.substr(host_end + 1);
 
   // -- locate the %FAC-SEV-MNEMONIC token --------------------------------------
@@ -256,7 +240,7 @@ Result<Message> parse_message(std::string_view line) {
   const std::string_view mnemonic = trim(body.substr(1, colon - 1));
   std::string_view text = trim(body.substr(colon + 1));
 
-  const Shape shape = classify_mnemonic(mnemonic, m.dialect, m.type);
+  const Shape shape = classify_mnemonic(mnemonic, out);
 
   if (shape == Shape::kAdj) {
     // "...Adjacency to <nbr> (<intf>) [(L2)] <Dir>, <reason>"
@@ -269,14 +253,14 @@ Result<Message> parse_message(std::string_view line) {
     if (sp == std::string_view::npos) {
       return make_error(ErrorCode::kTruncated, "ADJCHANGE truncated");
     }
-    m.neighbor = Symbol(tail.substr(0, sp));
+    out.neighbor = Symbol(tail.substr(0, sp));
     const std::size_t open = find_byte(tail, '(');
     const std::size_t close = find_byte(tail, ')');
     if (open == std::string_view::npos || close == std::string_view::npos ||
         close < open) {
       return make_error(ErrorCode::kParseError, "ADJCHANGE without interface");
     }
-    m.interface = Symbol(tail.substr(open + 1, close - open - 1));
+    out.interface = Symbol(tail.substr(open + 1, close - open - 1));
     std::string_view after = trim(tail.substr(close + 1));
     if (after.starts_with("(L2)")) after = trim(after.substr(4));
     const std::size_t comma = find_byte(after, ',');
@@ -284,14 +268,17 @@ Result<Message> parse_message(std::string_view line) {
         comma == std::string_view::npos ? after : trim(after.substr(0, comma));
     Result<LinkDirection> dir = parse_direction(dir_word);
     if (!dir) return dir.error();
-    m.dir = *dir;
+    out.dir_code = static_cast<std::uint8_t>(*dir);
     if (comma != std::string_view::npos) {
-      m.reason = std::string(trim(after.substr(comma + 1)));
+      const std::string_view reason = trim(after.substr(comma + 1));
+      out.reason_offset =
+          static_cast<std::uint32_t>(reason.data() - line.data());
+      out.reason_length = static_cast<std::uint32_t>(reason.size());
     }
-    return m;
+    return Status::ok_status();
   }
 
-  if (shape == Shape::kLink || shape == Shape::kLineProto) {
+  if (shape == Shape::kUpDown) {
     const std::size_t intf = text.find("Interface ");
     if (intf == std::string_view::npos) {
       return make_error(ErrorCode::kParseError, "UPDOWN without interface");
@@ -301,15 +288,15 @@ Result<Message> parse_message(std::string_view line) {
     if (comma == std::string_view::npos) {
       return make_error(ErrorCode::kTruncated, "UPDOWN truncated");
     }
-    m.interface = Symbol(tail.substr(0, comma));
+    out.interface = Symbol(tail.substr(0, comma));
     const std::size_t state = tail.find("changed state to ");
     if (state == std::string_view::npos) {
       return make_error(ErrorCode::kParseError, "UPDOWN without state");
     }
     Result<LinkDirection> dir = parse_direction(trim(tail.substr(state + 17)));
     if (!dir) return dir.error();
-    m.dir = *dir;
-    return m;
+    out.dir_code = static_cast<std::uint8_t>(*dir);
+    return Status::ok_status();
   }
 
   return make_error(ErrorCode::kNotFound,

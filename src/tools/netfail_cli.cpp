@@ -89,12 +89,9 @@ int usage() {
       "hold-state]\n"
       "  netfail stream --dir DIR [--policy P] [--horizon SECS]\n"
       "                 [--report-every N] [--json-metrics] [--detect]\n"
-      "                 [--ewma-alpha A] [--cusum-threshold T] "
-      "[--drift-window MIN]\n"
       "  netfail serve --dir DIR --syslog-port N --lsp-port N [--policy P]\n"
       "                [--horizon SECS] [--host ADDR]\n"
-      "                [--shards N] [--detect] [--ewma-alpha A]\n"
-      "                [--cusum-threshold T] [--drift-window MIN]\n"
+      "                [--shards N] [--detect]\n"
       "                [--state-dir DIR] [--snapshot-every DUR]\n"
       "                [--http-port N]\n"
       "  netfail export --dir DIR [--out FILE] [--anonymize] [--seed N]\n"
@@ -157,52 +154,11 @@ bool parse_policy(const std::string& p, analysis::AmbiguityPolicy& policy) {
   return true;
 }
 
-/// Parse the shared --detect knob flags (stream and serve) into the
-/// detector options. Errors print the problem; the caller exits 2.
-bool parse_detect_flags(const flags::Parsed& args,
-                        detect::DetectorOptions& detect) {
-  detect.enabled = args.has("--detect");
-  if (const auto a = args.value("--ewma-alpha")) {
-    const auto v = flags::parse_positive_real("--ewma-alpha", *a);
-    if (!v) {
-      std::fprintf(stderr, "netfail: %s\n", v.error().to_string().c_str());
-      return false;
-    }
-    if (*v > 1.0) {
-      std::fprintf(stderr,
-                   "netfail: flag --ewma-alpha expects a weight in (0,1], "
-                   "got '%s'\n",
-                   a->c_str());
-      return false;
-    }
-    detect.ewma_alpha = *v;
-  }
-  if (const auto t = args.value("--cusum-threshold")) {
-    const auto v = flags::parse_positive_real("--cusum-threshold", *t);
-    if (!v) {
-      std::fprintf(stderr, "netfail: %s\n", v.error().to_string().c_str());
-      return false;
-    }
-    detect.cusum_threshold = *v;
-  }
-  if (const auto w = args.value("--drift-window")) {
-    const auto v = flags::parse_positive_real("--drift-window", *w);
-    if (!v) {
-      std::fprintf(stderr, "netfail: %s\n", v.error().to_string().c_str());
-      return false;
-    }
-    detect.drift_window =
-        Duration::millis(static_cast<std::int64_t>(*v * 60000.0 + 0.5));
-  }
-  return true;
-}
-
 /// Parse the engine flags shared by stream and serve (--policy, --horizon
-/// and the --detect knobs). Errors print the problem; the
-/// caller exits 2.
+/// and --detect). Errors print the problem; the caller exits 2.
 bool parse_engine_flags(const flags::Parsed& args,
                         stream::EngineOptions& engine) {
-  if (!parse_detect_flags(args, engine.detect)) return false;
+  engine.detect.enabled = args.has("--detect");
   if (const auto p = args.value("--policy")) {
     if (!parse_policy(*p, engine.tracker.reconstruct.policy)) return false;
   }
@@ -394,10 +350,7 @@ int cmd_stream(int argc, char** argv) {
                        {"--horizon", true},
                        {"--report-every", true},
                        {"--json-metrics", false},
-                       {"--detect", false},
-                       {"--ewma-alpha", true},
-                       {"--cusum-threshold", true},
-                       {"--drift-window", true}},
+                       {"--detect", false}},
                       args)) {
     return usage();
   }
@@ -545,9 +498,6 @@ int cmd_serve(int argc, char** argv) {
                        {"--policy", true},
                        {"--horizon", true},
                        {"--detect", false},
-                       {"--ewma-alpha", true},
-                       {"--cusum-threshold", true},
-                       {"--drift-window", true},
                        {"--state-dir", true},
                        {"--snapshot-every", true},
                        {"--http-port", true}},

@@ -78,6 +78,20 @@ TEST(ParseUint, Invalid) {
   EXPECT_FALSE(parse_uint(" 1", v));
 }
 
+TEST(ParseUint, OverflowFailsInsteadOfWrapping) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_uint("18446744073709551615", v));  // 2^64 - 1
+  EXPECT_EQ(v, 18446744073709551615u);
+  v = 7;
+  // 2^64 + 1 would wrap to 1; 2^64 + 6 to 6. Both fail and leave `v`.
+  EXPECT_FALSE(parse_uint("18446744073709551617", v));
+  EXPECT_FALSE(parse_uint("18446744073709551622", v));
+  EXPECT_FALSE(parse_uint("99999999999999999999999", v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(parse_uint("0000000000000000000000001", v));  // long, small
+  EXPECT_EQ(v, 1u);
+}
+
 TEST(FormatDouble, Decimals) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_double(1.0, 0), "1");

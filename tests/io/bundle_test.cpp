@@ -91,6 +91,25 @@ TEST(ConfigDir, SkipsForeignFiles) {
   EXPECT_EQ(loaded->files()[0].captured_at, at(1000));
 }
 
+TEST(ConfigDir, StemsPast64BitsOrTheInputRangeAreSkipped) {
+  TempDir dir;
+  fs::create_directories(dir.path() / "router1");
+  {
+    std::ofstream(dir.path() / "router1" / "1000.cfg") << "hostname router1\n";
+    // 2^64 + 1000 seconds once wrapped to 1000.
+    std::ofstream(dir.path() / "router1" / "18446744073709552616.cfg")
+        << "hostname router1\n";
+    // 2^53 seconds: a 64-bit count, but past the accepted range.
+    std::ofstream(dir.path() / "router1" / "9007199254740992.cfg")
+        << "hostname router1\n";
+  }
+  ConfigDirStats stats;
+  const auto loaded = read_config_dir(dir.path().string(), &stats);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(stats.files, 1u);
+  EXPECT_EQ(stats.skipped, 2u);
+}
+
 TEST(ConfigDir, MissingRootReported) {
   EXPECT_FALSE(read_config_dir("/nonexistent/archive").ok());
 }
@@ -128,6 +147,23 @@ TEST(TicketFile, MalformedRowsSkipped) {
   EXPECT_EQ(stats.malformed, 3u);
 }
 
+TEST(TicketFile, TimesOutsideTheInputRangeAreMalformed) {
+  // 2^63 once wrapped negative on the int64 cast; 2^64 + 1000 wrapped to
+  // 1000 and filed a ticket for [1000, 2000).
+  std::stringstream stream;
+  stream << "wraps\t9223372036854775808\t9223372036854775809\tx\n"
+         << "overflow\t18446744073709552616\t2000\tx\n"
+         << "range\t1000\t9007199254740992\tx\n"  // end = 2^53
+         << "edge\t1000\t9007199254740991\tok\n";
+  TicketReadStats stats;
+  const auto loaded = read_ticket_file(stream, &stats);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(stats.malformed, 3u);
+  EXPECT_EQ(stats.rows, 1u);
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ(loaded->tickets()[0].link_name, "edge");
+}
+
 TEST(IntervalFile, RoundTrip) {
   IntervalSet set;
   set.add(TimeRange{at(10), at(20)});
@@ -143,6 +179,21 @@ TEST(IntervalFile, BadRowRejected) {
   std::stringstream stream;
   stream << "1000\t2000\n" << "oops\n";
   EXPECT_FALSE(read_interval_file(stream).ok());
+}
+
+TEST(IntervalFile, OutOfRangeOrReversedGapFailsTheRead) {
+  for (const char* row : {
+           "9223372036854775808\t9223372036854775809\n",  // 2^63: wrapped
+           "18446744073709551617\t2000\n",  // 2^64 + 1: wrapped to 1
+           "1000\t9007199254740992\n",      // end = 2^53
+           "2000\t1000\n",                  // reversed: once dropped silently
+       }) {
+    std::stringstream stream;
+    stream << "10\t20\n" << row;
+    const auto loaded = read_interval_file(stream);
+    ASSERT_FALSE(loaded.ok()) << row;
+    EXPECT_EQ(loaded.error().code, ErrorCode::kParseError) << row;
+  }
 }
 
 TEST(IntervalFile, EmptyFileIsEmptySet) {

@@ -76,7 +76,7 @@ TEST(LspCapture, MissingFileReported) {
 
 TEST(LspCapture, NegativeEpochSurvives) {
   // Pre-1970 timestamps shouldn't occur, but the format must round-trip
-  // signed times inside isis::kLspArrivalRange without mangling.
+  // signed times inside kInputTimeRange without mangling.
   const std::vector<isis::LspRecord> records{record(-1000, 1)};
   std::stringstream stream;
   write_lsp_capture(records, stream);
@@ -91,8 +91,8 @@ TEST(LspCapture, ArrivalOutsideAcceptedRangeIsRejected) {
   for (const std::int64_t ms :
        {std::numeric_limits<std::int64_t>::min(),
         std::numeric_limits<std::int64_t>::max(),
-        isis::kLspArrivalRange.end.unix_millis(),
-        isis::kLspArrivalRange.begin.unix_millis() - 1}) {
+        kInputTimeRange.end.unix_millis(),
+        kInputTimeRange.begin.unix_millis() - 1}) {
     SCOPED_TRACE(ms);
     const std::vector<isis::LspRecord> records{record(1000, 1),
                                                record(ms, 2)};
@@ -104,8 +104,8 @@ TEST(LspCapture, ArrivalOutsideAcceptedRangeIsRejected) {
   }
   // The range's own ends are inclusive-exclusive.
   for (const std::int64_t ms :
-       {isis::kLspArrivalRange.begin.unix_millis(),
-        isis::kLspArrivalRange.end.unix_millis() - 1}) {
+       {kInputTimeRange.begin.unix_millis(),
+        kInputTimeRange.end.unix_millis() - 1}) {
     const std::vector<isis::LspRecord> records{record(ms, 1)};
     std::stringstream stream;
     write_lsp_capture(records, stream);

@@ -24,10 +24,10 @@ syslog::Message sample_message(int day, int hour) {
 
 TEST(SyslogFile, RoundTrip) {
   syslog::Collector original;
-  original.receive(TimePoint::from_civil(2011, 3, 1, 5, 0, 1),
-                   sample_message(1, 5).render(1));
-  original.receive(TimePoint::from_civil(2011, 3, 2, 6, 0, 1),
-                   sample_message(2, 6).render(2));
+  original.receive({TimePoint::from_civil(2011, 3, 1, 5, 0, 1),
+                   sample_message(1, 5).render(1)});
+  original.receive({TimePoint::from_civil(2011, 3, 2, 6, 0, 1),
+                   sample_message(2, 6).render(2)});
 
   std::stringstream stream;
   write_syslog_file(original, stream);
@@ -39,8 +39,8 @@ TEST(SyslogFile, RoundTrip) {
   ASSERT_EQ(loaded->size(), 2u);
   EXPECT_EQ(stats.lines, 2u);
   EXPECT_EQ(stats.unparsable, 0u);
-  EXPECT_EQ(loaded->lines()[0].line, original.lines()[0].line);
-  EXPECT_EQ(loaded->lines()[1].line, original.lines()[1].line);
+  EXPECT_EQ(loaded->lines()[0].line(), original.lines()[0].line());
+  EXPECT_EQ(loaded->lines()[1].line(), original.lines()[1].line());
   // Reconstructed arrival times follow the message timestamps.
   EXPECT_EQ(to_civil(loaded->lines()[0].received_at).day, 1);
   EXPECT_EQ(to_civil(loaded->lines()[1].received_at).day, 2);
@@ -80,7 +80,22 @@ TEST(SyslogFile, BlankAndCrLfHandled) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 1u);
   EXPECT_EQ(stats.blank, 2u);
-  EXPECT_FALSE(loaded->lines()[0].line.ends_with("\r"));
+  EXPECT_FALSE(loaded->lines()[0].line().ends_with("\r"));
+}
+
+TEST(SyslogFile, StoreIsSizedToTheKeptLines) {
+  // Blank and CR-only lines are not stored, so the up-front reserve must
+  // not count them (a file of newlines would otherwise reserve without
+  // bound); an unterminated last line is stored and counted.
+  std::stringstream stream;
+  stream << "\n\r\n" << sample_message(1, 5).render(1) << "\r\n\r\r\n\n"
+         << "x\n\n\n" << sample_message(2, 5).render(2);
+  SyslogReadStats stats;
+  const auto loaded =
+      read_syslog_file(stream, TimePoint::from_civil(2011, 2, 25), &stats);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->size(), 4u);  // two messages, "\r" and "x"
+  EXPECT_EQ(loaded->lines().capacity(), loaded->size());
 }
 
 TEST(SyslogFile, MissingFileReported) {

@@ -267,10 +267,10 @@ TEST(FrameFuzz, EveryDecodedPayloadFeedsTheExtractor) {
         rec.received_at = TimePoint::from_unix_millis(kMax);
         break;
       case 2:
-        rec.received_at = isis::kLspArrivalRange.end;
+        rec.received_at = kInputTimeRange.end;
         break;
       case 3:
-        rec.received_at = isis::kLspArrivalRange.begin;
+        rec.received_at = kInputTimeRange.begin;
         break;
       default:
         break;  // the scenario's own arrival time
@@ -302,7 +302,7 @@ TEST(FrameFuzz, EveryDecodedPayloadFeedsTheExtractor) {
         ++rejected;
         continue;
       }
-      ASSERT_TRUE(isis::kLspArrivalRange.contains(rec->received_at));
+      ASSERT_TRUE(kInputTimeRange.contains(rec->received_at));
       ++decoded;
       extractor.feed(*rec, transitions);
       engine.feed_lsp(*rec);

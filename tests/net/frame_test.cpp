@@ -149,8 +149,8 @@ TEST(Frame, LspArrivalOutsideAcceptedRangeIsError) {
   for (const std::int64_t ms :
        {std::numeric_limits<std::int64_t>::min(),
         std::numeric_limits<std::int64_t>::max(),
-        isis::kLspArrivalRange.end.unix_millis(),
-        isis::kLspArrivalRange.begin.unix_millis() - 1}) {
+        kInputTimeRange.end.unix_millis(),
+        kInputTimeRange.begin.unix_millis() - 1}) {
     isis::LspRecord record;
     record.received_at = TimePoint::from_unix_millis(ms);
     record.bytes = payload_of(27, 3);

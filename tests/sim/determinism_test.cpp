@@ -24,7 +24,7 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b) {
   ASSERT_EQ(la.size(), lb.size());
   for (std::size_t i = 0; i < la.size(); ++i) {
     ASSERT_EQ(la[i].received_at, lb[i].received_at) << "syslog line " << i;
-    ASSERT_EQ(la[i].line, lb[i].line) << "syslog line " << i;
+    ASSERT_EQ(la[i].line(), lb[i].line()) << "syslog line " << i;
   }
 
   const auto& ra = a.listener.records();
@@ -88,7 +88,7 @@ TEST(SimDeterminism, DifferentSeedsDiverge) {
   bool same = a.collector.size() == b.collector.size();
   if (same) {
     for (std::size_t i = 0; same && i < a.collector.lines().size(); ++i) {
-      same = a.collector.lines()[i].line == b.collector.lines()[i].line;
+      same = a.collector.lines()[i].line() == b.collector.lines()[i].line();
     }
   }
   EXPECT_FALSE(same);

@@ -33,8 +33,7 @@ TEST_F(NetworkSimTest, AllLspsDecode) {
 
 TEST_F(NetworkSimTest, AllSyslogLinesParse) {
   for (const syslog::ReceivedLine& line : result().collector.lines()) {
-    const auto m = syslog::parse_message(line.line);
-    ASSERT_TRUE(m.ok()) << line.line << "\n" << m.error().to_string();
+    ASSERT_EQ(line.status(), syslog::ParseStatus::kOk) << line.line();
   }
 }
 
@@ -80,8 +79,8 @@ TEST_F(NetworkSimTest, Deterministic) {
             result().listener.records().size());
   ASSERT_EQ(again.collector.size(), result().collector.size());
   for (std::size_t i = 0; i < 50 && i < again.collector.size(); ++i) {
-    EXPECT_EQ(again.collector.lines()[i].line,
-              result().collector.lines()[i].line);
+    EXPECT_EQ(again.collector.lines()[i].line(),
+              result().collector.lines()[i].line());
   }
 }
 

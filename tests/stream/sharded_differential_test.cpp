@@ -66,7 +66,7 @@ TEST(ShardMap, SingleShardOwnsEverything) {
     EXPECT_TRUE(map.owns(0, link));
   }
   for (const syslog::ReceivedLine& rec : s->sim.collector.lines()) {
-    ASSERT_EQ(map.shard_of_line(rec.line), 0u);
+    ASSERT_EQ(map.shard_of(rec), 0u);
   }
 }
 
@@ -109,20 +109,19 @@ TEST(ShardMap, PaperScaleCensusCoversEveryShard) {
 TEST(ShardMap, ShardOfLineAgreesWithLinkOwnership) {
   // The IO-thread router and the engine's extractor must resolve a line to
   // the same link, or an event lands on a shard whose engine ignores it.
-  // Mirrors extract_line's resolution: parse, then find_by_interface on
-  // (reporter, interface).
+  // Mirrors extract_line's resolution: the line's stored parse, then
+  // find_by_interface on (reporter, interface).
   const Scenario s = make_scenario(sim::test_scenario(1));
   const ShardMap map(s->census, 4);
   std::size_t resolved = 0;
   for (const syslog::ReceivedLine& rec : s->sim.collector.lines()) {
-    const auto msg = syslog::parse_message(rec.line);
-    if (!msg.ok()) continue;
-    const auto link =
-        s->census.find_by_interface(msg->reporter, msg->interface);
+    if (rec.status() != syslog::ParseStatus::kOk) continue;
+    const auto link = s->census.find_by_interface(rec.parse().reporter,
+                                                  rec.parse().interface);
     if (!link) continue;
     ++resolved;
-    ASSERT_EQ(map.shard_of_line(rec.line), map.shard_of(*link))
-        << "line routed away from its owning shard: " << rec.line;
+    ASSERT_EQ(map.shard_of(rec), map.shard_of(*link))
+        << "line routed away from its owning shard: " << rec.line();
   }
   ASSERT_GT(resolved, 0u) << "scenario produced no resolvable lines";
 }
@@ -133,17 +132,20 @@ TEST(ShardMap, UnparsableLinesGetAStableShardWithoutCrashing) {
   for (const std::string_view junk :
        {std::string_view("<netfail:replay-end>"), std::string_view(""),
         std::string_view("not a syslog line at all")}) {
-    const std::uint32_t first = map.shard_of_line(junk);
+    const syslog::ReceivedLine rec(TimePoint{}, std::string(junk));
+    const std::uint32_t first = map.shard_of(rec);
     ASSERT_LT(first, 4u);
-    EXPECT_EQ(map.shard_of_line(junk), first);  // deterministic
+    EXPECT_EQ(map.shard_of(rec), first);  // deterministic
+    // The fallback is the raw-byte FNV hash, fixed like the link hash.
+    EXPECT_EQ(first, static_cast<std::uint32_t>(stable_hash64(junk) % 4));
   }
 }
 
 // ---- sharded differential sweep ---------------------------------------------
 
 /// Run the capture through `shards` partitioned engines with the gateway's
-/// routing discipline (syslog routed by shard_of_line, LSPs broadcast) and
-/// merge. `shards == 1` is the serial reference.
+/// routing discipline (syslog routed by ShardMap::shard_of, LSPs broadcast)
+/// and merge. `shards == 1` is the serial reference.
 std::string run_sharded_digest(const analysis::PipelineCapture& s,
                                AmbiguityPolicy policy, std::uint32_t shards,
                                bool detect, MergedRun* merged_out = nullptr) {
@@ -188,7 +190,7 @@ std::string run_sharded_digest(const analysis::PipelineCapture& s,
       EventMux::over_vectors(s.sim.collector.lines(), s.sim.listener.records());
   while (std::optional<StreamEvent> ev = mux.next()) {
     if (ev->kind() == EventKind::kSyslogLine) {
-      engines[map.shard_of_line(ev->line().line)]->feed(*ev);
+      engines[map.shard_of(ev->line())]->feed(*ev);
     } else {
       for (auto& e : engines) e->feed(*ev);
     }

@@ -117,7 +117,7 @@ void feed_range(const stream::ShardMap& map,
   for (std::size_t i = begin; i < end; ++i) {
     const stream::StreamEvent& ev = events[i];
     if (ev.kind() == stream::EventKind::kSyslogLine) {
-      engines[map.shard_of_line(ev.line().line)]->feed(ev);
+      engines[map.shard_of(ev.line())]->feed(ev);
     } else {
       for (auto& e : engines) e->feed(ev);
     }

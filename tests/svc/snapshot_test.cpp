@@ -90,7 +90,7 @@ std::unique_ptr<stream::StreamEngine> half_fed_engine(
   while (std::optional<stream::StreamEvent> ev = mux.next()) {
     if (fed++ >= total / 2) break;
     if (ev->kind() == stream::EventKind::kSyslogLine &&
-        map.shard_of_line(ev->line().line) != shard) {
+        map.shard_of(ev->line()) != shard) {
       continue;
     }
     engine->feed(*ev);

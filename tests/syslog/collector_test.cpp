@@ -7,18 +7,18 @@ namespace {
 
 TEST(Collector, StoresLines) {
   Collector c;
-  c.receive(TimePoint::from_unix_seconds(1), "line one");
-  c.receive(TimePoint::from_unix_seconds(2), "line two");
+  c.receive({TimePoint::from_unix_seconds(1), "line one"});
+  c.receive({TimePoint::from_unix_seconds(2), "line two"});
   ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.lines()[0].line, "line one");
+  EXPECT_EQ(c.lines()[0].line(), "line one");
   EXPECT_EQ(c.lines()[1].received_at, TimePoint::from_unix_seconds(2));
 }
 
 TEST(Collector, EqualTimestampsAreInOrder) {
   // "Nondecreasing", not "increasing": a busy second is legal.
   Collector c;
-  c.receive(TimePoint::from_unix_seconds(5), "a");
-  c.receive(TimePoint::from_unix_seconds(5), "b");
+  c.receive({TimePoint::from_unix_seconds(5), "a"});
+  c.receive({TimePoint::from_unix_seconds(5), "b"});
   EXPECT_EQ(c.size(), 2u);
 }
 
@@ -27,9 +27,34 @@ TEST(CollectorDeathTest, RejectsOutOfOrderLines) {
   // collector's arrival order being monotone; regressions must trap, not
   // silently corrupt downstream extraction.
   Collector c;
-  c.receive(TimePoint::from_unix_seconds(10), "first");
-  EXPECT_DEATH(c.receive(TimePoint::from_unix_seconds(9), "time traveler"),
+  c.receive({TimePoint::from_unix_seconds(10), "first"});
+  EXPECT_DEATH(c.receive({TimePoint::from_unix_seconds(9), "time traveler"}),
                "time order");
+}
+
+TEST(ArrivalCursor, StampsTrackedLinesAndClampsMonotonic) {
+  ArrivalCursor cursor(TimePoint::from_civil(2011, 3, 1));
+  const TimePoint mar9 = TimePoint::from_civil(2011, 3, 9, 4, 11, 17);
+  const ReceivedLine a = cursor.stamp(
+      "<189>Mar  9 04:11:17 h 1: %LINK-3-UPDOWN: Interface Gi0, changed "
+      "state to up");
+  EXPECT_EQ(a.status(), ParseStatus::kOk);
+  EXPECT_EQ(a.received_at, mar9);
+  // Valid syslog of an untracked type takes the cursor, not its own
+  // (later) timestamp, exactly like a garbled line.
+  const ReceivedLine b =
+      cursor.stamp("<189>Mar 20 00:00:00 h 1: %SYS-5-CONFIG_I: console");
+  EXPECT_EQ(b.status(), ParseStatus::kNotFound);
+  EXPECT_EQ(b.received_at, mar9);
+  const ReceivedLine c = cursor.stamp("garbage");
+  EXPECT_EQ(c.status(), ParseStatus::kParseError);
+  EXPECT_EQ(c.received_at, mar9);
+  // A tracked line stamped before the cursor is clamped up to it.
+  const ReceivedLine d = cursor.stamp(
+      "<189>Mar  2 00:00:00 h 1: %LINK-3-UPDOWN: Interface Gi0, changed "
+      "state to down");
+  EXPECT_EQ(d.received_at, mar9);
+  EXPECT_EQ(cursor.cursor(), mar9);
 }
 
 TEST(ResolveYear, SameYear) {

@@ -19,7 +19,7 @@ class SyslogExtractTest : public ::testing::Test {
   }
 
   void deliver(const Message& m, TimePoint received) {
-    collector_.receive(received, m.render(seq_++));
+    collector_.receive({received, m.render(seq_++)});
   }
 
   Message base_message() {
@@ -92,9 +92,9 @@ TEST_F(SyslogExtractTest, UnknownInterfaceCounted) {
 }
 
 TEST_F(SyslogExtractTest, GarbageLinesCounted) {
-  collector_.receive(TimePoint::from_civil(2011, 1, 1), "complete garbage");
-  collector_.receive(TimePoint::from_civil(2011, 1, 2),
-                     "<189>Jan  2 00:00:00 host 1: %SYS-5-RELOAD: reload");
+  collector_.receive({TimePoint::from_civil(2011, 1, 1), "complete garbage"});
+  collector_.receive({TimePoint::from_civil(2011, 1, 2),
+                     "<189>Jan  2 00:00:00 host 1: %SYS-5-RELOAD: reload"});
   const SyslogExtraction ex = extract_transitions(collector_, census_);
   EXPECT_TRUE(ex.transitions.empty());
   EXPECT_EQ(ex.stats.parse_failures, 1u);

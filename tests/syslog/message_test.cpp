@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "src/syslog/collector.hpp"
+
 namespace netfail::syslog {
 namespace {
+
+/// Parse the way the collector does: by receiving the line.
+ReceivedLine received(std::string line) {
+  return ReceivedLine(TimePoint{}, std::move(line));
+}
 
 Message adj_message(RouterOs dialect) {
   Message m;
@@ -59,20 +69,21 @@ TEST_P(RoundTrip, ParsePreservesFields) {
   m.dir = dir;
   const std::string line = m.render(1234);
 
-  const auto parsed = parse_message(line);
-  ASSERT_TRUE(parsed.ok()) << line << "\n" << parsed.error().to_string();
-  EXPECT_EQ(parsed->reporter, m.reporter);
-  EXPECT_EQ(parsed->type, m.type);
-  EXPECT_EQ(parsed->dir, m.dir);
-  EXPECT_EQ(parsed->interface, m.interface);
-  EXPECT_EQ(parsed->dialect, m.dialect);
+  const ReceivedLine rec = received(line);
+  ASSERT_EQ(rec.status(), ParseStatus::kOk) << line;
+  const LineParse& parsed = rec.parse();
+  EXPECT_EQ(parsed.reporter, m.reporter);
+  EXPECT_EQ(parsed.type(), m.type);
+  EXPECT_EQ(parsed.dir(), m.dir);
+  EXPECT_EQ(parsed.interface, m.interface);
+  EXPECT_EQ(parsed.dialect(), m.dialect);
   if (type == MessageType::kIsisAdjChange) {
-    EXPECT_EQ(parsed->neighbor, m.neighbor);
-    EXPECT_EQ(parsed->reason, m.reason);
+    EXPECT_EQ(parsed.neighbor, m.neighbor);
+    EXPECT_EQ(rec.reason(), m.reason);
   }
   // Timestamp survives with second resolution (RFC 3164 has no millis) and
   // without the year (resolved later by the collector).
-  const CivilTime c = to_civil(parsed->timestamp);
+  const CivilTime c = to_civil(parsed.timestamp);
   EXPECT_EQ(c.month, 3);
   EXPECT_EQ(c.day, 9);
   EXPECT_EQ(c.hour, 4);
@@ -89,30 +100,32 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(LinkDirection::kDown, LinkDirection::kUp)));
 
 TEST(Parse, RejectsGarbage) {
-  EXPECT_FALSE(parse_message("").ok());
-  EXPECT_FALSE(parse_message("no priority here").ok());
-  EXPECT_FALSE(parse_message("<189>not a timestamp").ok());
-  EXPECT_FALSE(parse_message("<189>Xxx  9 04:11:17 host msg").ok());
+  EXPECT_EQ(received("").status(), ParseStatus::kParseError);
+  EXPECT_EQ(received("no priority here").status(), ParseStatus::kParseError);
+  EXPECT_EQ(received("<189>not a timestamp").status(),
+            ParseStatus::kParseError);
+  EXPECT_EQ(received("<189>Xxx  9 04:11:17 host msg").status(),
+            ParseStatus::kParseError);
 }
 
 TEST(Parse, IrrelevantMnemonicIsNotFound) {
-  const auto r = parse_message(
-      "<189>Mar  9 04:11:17 host 1: %SYS-5-CONFIG_I: Configured from console");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, ErrorCode::kNotFound);
+  EXPECT_EQ(received("<189>Mar  9 04:11:17 host 1: %SYS-5-CONFIG_I: "
+                     "Configured from console")
+                .status(),
+            ParseStatus::kNotFound);
 }
 
 TEST(Parse, NoMnemonicIsNotFound) {
-  const auto r =
-      parse_message("<189>Mar  9 04:11:17 host 1: plain text message");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, ErrorCode::kNotFound);
+  EXPECT_EQ(received("<189>Mar  9 04:11:17 host 1: plain text message")
+                .status(),
+            ParseStatus::kNotFound);
 }
 
 TEST(Parse, TruncatedAdjChange) {
-  const auto r = parse_message(
-      "<189>Mar  9 04:11:17 host 1: %CLNS-5-ADJCHANGE: ISIS: Adjacency to");
-  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(received("<189>Mar  9 04:11:17 host 1: %CLNS-5-ADJCHANGE: ISIS: "
+                     "Adjacency to")
+                .status(),
+            ParseStatus::kParseError);
 }
 
 TEST(Parse, ClassifyHelper) {

@@ -1,8 +1,9 @@
 // The byte-at-a-time reference syslog parser: the differential oracle for
-// syslog::parse_message, the memchr/SWAR tokenizer (src/syslog/tokenizer.cpp).
+// syslog::tokenize, the memchr/SWAR tokenizer (src/syslog/tokenizer.cpp).
 // The tokenizer must stay bit-identical to this on every input — including
 // error code and message — which tests/syslog/tokenizer_fuzz_test.cpp
-// enforces. Change them together.
+// enforces; tests/syslog/single_parse_test.cpp checks the stored parse,
+// extraction and shard routing against it. Change them together.
 #pragma once
 
 #include <string_view>

@@ -25,6 +25,11 @@ TEST(Ipv4Address, ParseInvalid) {
   EXPECT_FALSE(Ipv4Address::parse("").ok());
 }
 
+TEST(Ipv4Address, OctetPast64BitsIsInvalidNotWrapped) {
+  // 2^64 + 1 once wrapped to 1 and loaded as "10.1.2.1".
+  EXPECT_FALSE(Ipv4Address::parse("10.1.2.18446744073709551617").ok());
+}
+
 TEST(Ipv4Address, Arithmetic) {
   EXPECT_EQ(Ipv4Address(10, 0, 0, 0) + 2, Ipv4Address(10, 0, 0, 2));
   EXPECT_EQ(Ipv4Address(10, 0, 0, 255) + 1, Ipv4Address(10, 0, 1, 0));
