@@ -3,6 +3,7 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -85,6 +86,17 @@ Status read_optional(Result<T> read, const char* name, T& out) {
   return Status::ok_status();
 }
 
+/// Reads configs/ and mines it into `out`; the archive is freed on return.
+Status read_census(const fs::path& root, Bundle& out) {
+  ConfigDirStats stats;
+  const Result<ConfigArchive> archive =
+      read_config_dir((root / kConfigs).string(), &stats);
+  if (!archive) return archive.error();
+  out.config_files = stats.files;
+  out.census = mine_archive(*archive, out.period);
+  return Status::ok_status();
+}
+
 }  // namespace
 
 Result<Bundle> read_bundle(const std::string& dir) {
@@ -93,28 +105,39 @@ Result<Bundle> read_bundle(const std::string& dir) {
   const Result<TimeRange> period = read_meta(root / kMeta);
   if (!period) return period.error();
   out.period = *period;
-  ConfigDirStats config_stats;
-  const Result<ConfigArchive> archive =
-      read_config_dir((root / kConfigs).string(), &config_stats);
-  if (!archive) return archive.error();
-  out.config_files = config_stats.files;
-  Result<syslog::Collector> collector =
-      read_syslog_file((root / kSyslog).string(), out.period.begin);
-  if (!collector) return collector.error();
-  out.collector = std::move(*collector);
-  Result<std::vector<isis::LspRecord>> records =
-      read_lsp_capture((root / kLsps).string());
-  if (!records) return records.error();
-  out.lsp_records = std::move(*records);
 
-  Status s = read_optional(read_ticket_file((root / kTickets).string()),
-                           kTickets, out.tickets);
-  if (s) {
-    s = read_optional(read_interval_file((root / kGaps).string()), kGaps,
-                      out.listener_gaps);
-  }
-  if (!s) return s.error();
-  out.census = mine_archive(*archive, out.period);
+  // The two event files load on worker threads; the result they return
+  // outlives this call, so where it is allocated does not matter.
+  std::future<Result<syslog::Collector>> collector =
+      std::async(std::launch::async, [path = (root / kSyslog).string(),
+                                      start = out.period.begin] {
+        return read_syslog_file(path, start);
+      });
+  std::future<Result<std::vector<isis::LspRecord>>> records =
+      std::async(std::launch::async, [path = (root / kLsps).string()] {
+        return read_lsp_capture(path);
+      });
+
+  // The config archive is read, mined and freed here, on the caller: the
+  // allocations that follow the load reuse its memory only if it comes
+  // from this thread's heap.
+  const Status configs = read_census(root, out);
+  const Status tickets = read_optional(
+      read_ticket_file((root / kTickets).string()), kTickets, out.tickets);
+  const Status gaps = read_optional(read_interval_file((root / kGaps).string()),
+                                    kGaps, out.listener_gaps);
+
+  // Join both tasks before reporting anything, then report the first
+  // failure in file order, whichever thread finished first.
+  Result<syslog::Collector> lines = collector.get();
+  Result<std::vector<isis::LspRecord>> lsps = records.get();
+  if (!configs) return configs.error();
+  if (!lines) return lines.error();
+  out.collector = std::move(*lines);
+  if (!lsps) return lsps.error();
+  out.lsp_records = std::move(*lsps);
+  if (!tickets) return tickets.error();
+  if (!gaps) return gaps.error();
   return out;
 }
 

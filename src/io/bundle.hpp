@@ -11,6 +11,18 @@
 // An optional file that does not exist reads as empty. One that exists but
 // cannot be read fails the whole load: a corrupt listener-gap file must not
 // quietly switch sanitization off.
+//
+// read_bundle loads the three sources at once. After META, messages.log and
+// listener.nfc are read on two worker threads while the calling thread reads
+// configs/, mines the census and reads the two optional files; the load then
+// joins both workers. It takes as long as the longest of the three chains
+// instead of their sum. The config archive (tens of MB of text) is
+// transient: it is freed as soon as it is mined, so it is allocated and
+// freed on the caller, whose heap the later extraction and matching reuse.
+// Only what lives as long as the Bundle (the collector, the LSP records)
+// comes from worker threads. On a bad bundle the error reported is the
+// first failure in the order META, configs/, messages.log, listener.nfc,
+// tickets.tsv, listener_gaps.tsv, whichever thread finishes first.
 #pragma once
 
 #include <cstddef>

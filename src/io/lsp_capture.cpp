@@ -1,5 +1,6 @@
 #include "src/io/lsp_capture.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -36,6 +37,17 @@ bool get_u64(std::istream& in, std::uint64_t& v) {
   if (!get_u32(in, hi) || !get_u32(in, lo)) return false;
   v = (std::uint64_t{hi} << 32) | lo;
   return true;
+}
+
+/// The bytes left in a seekable stream; 0 when it cannot seek.
+std::uint64_t remaining_bytes(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
 }
 
 }  // namespace
@@ -81,8 +93,12 @@ Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
     return make_error(ErrorCode::kTruncated, "capture header truncated");
   }
 
+  // The declared count comes from the file: reserve no more frames than
+  // the remaining bytes can hold (12-byte frame header, empty payload).
+  constexpr std::uint64_t kMinFrameBytes = 12;
   std::vector<isis::LspRecord> out;
-  out.reserve(static_cast<std::size_t>(declared));
+  out.reserve(static_cast<std::size_t>(
+      std::min(declared, remaining_bytes(in) / kMinFrameBytes)));
   while (true) {
     std::uint64_t at_ms = 0;
     if (!get_u64(in, at_ms)) break;  // clean end of file
@@ -97,6 +113,12 @@ Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
     if (!get_u32(in, len)) {
       st.truncated_tail = true;
       break;
+    }
+    if (len > kMaxLspFrameBytes) {
+      return make_error(ErrorCode::kParseError,
+                        "frame " + std::to_string(st.frames) + ": length " +
+                            std::to_string(len) + " exceeds " +
+                            std::to_string(kMaxLspFrameBytes) + " bytes");
     }
     std::vector<std::uint8_t> payload(len);
     if (!in.read(reinterpret_cast<char*>(payload.data()),

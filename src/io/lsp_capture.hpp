@@ -8,6 +8,7 @@
 // parse from any language, self-describing enough to detect truncation.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -17,6 +18,10 @@
 namespace netfail::io {
 
 inline constexpr char kLspCaptureMagic[4] = {'N', 'F', 'C', '1'};
+
+/// The longest frame payload a capture may hold. An IS-IS PDU carries its
+/// length in 16 bits, so Lsp::decode_into could never accept a longer one.
+inline constexpr std::uint32_t kMaxLspFrameBytes = 65535;
 
 void write_lsp_capture(const std::vector<isis::LspRecord>& records,
                        std::ostream& out);
@@ -31,7 +36,9 @@ struct LspCaptureStats {
 /// Read a capture; returns records in file order. A truncated final frame
 /// is dropped (and flagged), matching how one recovers a capture cut short
 /// by a listener crash. A frame whose arrival time lies outside
-/// kInputTimeRange fails the whole read.
+/// kInputTimeRange, or whose length exceeds kMaxLspFrameBytes, fails the
+/// whole read. The header's record count is a hint: the reader reserves no
+/// more records than the rest of the stream can hold.
 Result<std::vector<isis::LspRecord>> read_lsp_capture(
     std::istream& in, LspCaptureStats* stats = nullptr);
 Result<std::vector<isis::LspRecord>> read_lsp_capture(

@@ -1,8 +1,9 @@
 // Tests for the capture bundle and its pieces: config directories, ticket
 // files, interval files, a miner round-trip through the on-disk archive, and
 // io::read_bundle / io::write_bundle — a round trip that renders the same
-// comparison as the in-memory pipeline, and hostile META / listener-gap
-// files that must fail the load instead of crashing or being ignored.
+// comparison as the in-memory pipeline, hostile META / listener-gap files
+// that must fail the load instead of crashing or being ignored, and the
+// error a bundle with two bad files reports however its threads interleave.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -282,6 +283,51 @@ TEST_F(CaptureBundle, MissingRequiredFilesFailTheLoad) {
     fs::copy(dir_.path(), copy.path(), fs::copy_options::recursive);
     fs::remove(copy.path() / file);
     EXPECT_FALSE(read_bundle(copy.path().string()).ok()) << file;
+  }
+}
+
+TEST_F(CaptureBundle, TwoBadFilesReportTheFirstInLoadOrder) {
+  // messages.log and listener.nfc load on worker threads while the caller
+  // reads configs/ and the optional files; the error must not depend on
+  // which finishes first. Repeat each case to give a race room to show.
+  const struct {
+    const char* name;
+    void (*breakage)(const fs::path& root);
+    const char* reported;  // a part of the message only that file's error has
+  } cases[] = {
+      {"configs/ and messages.log missing",
+       [](const fs::path& root) {
+         fs::remove_all(root / "configs");
+         fs::remove(root / "messages.log");
+       },
+       "configs is not a directory"},
+      {"messages.log and listener.nfc missing",
+       [](const fs::path& root) {
+         fs::remove(root / "messages.log");
+         fs::remove(root / "listener.nfc");
+       },
+       "messages.log"},
+      // A junk tickets.tsv row is skipped, not an error; a junk
+      // listener_gaps.tsv row fails the load, after listener.nfc's error.
+      {"bad listener.nfc, tickets.tsv and listener_gaps.tsv",
+       [](const fs::path& root) {
+         for (const char* file :
+              {"listener.nfc", "tickets.tsv", "listener_gaps.tsv"}) {
+           std::ofstream(root / file, std::ios::trunc) << "garbage row\n";
+         }
+       },
+       "NFC1"},
+  };
+  for (const auto& c : cases) {
+    TempDir copy;
+    fs::copy(dir_.path(), copy.path(), fs::copy_options::recursive);
+    c.breakage(copy.path());
+    for (int run = 0; run < 50; ++run) {
+      const Result<Bundle> b = read_bundle(copy.path().string());
+      ASSERT_FALSE(b.ok()) << c.name;
+      ASSERT_NE(b.error().message.find(c.reported), std::string::npos)
+          << c.name << " (run " << run << "): " << b.error().message;
+    }
   }
 }
 

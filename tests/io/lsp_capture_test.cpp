@@ -113,5 +113,62 @@ TEST(LspCapture, ArrivalOutsideAcceptedRangeIsRejected) {
   }
 }
 
+/// Appends `v` as `bytes` big-endian bytes.
+void put_be(std::string& out, std::uint64_t v, int bytes) {
+  for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>(v >> shift));
+  }
+}
+
+/// An NFC1 header declaring `count` records, then `frames` raw bytes.
+std::string capture_bytes(std::uint64_t count, const std::string& frames) {
+  std::string out(kLspCaptureMagic, sizeof kLspCaptureMagic);
+  put_be(out, 0, 4);  // flags
+  put_be(out, count, 8);
+  return out + frames;
+}
+
+/// One frame header: arrival time 1000 ms, then a payload length.
+std::string frame_header(std::uint32_t len) {
+  std::string out;
+  put_be(out, 1000, 8);
+  put_be(out, len, 4);
+  return out;
+}
+
+TEST(LspCapture, HugeDeclaredCountIsNotReserved) {
+  // 24 bytes declaring 2^62 records: reserving that many once threw
+  // std::length_error out of the reader. The count is only a hint.
+  std::stringstream stream(capture_bytes(std::uint64_t{1} << 62,
+                                         std::string(8, '\0')));
+  LspCaptureStats stats;
+  const auto loaded = read_lsp_capture(stream, &stats);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded->empty());
+  EXPECT_TRUE(stats.truncated_tail);
+}
+
+TEST(LspCapture, FrameLongerThanAnIsisPduIsRejected) {
+  // A length past 16 bits can never decode as an LSP; it once sized an
+  // allocation (up to 4 GiB) before a byte of the payload was read.
+  const std::string ok_frame =
+      frame_header(kMaxLspFrameBytes) + std::string(kMaxLspFrameBytes, 'x');
+  {
+    std::stringstream stream(capture_bytes(1, ok_frame));
+    const auto loaded = read_lsp_capture(stream);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded->size(), 1u);
+    EXPECT_EQ((*loaded)[0].bytes.size(), kMaxLspFrameBytes);
+  }
+  std::stringstream stream(capture_bytes(
+      2, ok_frame + frame_header(kMaxLspFrameBytes + 1) +
+             std::string(kMaxLspFrameBytes + 1, 'x')));
+  const auto loaded = read_lsp_capture(stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, ErrorCode::kParseError);
+  EXPECT_NE(loaded.error().message.find("frame 1"), std::string::npos)
+      << loaded.error().message;
+}
+
 }  // namespace
 }  // namespace netfail::io
