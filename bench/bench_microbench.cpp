@@ -1,20 +1,25 @@
-// Microbenchmarks of the substrate hot paths: LSP encode/decode, syslog
-// render/parse, interval-set arithmetic, Table 4's per-link failure join,
-// Fletcher checksum, and KS test.
+// Microbenchmarks of the substrate hot paths: LSP encode/decode, batch
+// IS-IS transition extraction, syslog render/parse, interval-set
+// arithmetic, Table 4's per-link failure join, Fletcher checksum, and KS
+// test.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "src/analysis/match.hpp"
+#include "src/analysis/scenario_cache.hpp"
 #include "src/common/interval_set.hpp"
 #include "src/common/rng.hpp"
 #include "src/isis/checksum.hpp"
+#include "src/isis/extract.hpp"
 #include "src/isis/pdu.hpp"
+#include "src/sim/scenario.hpp"
 #include "src/stats/ks_test.hpp"
 #include "src/syslog/message.hpp"
 
@@ -98,6 +103,28 @@ void BM_LspDecodeInto(benchmark::State& state) {
   state.counters["allocs_per_op"] = allocs.per_op(state);
 }
 BENCHMARK(BM_LspDecodeInto)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_IsisExtractTransitions(benchmark::State& state) {
+  // Batch LSP -> transition extraction over the simulated CENIC capture:
+  // the source lanes' decode + diff, then the record-order fold.
+  static const std::shared_ptr<const analysis::PipelineCapture> capture =
+      analysis::ScenarioCache::global().capture(sim::cenic_scenario());
+  const std::vector<isis::LspRecord>& records = capture->sim.listener.records();
+  std::size_t transitions = 0;
+  for (auto _ : state) {
+    const isis::IsisExtraction ex =
+        isis::extract_transitions(records, capture->census);
+    transitions = ex.is_reach.size() + ex.ip_reach.size();
+    benchmark::DoNotOptimize(transitions);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size()));
+  state.counters["transitions"] =
+      benchmark::Counter(static_cast<double>(transitions));
+}
+BENCHMARK(BM_IsisExtractTransitions)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();  // the lanes run on other threads
 
 void BM_FletcherChecksum(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0xa5);

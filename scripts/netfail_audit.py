@@ -157,6 +157,28 @@ ALLOC_TU_ROSTER = {
     # allocate (vector growth happens inside std:: instantiations at
     # construction, which the std exemption covers).
     "src/stream/sharded.cpp": (),
+    # The LSP differ and pair fold: a steady-state feed reuses its scratch
+    # and delta buffers, so only first sightings and buffer growth allocate.
+    "src/isis/extract.cpp": (
+        ("netfail::isis::LspDiffer::diff",
+         "first sighting of a source creates its state; its sorted "
+         "adjacency/prefix vectors and the delta buffer grow amortized"),
+        ("netfail::isis::LspDiffer::adopt",
+         "first sighting of a source on a batch lane creates its state, on "
+         "the calling thread between chunks"),
+        ("netfail::isis::(anonymous namespace)::append_missing",
+         "delta buffer growth, amortized; a lane's buffer is reserved per "
+         "chunk on the caller and reused"),
+        ("netfail::isis::PairFold::apply",
+         "first sighting of a host pair, prefix or reporting host creates "
+         "its entry; the output vectors grow amortized"),
+        ("netfail::isis::(anonymous namespace)::ChunkPlanner::index",
+         "first sighting of a source joins the batch's source index; the "
+         "two per-chunk record slots are reused"),
+        ("netfail::isis::extract_transitions",
+         "per-capture setup: lane differs, per-chunk delta buffers "
+         "(reserved on the caller) and the lane tasks"),
+    ),
     "src/detect/detector.cpp": (
         ("netfail::detect::LinkDetector::observe_syslog",
          "first sighting of a (link, template) pair creates its cell"),

@@ -121,11 +121,17 @@ inline std::pair<Symbol, Symbol> ordered(Symbol a, Symbol b) {
   return lex_less(b, a) ? std::pair{b, a} : std::pair{a, b};
 }
 
+/// `pair_key` of a pair already in `ordered` form, for callers that need
+/// both and should compare the strings once.
+inline std::uint64_t ordered_pair_key(Symbol lo, Symbol hi) {
+  return (static_cast<std::uint64_t>(lo.value()) << 32) | hi.value();
+}
+
 /// Packed 64-bit key for the lexicographically normalized pair: equal pairs
 /// (in either order) map to equal keys.
 inline std::uint64_t pair_key(Symbol a, Symbol b) {
   const auto [lo, hi] = ordered(a, b);
-  return (static_cast<std::uint64_t>(lo.value()) << 32) | hi.value();
+  return ordered_pair_key(lo, hi);
 }
 
 /// Symbol of `s` if already interned, otherwise the invalid symbol. Use for

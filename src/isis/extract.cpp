@@ -1,6 +1,8 @@
 #include "src/isis/extract.hpp"
 
 #include <algorithm>
+#include <array>
+#include <future>
 #include <optional>
 
 #include "src/common/metrics.hpp"
@@ -23,93 +25,110 @@ IsisMetrics g_isis_metrics;
 
 IsisMetrics& isis_metrics() { return g_isis_metrics; }
 
-/// Count for `neighbor` in a sorted (neighbor, count) vector; 0 if absent.
-int count_of(const std::vector<std::pair<OsiSystemId, int>>& counts,
-             const OsiSystemId& neighbor) {
-  const auto it = std::lower_bound(
-      counts.begin(), counts.end(), neighbor,
-      [](const auto& entry, const OsiSystemId& key) { return entry.first < key; });
-  return (it != counts.end() && it->first == neighbor) ? it->second : 0;
+void add_nonzero(metrics::Counter& c, std::size_t n) {
+  if (n != 0) c.inc(n);
+}
+
+/// Publish the counts a differ added between `before` and `now`, plus
+/// `transitions` emitted by the fold. Counters are added once per call, so
+/// a lane pays one atomic add per counter per chunk, not per LSP.
+void publish(const ExtractionStats& before, const ExtractionStats& now,
+             std::size_t transitions) {
+  IsisMetrics& m = isis_metrics();
+  add_nonzero(m.lsps, now.lsps_processed - before.lsps_processed);
+  add_nonzero(m.decode_failures,
+              (now.checksum_failures + now.parse_failures) -
+                  (before.checksum_failures + before.parse_failures));
+  add_nonzero(m.stale, now.stale_lsps - before.stale_lsps);
+  add_nonzero(m.transitions, transitions);
+}
+
+std::uint32_t u32(std::size_t n) { return static_cast<std::uint32_t>(n); }
+
+/// Normalized lexicographically on the underlying hostnames (NOT symbol
+/// ids), so emitted (host_a, host_b) ordering matches the string era.
+HostPair resolve_pair(const LinkCensus& census, Symbol a, Symbol b) {
+  const auto [first, second] = sym::ordered(a, b);
+  return HostPair{first, second, &census.find_between_hosts(first, second)};
+}
+
+NeighborChange make_change(const LinkCensus& census, Symbol source_host,
+                           const OsiSystemId& neighbor, int count) {
+  NeighborChange c{neighbor, census.hostname_of(neighbor), count, {}};
+  if (c.host.valid()) c.pair = resolve_pair(census, source_host, c.host);
+  return c;
+}
+
+/// Appends to `out` each neighbor whose count fell from `before` to
+/// `after`, in neighbor order, then each whose count rose. Both inputs are
+/// sorted by neighbor without duplicates, so each walk is a linear merge.
+void append_count_changes(const std::vector<std::pair<OsiSystemId, int>>& before,
+                          const std::vector<std::pair<OsiSystemId, int>>& after,
+                          const LinkCensus& census, Symbol source_host,
+                          std::vector<NeighborChange>& out) {
+  auto it = after.begin();
+  for (const auto& [neighbor, old_count] : before) {
+    while (it != after.end() && it->first < neighbor) ++it;
+    const int now = (it != after.end() && it->first == neighbor) ? it->second : 0;
+    if (now < old_count) {
+      out.push_back(make_change(census, source_host, neighbor, now));
+    }
+  }
+  it = before.begin();
+  for (const auto& [neighbor, now] : after) {
+    while (it != before.end() && it->first < neighbor) ++it;
+    const int old_count =
+        (it != before.end() && it->first == neighbor) ? it->second : 0;
+    if (now > old_count) {
+      out.push_back(make_change(census, source_host, neighbor, now));
+    }
+  }
+}
+
+/// Appends each element of sorted `from` that does not occur in sorted
+/// `other` (every copy of a repeated element, as membership decides).
+void append_missing(const std::vector<Ipv4Prefix>& from,
+                    const std::vector<Ipv4Prefix>& other,
+                    std::vector<Ipv4Prefix>& out) {
+  auto it = other.begin();
+  for (const Ipv4Prefix& p : from) {
+    while (it != other.end() && *it < p) ++it;
+    if (it == other.end() || *it != p) out.push_back(p);
+  }
 }
 
 }  // namespace
 
-void StreamingExtractor::emit_is_transition(TimePoint t, LinkDirection dir,
-                                            Symbol host_a, Symbol host_b,
-                                            int count_after,
-                                            std::vector<IsisTransition>& out) {
-  IsisTransition tr;
-  tr.time = t;
-  tr.dir = dir;
-  tr.field = ReachabilityField::kIsReach;
-  tr.host_a = host_a;
-  tr.host_b = host_b;
-  tr.pair_count_after = count_after;
-  const std::vector<LinkId>& candidates =
-      census_->find_between_hosts(host_a, host_b);
-  if (candidates.empty()) {
-    ++stats_.unknown_host_pairs;
-    return;
-  }
-  if (candidates.size() > 1) {
-    tr.multilink = true;
-    ++stats_.multilink_transitions;
-  } else {
-    tr.link = candidates.front();
-  }
-  out.push_back(tr);
+ExtractionStats& ExtractionStats::operator+=(const ExtractionStats& o) {
+  lsps_processed += o.lsps_processed;
+  checksum_failures += o.checksum_failures;
+  parse_failures += o.parse_failures;
+  stale_lsps += o.stale_lsps;
+  purges += o.purges;
+  unknown_host_pairs += o.unknown_host_pairs;
+  unknown_prefixes += o.unknown_prefixes;
+  multilink_transitions += o.multilink_transitions;
+  return *this;
 }
 
-void StreamingExtractor::update_pair(TimePoint t, Symbol from, Symbol to,
-                                     int new_count, bool from_is_baseline,
-                                     std::vector<IsisTransition>& out) {
-  // Normalized lexicographically on the underlying hostnames (NOT symbol
-  // ids), so emitted (host_a, host_b) ordering matches the string era.
-  const auto [first, second] = sym::ordered(from, to);
-  PairState& p = pairs_[sym::pair_key(from, to)];
-  int& mine = (from == first) ? p.count_ab : p.count_ba;
-  mine = new_count;
-  const int now = std::min(p.count_ab, p.count_ba);
-  if (p.active && !from_is_baseline) {
-    while (p.last_min > now) {
-      --p.last_min;
-      emit_is_transition(t, LinkDirection::kDown, first, second, p.last_min,
-                         out);
-    }
-    while (p.last_min < now) {
-      ++p.last_min;
-      emit_is_transition(t, LinkDirection::kUp, first, second, p.last_min, out);
-    }
-  } else {
-    p.last_min = now;
-  }
-  // The pair starts emitting once both ends have reported at least once.
-  if (!p.active) {
-    p.active = initialized_hosts_.contains(to) &&
-               (from_is_baseline || initialized_hosts_.contains(from));
-  }
-}
+// ---- LspDiffer --------------------------------------------------------------
 
-void StreamingExtractor::feed(const LspRecord& rec,
-                              std::vector<IsisTransition>& out) {
-  const std::size_t out_before = out.size();
+void LspDiffer::diff(const LspRecord& rec, std::size_t index,
+                     DeltaBuffer& out, ExtractionStats& stats) {
   if (Status decoded = Lsp::decode_into(rec.bytes, scratch_lsp_); !decoded) {
     if (decoded.error().code == ErrorCode::kChecksumMismatch) {
-      ++stats_.checksum_failures;
+      ++stats.checksum_failures;
     } else {
-      ++stats_.parse_failures;
+      ++stats.parse_failures;
     }
-    isis_metrics().decode_failures.inc();
     return;
   }
   const Lsp& lsp = scratch_lsp_;
-  ++stats_.lsps_processed;
-  isis_metrics().lsps.inc();
+  ++stats.lsps_processed;
 
   SourceState& src = sources_[lsp.source];
   if (src.initialized && lsp.sequence <= src.sequence) {
-    ++stats_.stale_lsps;
-    isis_metrics().stale.inc();
+    ++stats.stale_lsps;
     return;
   }
   src.sequence = lsp.sequence;
@@ -117,7 +136,7 @@ void StreamingExtractor::feed(const LspRecord& rec,
   // A purge (remaining lifetime zero) withdraws everything the source
   // advertised: process it as an LSP with empty reachability.
   const bool purged = lsp.remaining_lifetime == 0;
-  if (purged) ++stats_.purges;
+  if (purged) ++stats.purges;
 
   // Hostname resolution: prefer the dynamic-hostname TLV, fall back to the
   // config-mined mapping. Refreshes re-advertise the same hostname, so the
@@ -133,10 +152,17 @@ void StreamingExtractor::feed(const LspRecord& rec,
   }
   if (hostname.empty()) {
     // Cannot name this source; its adjacencies are unresolvable.
-    ++stats_.unknown_host_pairs;
+    ++stats.unknown_host_pairs;
     return;
   }
-  const bool hostname_changed = !(src.hostname == hostname);
+  const bool first_lsp = !src.initialized;
+  LspDelta d;
+  d.record = index;
+  d.host = hostname;
+  d.baseline = first_lsp;
+  // The fold's reported-host set only ever grows; re-inserting the same
+  // symbol on every refresh is a wasted hash probe.
+  d.note_host = first_lsp || !(src.hostname == hostname);
   src.hostname = hostname;
 
   // ---- Diff IS reachability. ---------------------------------------------
@@ -159,32 +185,16 @@ void StreamingExtractor::feed(const LspRecord& rec,
     scratch_counts_.resize(w);
   }
 
-  const bool first_lsp = !src.initialized;
+  d.neighbors_begin = u32(out.neighbors.size());
   // Refresh fast path: most LSPs re-advertise an unchanged adjacency set
   // (the protocol refreshes every ~15 min), so an O(n) equality check skips
   // both diff walks and the copy-back in the steady state.
   if (scratch_counts_ != src.adjacency_count) {
-    // Removed or decreased neighbors (in sorted-neighbor order, like the old
-    // std::map walk, so emission order is unchanged).
-    for (const auto& [neighbor, old_count] : src.adjacency_count) {
-      const int now = count_of(scratch_counts_, neighbor);
-      if (now < old_count) {
-        Symbol nbr_host = census_->hostname_of(neighbor);
-        if (!nbr_host.valid()) nbr_host = Symbol(neighbor.to_string());
-        update_pair(rec.received_at, hostname, nbr_host, now, first_lsp, out);
-      }
-    }
-    // Added or increased neighbors.
-    for (const auto& [neighbor, now] : scratch_counts_) {
-      const int before = count_of(src.adjacency_count, neighbor);
-      if (now > before) {
-        Symbol nbr_host = census_->hostname_of(neighbor);
-        if (!nbr_host.valid()) nbr_host = Symbol(neighbor.to_string());
-        update_pair(rec.received_at, hostname, nbr_host, now, first_lsp, out);
-      }
-    }
+    append_count_changes(src.adjacency_count, scratch_counts_, *census_,
+                         hostname, out.neighbors);
     src.adjacency_count = scratch_counts_;  // copy; reuses src's capacity
   }
+  d.neighbors_end = u32(out.neighbors.size());
 
   // ---- Diff IP reachability. ---------------------------------------------
   scratch_prefixes_.clear();
@@ -194,71 +204,343 @@ void StreamingExtractor::feed(const LspRecord& rec,
     }
     std::sort(scratch_prefixes_.begin(), scratch_prefixes_.end());
   }
-  const std::vector<Ipv4Prefix>& new_prefixes = scratch_prefixes_;
-
-  auto emit_ip_transition = [&](Ipv4Prefix prefix, LinkDirection dir) {
-    IsisTransition tr;
-    tr.time = rec.received_at;
-    tr.dir = dir;
-    tr.field = ReachabilityField::kIpReach;
-    const std::optional<LinkId> link = census_->find_by_subnet(prefix);
-    if (!link) {
-      ++stats_.unknown_prefixes;
-      return;
-    }
-    tr.link = *link;
-    const CensusLink& cl = census_->link(*link);
-    tr.host_a = cl.a.host;
-    tr.host_b = cl.b.host;
-    out.push_back(tr);
-  };
-
-  // Same refresh fast path as the adjacency diff: identical prefix sets
-  // imply both walks are no-ops, so skip them and the copy-back.
-  if (new_prefixes != src.prefixes) {
-    // Withdrawn prefixes: advertiser count drops; reaching zero is a DOWN.
-    for (const Ipv4Prefix& p : src.prefixes) {
-      if (!std::binary_search(new_prefixes.begin(), new_prefixes.end(), p)) {
-        if (--prefix_advertisers_[p] == 0) {
-          emit_ip_transition(p, LinkDirection::kDown);
-        }
-      }
-    }
-    // Newly advertised prefixes: count rises; leaving zero is an UP (but the
-    // first LSP from a source only sets baselines).
-    for (const Ipv4Prefix& p : new_prefixes) {
-      if (!std::binary_search(src.prefixes.begin(), src.prefixes.end(), p)) {
-        if (prefix_advertisers_[p]++ == 0 && !first_lsp) {
-          emit_ip_transition(p, LinkDirection::kUp);
-        }
-      }
-    }
-    src.prefixes = new_prefixes;  // copy; reuses src's capacity
+  d.withdrawn_begin = u32(out.prefixes.size());
+  d.added_begin = d.withdrawn_begin;
+  // Same refresh fast path as the adjacency diff.
+  if (scratch_prefixes_ != src.prefixes) {
+    append_missing(src.prefixes, scratch_prefixes_, out.prefixes);
+    d.added_begin = u32(out.prefixes.size());
+    append_missing(scratch_prefixes_, src.prefixes, out.prefixes);
+    src.prefixes = scratch_prefixes_;  // copy; reuses src's capacity
   }
+  d.added_end = u32(out.prefixes.size());
   src.initialized = true;
-  // The hostname set only ever grows; re-inserting the same symbol on every
-  // refresh is a wasted hash probe.
-  if (first_lsp || hostname_changed) initialized_hosts_.insert(hostname);
-  isis_metrics().transitions.inc(out.size() - out_before);
+
+  if (d.note_host || d.neighbors_end != d.neighbors_begin ||
+      d.added_end != d.withdrawn_begin) {
+    out.deltas.push_back(d);
+  }
 }
+
+// ---- PairFold ---------------------------------------------------------------
+
+void PairFold::emit_is_transition(TimePoint t, LinkDirection dir,
+                                  const HostPair& pair, int count_after,
+                                  ExtractionStats& stats,
+                                  std::vector<IsisTransition>& out) {
+  IsisTransition tr;
+  tr.time = t;
+  tr.dir = dir;
+  tr.field = ReachabilityField::kIsReach;
+  tr.host_a = pair.first;
+  tr.host_b = pair.second;
+  tr.pair_count_after = count_after;
+  const std::vector<LinkId>& candidates = *pair.links;
+  if (candidates.empty()) {
+    ++stats.unknown_host_pairs;
+    return;
+  }
+  if (candidates.size() > 1) {
+    tr.multilink = true;
+    ++stats.multilink_transitions;
+  } else {
+    tr.link = candidates.front();
+  }
+  out.push_back(tr);
+}
+
+void PairFold::emit_ip_transition(TimePoint t, Ipv4Prefix prefix,
+                                  LinkDirection dir, ExtractionStats& stats,
+                                  std::vector<IsisTransition>& out) {
+  const std::optional<LinkId> link = census_->find_by_subnet(prefix);
+  if (!link) {
+    ++stats.unknown_prefixes;
+    return;
+  }
+  IsisTransition tr;
+  tr.time = t;
+  tr.dir = dir;
+  tr.field = ReachabilityField::kIpReach;
+  tr.link = *link;
+  const CensusLink& cl = census_->link(*link);
+  tr.host_a = cl.a.host;
+  tr.host_b = cl.b.host;
+  out.push_back(tr);
+}
+
+void PairFold::update_pair(TimePoint t, Symbol from, Symbol to,
+                           const HostPair& pair, int new_count,
+                           bool from_is_baseline, ExtractionStats& stats,
+                           std::vector<IsisTransition>& out) {
+  PairState& p = pairs_[sym::ordered_pair_key(pair.first, pair.second)];
+  int& mine = (from == pair.first) ? p.count_ab : p.count_ba;
+  mine = new_count;
+  const int now = std::min(p.count_ab, p.count_ba);
+  if (p.active && !from_is_baseline) {
+    while (p.last_min > now) {
+      --p.last_min;
+      emit_is_transition(t, LinkDirection::kDown, pair, p.last_min, stats,
+                         out);
+    }
+    while (p.last_min < now) {
+      ++p.last_min;
+      emit_is_transition(t, LinkDirection::kUp, pair, p.last_min, stats, out);
+    }
+  } else {
+    p.last_min = now;
+  }
+  // The pair starts emitting once both ends have reported at least once.
+  if (!p.active) {
+    p.active = initialized_hosts_.contains(to) &&
+               (from_is_baseline || initialized_hosts_.contains(from));
+  }
+}
+
+void PairFold::apply(const DeltaBuffer& buf, const LspDelta& d, TimePoint t,
+                     ExtractionStats& stats,
+                     std::vector<IsisTransition>& is_out,
+                     std::vector<IsisTransition>& ip_out) {
+  for (std::uint32_t i = d.neighbors_begin; i < d.neighbors_end; ++i) {
+    const NeighborChange& c = buf.neighbors[i];
+    if (c.host.valid()) {
+      update_pair(t, d.host, c.host, c.pair, c.count, d.baseline, stats,
+                  is_out);
+    } else {
+      // Interning an unknown neighbor's rendering happens here, in record
+      // order, never on a differ lane.
+      const Symbol neighbor(c.neighbor.to_string());
+      update_pair(t, d.host, neighbor, resolve_pair(*census_, d.host, neighbor),
+                  c.count, d.baseline, stats, is_out);
+    }
+  }
+  // Withdrawn prefixes: advertiser count drops; reaching zero is a DOWN.
+  for (std::uint32_t i = d.withdrawn_begin; i < d.added_begin; ++i) {
+    const Ipv4Prefix p = buf.prefixes[i];
+    if (--prefix_advertisers_[p] == 0) {
+      emit_ip_transition(t, p, LinkDirection::kDown, stats, ip_out);
+    }
+  }
+  // Newly advertised prefixes: count rises; leaving zero is an UP (but the
+  // first LSP from a source only sets baselines).
+  for (std::uint32_t i = d.added_begin; i < d.added_end; ++i) {
+    const Ipv4Prefix p = buf.prefixes[i];
+    if (prefix_advertisers_[p]++ == 0 && !d.baseline) {
+      emit_ip_transition(t, p, LinkDirection::kUp, stats, ip_out);
+    }
+  }
+  if (d.note_host) initialized_hosts_.insert(d.host);
+}
+
+void LspDiffer::adopt(const OsiSystemId& id, LspDiffer* from) {
+  auto node = from != nullptr ? from->sources_.extract(id)
+                              : decltype(sources_)::node_type{};
+  if (node.empty()) {
+    sources_.try_emplace(id);
+  } else {
+    sources_.insert(std::move(node));
+  }
+}
+
+// ---- StreamingExtractor -----------------------------------------------------
+
+void StreamingExtractor::feed(const LspRecord& rec,
+                              std::vector<IsisTransition>& out) {
+  const ExtractionStats before = stats_;
+  const std::size_t out_before = out.size();
+  delta_.clear();
+  differ_.diff(rec, 0, delta_, stats_);
+  for (const LspDelta& d : delta_.deltas) {
+    fold_.apply(delta_, d, rec.received_at, stats_, out, out);
+  }
+  publish(before, stats_, out.size() - out_before);
+}
+
+// ---- Batch extraction in source lanes ---------------------------------------
+
+namespace {
+
+/// The source id in an LSP's bytes (the LSP ID's system id, bytes 12..18):
+/// the key of the differ's per-source state. A record too short to carry
+/// one fails decoding on whichever lane diffs it.
+OsiSystemId record_source(const LspRecord& rec) {
+  std::array<std::uint8_t, 6> id{};
+  if (rec.bytes.size() >= 18) {
+    std::copy_n(rec.bytes.begin() + 12, id.size(), id.begin());
+  }
+  return OsiSystemId(id);
+}
+
+/// One differ lane. Chunk k's deltas go to buffers[k % 2]: the caller
+/// folds chunk k - 1 from the other buffer while the lanes diff chunk k.
+struct Lane {
+  LspDiffer differ;
+  ExtractionStats stats;
+  std::array<DeltaBuffer, 2> buffers;
+  std::size_t records = 0;  // records of the current chunk on this lane
+};
+
+/// Sentinel lane of a source with no differ state yet.
+constexpr std::uint8_t kNoLane = 0xff;
+
+/// Decides which lane diffs each record, one chunk at a time. Two slots
+/// alternate like the lanes' buffers: the caller indexes chunk k + 1 into
+/// one while the lanes read chunk k's from the other.
+class ChunkPlanner {
+ public:
+  /// Give each record of [begin, end) a dense source index, into `slot`.
+  /// Touches nothing the lanes read, so it may run while they diff.
+  void index(const std::vector<LspRecord>& records, std::size_t begin,
+             std::size_t end, std::size_t slot) {
+    std::vector<std::uint32_t>& of_record = of_record_[slot];
+    of_record.resize(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto [it, fresh] =
+          dense_.try_emplace(record_source(records[i]), u32(ids_.size()));
+      if (fresh) ids_.push_back(it->first);
+      of_record[i - begin] = it->second;
+    }
+  }
+
+  /// Balance the chunk indexed in `slot` over the lanes: its sources go
+  /// largest first to the least-loaded lane, ties broken on the system id,
+  /// so the plan is a pure function of the capture. A source's differ
+  /// state moves with it (it is created on first sighting). Runs on the
+  /// caller while no lane is diffing.
+  void plan(std::size_t slot, std::array<Lane, kExtractLanes>& lanes) {
+    lane_of_.resize(ids_.size(), kNoLane);
+    count_.resize(ids_.size(), 0);
+    active_.clear();
+    for (const std::uint32_t s : of_record_[slot]) {
+      if (count_[s]++ == 0) active_.push_back(s);
+    }
+    std::sort(active_.begin(), active_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (count_[a] != count_[b]) return count_[a] > count_[b];
+                return ids_[a] < ids_[b];
+              });
+    for (Lane& lane : lanes) lane.records = 0;
+    for (const std::uint32_t s : active_) {
+      const auto lightest =
+          std::min_element(lanes.begin(), lanes.end(),
+                           [](const Lane& a, const Lane& b) {
+                             return a.records < b.records;
+                           });
+      const auto to = static_cast<std::uint8_t>(lightest - lanes.begin());
+      if (lane_of_[s] != to) {
+        lightest->differ.adopt(
+            ids_[s],
+            lane_of_[s] == kNoLane ? nullptr : &lanes[lane_of_[s]].differ);
+        lane_of_[s] = to;
+      }
+      lightest->records += count_[s];
+      count_[s] = 0;
+    }
+  }
+
+  /// Lane of the chunk's `offset`-th record, for the chunk in `slot`.
+  std::size_t lane(std::size_t slot, std::size_t offset) const {
+    return lane_of_[of_record_[slot][offset]];
+  }
+
+ private:
+  std::unordered_map<OsiSystemId, std::uint32_t> dense_;
+  std::vector<OsiSystemId> ids_;                      // per source
+  std::array<std::vector<std::uint32_t>, 2> of_record_;  // per chunk record
+  std::vector<std::uint8_t> lane_of_;  // per source
+  std::vector<std::uint32_t> count_;   // per source, this chunk (scratch)
+  std::vector<std::uint32_t> active_;  // sources with records in the chunk
+};
+
+void diff_chunk(Lane& lane, std::size_t id, const ChunkPlanner& planner,
+                std::size_t slot, const std::vector<LspRecord>& records,
+                std::size_t begin, std::size_t end, DeltaBuffer& out) {
+  const ExtractionStats before = lane.stats;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (planner.lane(slot, i - begin) == id) {
+      lane.differ.diff(records[i], i, out, lane.stats);
+    }
+  }
+  publish(before, lane.stats, 0);
+}
+
+/// Folds one chunk's deltas from every lane in record order (each lane's
+/// deltas are already in record order, so this is a k-way merge).
+void fold_chunk(PairFold& fold, const std::array<Lane, kExtractLanes>& lanes,
+                std::size_t buffer, const std::vector<LspRecord>& records,
+                ExtractionStats& stats, IsisExtraction& out) {
+  const std::size_t emitted_before = out.is_reach.size() + out.ip_reach.size();
+  std::array<std::size_t, kExtractLanes> next{};
+  for (;;) {
+    const LspDelta* d = nullptr;
+    std::size_t from = 0;
+    for (std::size_t l = 0; l < kExtractLanes; ++l) {
+      const std::vector<LspDelta>& deltas = lanes[l].buffers[buffer].deltas;
+      if (next[l] < deltas.size() &&
+          (d == nullptr || deltas[next[l]].record < d->record)) {
+        d = &deltas[next[l]];
+        from = l;
+      }
+    }
+    if (d == nullptr) break;
+    fold.apply(lanes[from].buffers[buffer], *d, records[d->record].received_at,
+               stats, out.is_reach, out.ip_reach);
+    ++next[from];
+  }
+  add_nonzero(isis_metrics().transitions,
+              out.is_reach.size() + out.ip_reach.size() - emitted_before);
+}
+
+}  // namespace
 
 IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
                                    const LinkCensus& census) {
   IsisExtraction out;
-  StreamingExtractor extractor(&census);
-  std::vector<IsisTransition> emitted;
-  for (const LspRecord& rec : records) {
-    emitted.clear();
-    extractor.feed(rec, emitted);
-    for (IsisTransition& tr : emitted) {
-      if (tr.field == ReachabilityField::kIsReach) {
-        out.is_reach.push_back(std::move(tr));
-      } else {
-        out.ip_reach.push_back(std::move(tr));
+  ChunkPlanner planner;
+  std::array<Lane, kExtractLanes> lanes;
+  for (Lane& lane : lanes) lane.differ = LspDiffer(&census);
+  PairFold fold(&census);
+  ExtractionStats fold_stats;
+
+  const std::size_t chunks = (records.size() + kExtractChunk - 1) / kExtractChunk;
+  auto chunk_end = [&](std::size_t k) {
+    return std::min(records.size(), (k + 1) * kExtractChunk);
+  };
+  if (chunks > 0) planner.index(records, 0, chunk_end(0), 0);
+  for (std::size_t k = 0; k <= chunks; ++k) {
+    std::array<std::future<void>, kExtractLanes> diffs;
+    if (k < chunks) {
+      const std::size_t begin = k * kExtractChunk;
+      const std::size_t end = chunk_end(k);
+      planner.plan(k % 2, lanes);
+      for (std::size_t l = 0; l < kExtractLanes; ++l) {
+        Lane& lane = lanes[l];
+        DeltaBuffer& buf = lane.buffers[k % 2];
+        buf.clear();
+        if (lane.records == 0) continue;
+        // Sized here, on the caller: nearly every record yields a delta
+        // with a change or two, and a buffer grown on a lane thread would
+        // stay in that thread's malloc arena after the extraction.
+        buf.deltas.reserve(lane.records);
+        buf.neighbors.reserve(lane.records);
+        buf.prefixes.reserve(lane.records);
+        diffs[l] = std::async(std::launch::async, [&, l, begin, end, k] {
+          diff_chunk(lanes[l], l, planner, k % 2, records, begin, end,
+                     lanes[l].buffers[k % 2]);
+        });
       }
     }
+    // While the lanes diff chunk k: fold chunk k - 1, index chunk k + 1.
+    if (k > 0) fold_chunk(fold, lanes, (k - 1) % 2, records, fold_stats, out);
+    if (k + 1 < chunks) {
+      planner.index(records, (k + 1) * kExtractChunk, chunk_end(k + 1),
+                    (k + 1) % 2);
+    }
+    for (std::future<void>& f : diffs) {
+      if (f.valid()) f.get();
+    }
   }
-  out.stats = extractor.stats();
+  for (const Lane& lane : lanes) out.stats += lane.stats;
+  out.stats += fold_stats;
   return out;
 }
 

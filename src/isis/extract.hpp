@@ -8,9 +8,27 @@
 // count changes — mirroring how the withdrawal by either end takes the
 // adjacency out of service. Multi-link adjacencies cannot be resolved to a
 // member link and are flagged instead (the paper omits them, sect. 3.4).
+//
+// Extraction is two steps with disjoint state:
+//   1. `LspDiffer` — per source. Decodes and checksums the LSP, drops stale
+//      sequence numbers, names the source and diffs the sorted adjacency
+//      and /31 sets against that source's previous LSP, resolving each
+//      changed neighbor's host pair through the census. Its output is a
+//      small `LspDelta`: neighbor count changes, then withdrawn and added
+//      prefixes. It reads only its own sources' state.
+//   2. `PairFold` — in record order. Applies deltas to the bidirectional
+//      pair counts and the per-prefix advertiser counts and emits
+//      `IsisTransition`s.
+// `StreamingExtractor` runs the two back to back per record: the one-lane
+// schedule. Batch `extract_transitions` spreads each chunk's sources over
+// `kExtractLanes` lanes, diffs the lanes concurrently and folds their
+// deltas in record order. Each source's records are diffed in file order
+// and the fold sees record order on either schedule, so both produce the
+// same transitions and stats.
 #pragma once
 
-#include <string>
+#include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -66,6 +84,8 @@ struct ExtractionStats {
   std::size_t unknown_host_pairs = 0;    // adjacency to a host not in census
   std::size_t unknown_prefixes = 0;      // /31 not in census
   std::size_t multilink_transitions = 0; // IS-reach changes on multi-link pairs
+
+  ExtractionStats& operator+=(const ExtractionStats& o);
 };
 
 struct IsisExtraction {
@@ -74,30 +94,85 @@ struct IsisExtraction {
   ExtractionStats stats;
 };
 
+/// Concurrent differ lanes of a batch extraction; records are diffed and
+/// folded in chunks of `kExtractChunk`, so lane buffers stay O(chunk).
+inline constexpr std::size_t kExtractLanes = 4;
+inline constexpr std::size_t kExtractChunk = std::size_t{1} << 15;
+
 /// Process a listener's record stream. Records must be time-ordered (the
 /// listener guarantees this).
 IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
                                    const LinkCensus& census);
 
-/// Incremental form of `extract_transitions`: feed LSP records one at a
-/// time and receive the transitions each record implies. Batch extraction
-/// is a thin loop over this class, so both paths share one diff algorithm.
-///
-/// The extractor is a plain value (the census is referenced, not owned), so
-/// the streaming engine can copy it into a checkpoint and resume later.
-class StreamingExtractor {
+/// A host pair in `sym::ordered` form with its census links (empty for a
+/// pair the census does not know; more than one for a multi-link pair).
+struct HostPair {
+  Symbol first;
+  Symbol second;
+  const std::vector<LinkId>* links = nullptr;
+};
+
+/// One neighbor whose adjacency count changed in a source's new LSP.
+struct NeighborChange {
+  OsiSystemId neighbor;
+  /// Census hostname of the neighbor; invalid when the census does not know
+  /// the system id (the fold then interns its rendering).
+  Symbol host;
+  int count = 0;  // adjacencies to `neighbor` in the new LSP
+  /// (source host, `host`), resolved by the differ when `host` is valid, so
+  /// the string compares and census lookups run on the differ's lane.
+  HostPair pair;
+};
+
+/// What one record changed, as the fold needs it. The ranges index the
+/// owning `DeltaBuffer`'s `neighbors` and `prefixes`.
+struct LspDelta {
+  std::size_t record = 0;    // caller-supplied index of the record
+  Symbol host;               // the source's hostname
+  bool baseline = false;     // first LSP from the source: sets baselines only
+  bool note_host = false;    // `host` joins the set of reported hosts
+  std::uint32_t neighbors_begin = 0;
+  std::uint32_t neighbors_end = 0;
+  std::uint32_t withdrawn_begin = 0;  // prefixes [withdrawn_begin, added_begin)
+  std::uint32_t added_begin = 0;      // prefixes [added_begin, added_end)
+  std::uint32_t added_end = 0;
+};
+
+/// Deltas of a run of records, in the order they were diffed. Cleared and
+/// refilled in place, so a reused buffer stops allocating once warm.
+struct DeltaBuffer {
+  std::vector<LspDelta> deltas;
+  std::vector<NeighborChange> neighbors;
+  std::vector<Ipv4Prefix> prefixes;
+
+  void clear() {
+    deltas.clear();
+    neighbors.clear();
+    prefixes.clear();
+  }
+};
+
+/// Step 1: per-source decode and diff. A differ's state is the sources it
+/// has seen, so differs owning disjoint sources can run concurrently (they
+/// share only the census, read-only, and the thread-safe symbol table).
+class LspDiffer {
  public:
-  StreamingExtractor() = default;
-  explicit StreamingExtractor(const LinkCensus* census) : census_(census) {}
+  LspDiffer() = default;
+  explicit LspDiffer(const LinkCensus* census) : census_(census) {}
 
-  /// Decode and diff one record; transitions (IS-reach and IP-reach, in
-  /// emission order) are appended to `out`. Records must arrive in listener
-  /// time order.
-  void feed(const LspRecord& rec, std::vector<IsisTransition>& out);
+  /// Decode `rec` and diff it against its source's previous LSP. Appends
+  /// one delta tagged `index` to `out` when the fold has work to do (the
+  /// steady-state refresh has none); counts into `stats`.
+  void diff(const LspRecord& rec, std::size_t index, DeltaBuffer& out,
+            ExtractionStats& stats);
 
-  const ExtractionStats& stats() const { return stats_; }
-  /// Number of LSP sources (routers) currently tracked — the extractor's
-  /// state is O(sources + adjacencies), independent of records fed.
+  /// Take over source `id`'s state from `from`, or start it empty when
+  /// `from` is null. A batch extraction moves sources between lanes this
+  /// way between chunks.
+  void adopt(const OsiSystemId& id, LspDiffer* from);
+
+  /// Number of LSP sources (routers) tracked — O(sources), independent of
+  /// records fed.
   std::size_t tracked_sources() const { return sources_.size(); }
 
  private:
@@ -115,6 +190,31 @@ class StreamingExtractor {
     bool initialized = false;                    // first LSP sets the baseline
   };
 
+  const LinkCensus* census_ = nullptr;
+  // Lookup-only (never iterated), so unordered is safe.
+  std::unordered_map<OsiSystemId, SourceState> sources_;
+  // Per-record scratch (reused so steady-state diffs allocate nothing).
+  Lsp scratch_lsp_;
+  std::vector<std::pair<OsiSystemId, int>> scratch_counts_;
+  std::vector<Ipv4Prefix> scratch_prefixes_;
+};
+
+/// Step 2: applies deltas in record order to the state that spans sources.
+class PairFold {
+ public:
+  PairFold() = default;
+  explicit PairFold(const LinkCensus* census) : census_(census) {}
+
+  /// Apply delta `d` of `buf`, received at `t`. IS-reach transitions go to
+  /// `is_out`, then IP-reach ones to `ip_out` (the same vector gives one
+  /// stream in emission order); counts into `stats`.
+  void apply(const DeltaBuffer& buf, const LspDelta& d, TimePoint t,
+             ExtractionStats& stats, std::vector<IsisTransition>& is_out,
+             std::vector<IsisTransition>& ip_out);
+
+ private:
+  friend class netfail::svc::EngineCodec;
+
   /// Bidirectional adjacency bookkeeping for one unordered host pair.
   struct PairState {
     int count_ab = 0;  // adjacencies advertised by the lexically-first host
@@ -125,24 +225,53 @@ class StreamingExtractor {
     int last_min = 0;
   };
 
-  void emit_is_transition(TimePoint t, LinkDirection dir, Symbol host_a,
-                          Symbol host_b, int count_after,
+  void emit_is_transition(TimePoint t, LinkDirection dir, const HostPair& pair,
+                          int count_after, ExtractionStats& stats,
                           std::vector<IsisTransition>& out);
-  void update_pair(TimePoint t, Symbol from, Symbol to, int new_count,
-                   bool from_is_baseline, std::vector<IsisTransition>& out);
+  void emit_ip_transition(TimePoint t, Ipv4Prefix prefix, LinkDirection dir,
+                          ExtractionStats& stats,
+                          std::vector<IsisTransition>& out);
+  void update_pair(TimePoint t, Symbol from, Symbol to, const HostPair& pair,
+                   int new_count, bool from_is_baseline,
+                   ExtractionStats& stats, std::vector<IsisTransition>& out);
 
   const LinkCensus* census_ = nullptr;
-  ExtractionStats stats_;
   // Lookup-only tables (never iterated), so unordered + symbol keys is safe:
-  // emission order is fully determined by the sorted per-source diffs.
-  std::unordered_map<OsiSystemId, SourceState> sources_;
+  // emission order is fully determined by the deltas' order.
   std::unordered_map<std::uint64_t, PairState> pairs_;  // sym::pair_key
   std::unordered_set<Symbol> initialized_hosts_;
   std::unordered_map<Ipv4Prefix, int> prefix_advertisers_;
-  // Per-feed scratch (reused so steady-state feeds allocate nothing).
-  Lsp scratch_lsp_;
-  std::vector<std::pair<OsiSystemId, int>> scratch_counts_;
-  std::vector<Ipv4Prefix> scratch_prefixes_;
+};
+
+/// Incremental form of `extract_transitions`: feed LSP records one at a
+/// time and receive the transitions each record implies — the differ and
+/// the fold back to back, so both paths share one algorithm.
+///
+/// The extractor is a plain value (the census is referenced, not owned), so
+/// the streaming engine can copy it into a checkpoint and resume later.
+class StreamingExtractor {
+ public:
+  StreamingExtractor() = default;
+  explicit StreamingExtractor(const LinkCensus* census)
+      : differ_(census), fold_(census) {}
+
+  /// Decode and diff one record; transitions (IS-reach and IP-reach, in
+  /// emission order) are appended to `out`. Records must arrive in listener
+  /// time order.
+  void feed(const LspRecord& rec, std::vector<IsisTransition>& out);
+
+  const ExtractionStats& stats() const { return stats_; }
+  /// Number of LSP sources (routers) currently tracked — the extractor's
+  /// state is O(sources + adjacencies), independent of records fed.
+  std::size_t tracked_sources() const { return differ_.tracked_sources(); }
+
+ private:
+  friend class netfail::svc::EngineCodec;
+
+  LspDiffer differ_;
+  PairFold fold_;
+  ExtractionStats stats_;
+  DeltaBuffer delta_;  // the current record's delta (reused)
 };
 
 }  // namespace netfail::isis

@@ -228,10 +228,10 @@ void EngineCodec::encode_extractor(const isis::StreamingExtractor& x,
   // Unordered containers are written in sorted order so the section bytes
   // are a pure function of state (intern order and hash seeds are not).
   std::vector<const std::pair<const OsiSystemId,
-                              isis::StreamingExtractor::SourceState>*>
+                              isis::LspDiffer::SourceState>*>
       sources;
-  sources.reserve(x.sources_.size());
-  for (const auto& kv : x.sources_) sources.push_back(&kv);
+  sources.reserve(x.differ_.sources_.size());
+  for (const auto& kv : x.differ_.sources_) sources.push_back(&kv);
   std::sort(sources.begin(), sources.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
   w.u32(static_cast<std::uint32_t>(sources.size()));
@@ -256,11 +256,10 @@ void EngineCodec::encode_extractor(const isis::StreamingExtractor& x,
   // Pair keys pack process-local symbol ids; store the symbols themselves
   // (lexicographically-first host first, matching sym::pair_key) and let
   // restore recompute the key from re-interned symbols.
-  std::vector<std::tuple<Symbol, Symbol,
-                         const isis::StreamingExtractor::PairState*>>
+  std::vector<std::tuple<Symbol, Symbol, const isis::PairFold::PairState*>>
       pairs;
-  pairs.reserve(x.pairs_.size());
-  for (const auto& [key, st] : x.pairs_) {
+  pairs.reserve(x.fold_.pairs_.size());
+  for (const auto& [key, st] : x.fold_.pairs_) {
     pairs.emplace_back(Symbol::from_id(static_cast<std::uint32_t>(key >> 32)),
                        Symbol::from_id(static_cast<std::uint32_t>(key)), &st);
   }
@@ -280,14 +279,14 @@ void EngineCodec::encode_extractor(const isis::StreamingExtractor& x,
     w.i64(st->last_min);
   }
 
-  std::vector<Symbol> hosts(x.initialized_hosts_.begin(),
-                            x.initialized_hosts_.end());
+  std::vector<Symbol> hosts(x.fold_.initialized_hosts_.begin(),
+                            x.fold_.initialized_hosts_.end());
   std::sort(hosts.begin(), hosts.end(), sym::lex_less);
   w.u32(static_cast<std::uint32_t>(hosts.size()));
   for (const Symbol h : hosts) w.u32(syms.local_id(h));
 
   std::vector<std::pair<Ipv4Prefix, int>> advertisers(
-      x.prefix_advertisers_.begin(), x.prefix_advertisers_.end());
+      x.fold_.prefix_advertisers_.begin(), x.fold_.prefix_advertisers_.end());
   std::sort(advertisers.begin(), advertisers.end());
   w.u32(static_cast<std::uint32_t>(advertisers.size()));
   for (const auto& [prefix, count] : advertisers) {
@@ -310,12 +309,12 @@ Status EngineCodec::decode_extractor(ByteReader& r,
   x.stats_.unknown_prefixes = static_cast<std::size_t>(r.u64());
   x.stats_.multilink_transitions = static_cast<std::size_t>(r.u64());
 
-  x.sources_.clear();
+  x.differ_.sources_.clear();
   const std::uint32_t source_count = r.u32();
   for (std::uint32_t i = 0; i < source_count && r.ok(); ++i) {
     std::array<std::uint8_t, 6> id{};
     r.raw(id.data(), id.size());
-    auto& src = x.sources_[OsiSystemId(id)];
+    auto& src = x.differ_.sources_[OsiSystemId(id)];
     src.sequence = r.u32();
     src.hostname = get_sym(r, syms, &bad_sym);
     const std::uint32_t adjacencies = r.u32();
@@ -335,30 +334,30 @@ Status EngineCodec::decode_extractor(ByteReader& r,
     src.initialized = r.u8() != 0;
   }
 
-  x.pairs_.clear();
+  x.fold_.pairs_.clear();
   const std::uint32_t pair_count = r.u32();
   for (std::uint32_t i = 0; i < pair_count && r.ok(); ++i) {
     const Symbol lo = get_sym(r, syms, &bad_sym);
     const Symbol hi = get_sym(r, syms, &bad_sym);
-    auto& st = x.pairs_[sym::pair_key(lo, hi)];
+    auto& st = x.fold_.pairs_[sym::pair_key(lo, hi)];
     st.count_ab = static_cast<int>(r.i64());
     st.count_ba = static_cast<int>(r.i64());
     st.active = r.u8() != 0;
     st.last_min = static_cast<int>(r.i64());
   }
 
-  x.initialized_hosts_.clear();
+  x.fold_.initialized_hosts_.clear();
   const std::uint32_t host_count = r.u32();
   for (std::uint32_t i = 0; i < host_count && r.ok(); ++i) {
-    x.initialized_hosts_.insert(get_sym(r, syms, &bad_sym));
+    x.fold_.initialized_hosts_.insert(get_sym(r, syms, &bad_sym));
   }
 
-  x.prefix_advertisers_.clear();
+  x.fold_.prefix_advertisers_.clear();
   const std::uint32_t advertiser_count = r.u32();
   for (std::uint32_t i = 0; i < advertiser_count && r.ok(); ++i) {
     const Ipv4Address network(r.u32());
     const int length = static_cast<int>(r.u8());
-    x.prefix_advertisers_[Ipv4Prefix(network, length)] =
+    x.fold_.prefix_advertisers_[Ipv4Prefix(network, length)] =
         static_cast<int>(r.i64());
   }
 
