@@ -175,9 +175,20 @@ ALLOC_TU_ROSTER = {
         ("netfail::isis::(anonymous namespace)::ChunkPlanner::index",
          "first sighting of a source joins the batch's source index; the "
          "two per-chunk record slots are reused"),
+        ("netfail::isis::LaneExtractor::LaneExtractor",
+         "per-capture setup: the lane differs, planner and fold"),
+        ("netfail::isis::LaneExtractor::State::launch",
+         "per-chunk lane tasks; the delta buffers are reserved here, on the "
+         "caller, and reused"),
         ("netfail::isis::extract_transitions",
-         "per-capture setup: lane differs, per-chunk delta buffers "
-         "(reserved on the caller) and the lane tasks"),
+         "drains the chunks into the capture-wide output vectors"),
+    ),
+    # The stream lookahead: the producer thread and chunk buffers are set
+    # up once; per-event feeding hands out borrowed slices and must not
+    # allocate.
+    "src/stream/lookahead.cpp": (
+        ("netfail::stream::IsisLookahead::IsisLookahead",
+         "per-capture setup: the lane extractor and the producer thread"),
     ),
     "src/detect/detector.cpp": (
         ("netfail::detect::LinkDetector::observe_syslog",

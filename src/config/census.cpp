@@ -81,7 +81,12 @@ const std::vector<LinkId> kNoLinks;
 const std::vector<LinkId>& LinkCensus::find_between_hosts(Symbol host1,
                                                           Symbol host2) const {
   if (!host1.valid() || !host2.valid()) return kNoLinks;
-  auto it = by_host_pair_.find(sym::pair_key(host1, host2));
+  return find_between_ordered(sym::pair_key(host1, host2));
+}
+
+const std::vector<LinkId>& LinkCensus::find_between_ordered(
+    std::uint64_t key) const {
+  auto it = by_host_pair_.find(key);
   if (it == by_host_pair_.end()) return kNoLinks;
   return it->second;
 }

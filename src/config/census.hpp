@@ -6,6 +6,7 @@
 // "(host1:port1, host2:port2)" convention of the paper (sect. 3.4).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -64,6 +65,10 @@ class LinkCensus {
   /// valid until the next add_link.
   const std::vector<LinkId>& find_between_hosts(Symbol host1,
                                                 Symbol host2) const;
+  /// `find_between_hosts` for a pair of valid hosts already in
+  /// `sym::ordered` form, keyed by `sym::ordered_pair_key`: skips the
+  /// string compare that orders the pair.
+  const std::vector<LinkId>& find_between_ordered(std::uint64_t key) const;
   /// Hostname symbol for a system id; the invalid symbol when unknown.
   Symbol hostname_of(const OsiSystemId& system_id) const;
 

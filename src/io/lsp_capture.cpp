@@ -109,6 +109,11 @@ Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
                         "frame " + std::to_string(st.frames) +
                             ": arrival time outside the accepted range");
     }
+    if (!out.empty() && at < out.back().received_at) {
+      return make_error(ErrorCode::kParseError,
+                        "frame " + std::to_string(st.frames) +
+                            ": arrival time precedes the previous frame's");
+    }
     std::uint32_t len = 0;
     if (!get_u32(in, len)) {
       st.truncated_tail = true;

@@ -36,8 +36,9 @@ struct LspCaptureStats {
 /// Read a capture; returns records in file order. A truncated final frame
 /// is dropped (and flagged), matching how one recovers a capture cut short
 /// by a listener crash. A frame whose arrival time lies outside
-/// kInputTimeRange, or whose length exceeds kMaxLspFrameBytes, fails the
-/// whole read. The header's record count is a hint: the reader reserves no
+/// kInputTimeRange, precedes the previous frame's (a listener records in
+/// arrival order), or whose length exceeds kMaxLspFrameBytes, fails the
+/// whole read, so every capture read is arrival-ordered. The header's record count is a hint: the reader reserves no
 /// more records than the rest of the stream can hold.
 Result<std::vector<isis::LspRecord>> read_lsp_capture(
     std::istream& in, LspCaptureStats* stats = nullptr);

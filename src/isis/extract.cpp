@@ -49,7 +49,9 @@ std::uint32_t u32(std::size_t n) { return static_cast<std::uint32_t>(n); }
 /// ids), so emitted (host_a, host_b) ordering matches the string era.
 HostPair resolve_pair(const LinkCensus& census, Symbol a, Symbol b) {
   const auto [first, second] = sym::ordered(a, b);
-  return HostPair{first, second, &census.find_between_hosts(first, second)};
+  return HostPair{first, second,
+                  &census.find_between_ordered(
+                      sym::ordered_pair_key(first, second))};
 }
 
 NeighborChange make_change(const LinkCensus& census, Symbol source_host,
@@ -370,12 +372,13 @@ OsiSystemId record_source(const LspRecord& rec) {
   return OsiSystemId(id);
 }
 
-/// One differ lane. Chunk k's deltas go to buffers[k % 2]: the caller
-/// folds chunk k - 1 from the other buffer while the lanes diff chunk k.
+/// One differ lane. Chunk k's deltas and counts go to buffers[k % 2] and
+/// stats[k % 2]: the caller folds chunk k - 1 from the other slot while
+/// the lanes diff chunk k.
 struct Lane {
   LspDiffer differ;
-  ExtractionStats stats;
   std::array<DeltaBuffer, 2> buffers;
+  std::array<ExtractionStats, 2> stats;
   std::size_t records = 0;  // records of the current chunk on this lane
 };
 
@@ -453,28 +456,43 @@ class ChunkPlanner {
 
 void diff_chunk(Lane& lane, std::size_t id, const ChunkPlanner& planner,
                 std::size_t slot, const std::vector<LspRecord>& records,
-                std::size_t begin, std::size_t end, DeltaBuffer& out) {
-  const ExtractionStats before = lane.stats;
+                std::size_t begin, std::size_t end) {
+  DeltaBuffer& out = lane.buffers[slot];
+  ExtractionStats& stats = lane.stats[slot];
   for (std::size_t i = begin; i < end; ++i) {
     if (planner.lane(slot, i - begin) == id) {
-      lane.differ.diff(records[i], i, out, lane.stats);
+      lane.differ.diff(records[i], i, out, stats);
     }
   }
-  publish(before, lane.stats, 0);
+  publish(ExtractionStats{}, stats, 0);
 }
 
 /// Folds one chunk's deltas from every lane in record order (each lane's
-/// deltas are already in record order, so this is a k-way merge).
+/// deltas are already in record order, so this is a k-way merge) into
+/// `out`, recording where each record's transitions start.
 void fold_chunk(PairFold& fold, const std::array<Lane, kExtractLanes>& lanes,
-                std::size_t buffer, const std::vector<LspRecord>& records,
-                ExtractionStats& stats, IsisExtraction& out) {
-  const std::size_t emitted_before = out.is_reach.size() + out.ip_reach.size();
+                std::size_t slot, const std::vector<LspRecord>& records,
+                ExtractedChunk& out) {
+  const std::size_t n = out.end - out.begin;
+  out.is_reach.clear();
+  out.ip_reach.clear();
+  out.is_offsets.resize(n + 1);
+  out.ip_offsets.resize(n + 1);
+  out.stats = ExtractionStats{};
+  for (const Lane& lane : lanes) out.stats += lane.stats[slot];
+  std::size_t marked = 0;  // records whose start offsets are set
+  auto mark_until = [&](std::size_t offset) {
+    for (; marked <= offset; ++marked) {
+      out.is_offsets[marked] = u32(out.is_reach.size());
+      out.ip_offsets[marked] = u32(out.ip_reach.size());
+    }
+  };
   std::array<std::size_t, kExtractLanes> next{};
   for (;;) {
     const LspDelta* d = nullptr;
     std::size_t from = 0;
     for (std::size_t l = 0; l < kExtractLanes; ++l) {
-      const std::vector<LspDelta>& deltas = lanes[l].buffers[buffer].deltas;
+      const std::vector<LspDelta>& deltas = lanes[l].buffers[slot].deltas;
       if (next[l] < deltas.size() &&
           (d == nullptr || deltas[next[l]].record < d->record)) {
         d = &deltas[next[l]];
@@ -482,65 +500,111 @@ void fold_chunk(PairFold& fold, const std::array<Lane, kExtractLanes>& lanes,
       }
     }
     if (d == nullptr) break;
-    fold.apply(lanes[from].buffers[buffer], *d, records[d->record].received_at,
-               stats, out.is_reach, out.ip_reach);
+    mark_until(d->record - out.begin);
+    fold.apply(lanes[from].buffers[slot], *d, records[d->record].received_at,
+               out.stats, out.is_reach, out.ip_reach);
     ++next[from];
   }
+  mark_until(n);
   add_nonzero(isis_metrics().transitions,
-              out.is_reach.size() + out.ip_reach.size() - emitted_before);
+              out.is_reach.size() + out.ip_reach.size());
 }
 
 }  // namespace
 
-IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
-                                   const LinkCensus& census) {
-  IsisExtraction out;
-  ChunkPlanner planner;
-  std::array<Lane, kExtractLanes> lanes;
-  for (Lane& lane : lanes) lane.differ = LspDiffer(&census);
-  PairFold fold(&census);
-  ExtractionStats fold_stats;
+struct LaneExtractor::State {
+  State(const std::vector<LspRecord>& records_in, const LinkCensus& census)
+      : records(records_in),
+        fold(&census),
+        chunks((records_in.size() + kExtractChunk - 1) / kExtractChunk) {
+    for (Lane& lane : lanes) lane.differ = LspDiffer(&census);
+  }
 
-  const std::size_t chunks = (records.size() + kExtractChunk - 1) / kExtractChunk;
-  auto chunk_end = [&](std::size_t k) {
+  std::size_t chunk_begin(std::size_t k) const { return k * kExtractChunk; }
+  std::size_t chunk_end(std::size_t k) const {
     return std::min(records.size(), (k + 1) * kExtractChunk);
-  };
-  if (chunks > 0) planner.index(records, 0, chunk_end(0), 0);
-  for (std::size_t k = 0; k <= chunks; ++k) {
-    std::array<std::future<void>, kExtractLanes> diffs;
-    if (k < chunks) {
-      const std::size_t begin = k * kExtractChunk;
-      const std::size_t end = chunk_end(k);
-      planner.plan(k % 2, lanes);
-      for (std::size_t l = 0; l < kExtractLanes; ++l) {
-        Lane& lane = lanes[l];
-        DeltaBuffer& buf = lane.buffers[k % 2];
-        buf.clear();
-        if (lane.records == 0) continue;
-        // Sized here, on the caller: nearly every record yields a delta
-        // with a change or two, and a buffer grown on a lane thread would
-        // stay in that thread's malloc arena after the extraction.
-        buf.deltas.reserve(lane.records);
-        buf.neighbors.reserve(lane.records);
-        buf.prefixes.reserve(lane.records);
-        diffs[l] = std::async(std::launch::async, [&, l, begin, end, k] {
-          diff_chunk(lanes[l], l, planner, k % 2, records, begin, end,
-                     lanes[l].buffers[k % 2]);
-        });
-      }
+  }
+
+  void index(std::size_t k) {
+    planner.index(records, chunk_begin(k), chunk_end(k), k % 2);
+  }
+
+  /// Plan chunk k (indexed already) and start the lanes diffing it. Runs
+  /// while no lane is diffing.
+  void launch(std::size_t k) {
+    const std::size_t slot = k % 2;
+    planner.plan(slot, lanes);
+    for (std::size_t l = 0; l < kExtractLanes; ++l) {
+      Lane& lane = lanes[l];
+      DeltaBuffer& buf = lane.buffers[slot];
+      buf.clear();
+      lane.stats[slot] = ExtractionStats{};
+      if (lane.records == 0) continue;
+      // Sized here, on the caller: nearly every record yields a delta
+      // with a change or two, and a buffer grown on a lane thread would
+      // stay in that thread's malloc arena after the extraction.
+      buf.deltas.reserve(lane.records);
+      buf.neighbors.reserve(lane.records);
+      buf.prefixes.reserve(lane.records);
+      diffs[l] = std::async(std::launch::async, [this, l, slot, k] {
+        diff_chunk(lanes[l], l, planner, slot, records, chunk_begin(k),
+                   chunk_end(k));
+      });
     }
-    // While the lanes diff chunk k: fold chunk k - 1, index chunk k + 1.
-    if (k > 0) fold_chunk(fold, lanes, (k - 1) % 2, records, fold_stats, out);
-    if (k + 1 < chunks) {
-      planner.index(records, (k + 1) * kExtractChunk, chunk_end(k + 1),
-                    (k + 1) % 2);
-    }
+  }
+
+  void wait() {
     for (std::future<void>& f : diffs) {
       if (f.valid()) f.get();
     }
   }
-  for (const Lane& lane : lanes) out.stats += lane.stats;
-  out.stats += fold_stats;
+
+  const std::vector<LspRecord>& records;
+  ChunkPlanner planner;
+  std::array<Lane, kExtractLanes> lanes;
+  PairFold fold;
+  const std::size_t chunks;
+  std::size_t next = 0;  // the next chunk `next_chunk` returns
+  std::array<std::future<void>, kExtractLanes> diffs;  // the chunk in flight
+};
+
+LaneExtractor::LaneExtractor(const std::vector<LspRecord>& records,
+                             const LinkCensus& census)
+    : state_(std::make_unique<State>(records, census)) {}
+
+LaneExtractor::~LaneExtractor() { state_->wait(); }
+
+bool LaneExtractor::next_chunk(ExtractedChunk& out) {
+  State& st = *state_;
+  if (st.next >= st.chunks) return false;
+  const std::size_t k = st.next++;
+  if (k == 0) {
+    st.index(0);
+    st.launch(0);
+  }
+  // While the lanes diff chunk k: index chunk k + 1.
+  if (k + 1 < st.chunks) st.index(k + 1);
+  st.wait();
+  // Chunk k + 1 diffs while chunk k folds and until the next call.
+  if (k + 1 < st.chunks) st.launch(k + 1);
+  out.begin = st.chunk_begin(k);
+  out.end = st.chunk_end(k);
+  fold_chunk(st.fold, st.lanes, k % 2, st.records, out);
+  return true;
+}
+
+IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
+                                   const LinkCensus& census) {
+  IsisExtraction out;
+  LaneExtractor lanes(records, census);
+  ExtractedChunk chunk;
+  while (lanes.next_chunk(chunk)) {
+    out.is_reach.insert(out.is_reach.end(), chunk.is_reach.begin(),
+                        chunk.is_reach.end());
+    out.ip_reach.insert(out.ip_reach.end(), chunk.ip_reach.begin(),
+                        chunk.ip_reach.end());
+    out.stats += chunk.stats;
+  }
   return out;
 }
 

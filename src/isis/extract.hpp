@@ -20,15 +20,18 @@
 //      pair counts and the per-prefix advertiser counts and emits
 //      `IsisTransition`s.
 // `StreamingExtractor` runs the two back to back per record: the one-lane
-// schedule. Batch `extract_transitions` spreads each chunk's sources over
+// schedule. `LaneExtractor` spreads each chunk's sources over
 // `kExtractLanes` lanes, diffs the lanes concurrently and folds their
-// deltas in record order. Each source's records are diffed in file order
-// and the fold sees record order on either schedule, so both produce the
-// same transitions and stats.
+// deltas in record order, handing out one folded chunk at a time;
+// `extract_transitions` drains it. Each source's records are diffed in file
+// order and the fold sees record order on either schedule, so both produce
+// the same transitions and stats.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -100,9 +103,56 @@ inline constexpr std::size_t kExtractLanes = 4;
 inline constexpr std::size_t kExtractChunk = std::size_t{1} << 15;
 
 /// Process a listener's record stream. Records must be time-ordered (the
-/// listener guarantees this).
+/// listener guarantees this). Drains a `LaneExtractor`.
 IsisExtraction extract_transitions(const std::vector<LspRecord>& records,
                                    const LinkCensus& census);
+
+/// The transitions of records [begin, end) of a batch extraction, folded in
+/// record order, and what extracting them counted. Refilled in place by
+/// `LaneExtractor::next_chunk`, so a reused chunk stops allocating once warm.
+struct ExtractedChunk {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::vector<IsisTransition> is_reach;
+  std::vector<IsisTransition> ip_reach;
+  /// Record `begin + i`'s transitions are is_reach[is_offsets[i],
+  /// is_offsets[i + 1]), and likewise in ip_reach: end - begin + 1 entries.
+  std::vector<std::uint32_t> is_offsets;
+  std::vector<std::uint32_t> ip_offsets;
+  ExtractionStats stats;
+
+  /// Record `record`'s transitions; `record` must lie in [begin, end).
+  std::span<const IsisTransition> is_reach_of(std::size_t record) const {
+    const std::size_t i = record - begin;
+    return {is_reach.data() + is_offsets[i], is_reach.data() + is_offsets[i + 1]};
+  }
+  std::span<const IsisTransition> ip_reach_of(std::size_t record) const {
+    const std::size_t i = record - begin;
+    return {ip_reach.data() + ip_offsets[i], ip_reach.data() + ip_offsets[i + 1]};
+  }
+};
+
+/// Batch extraction as a chunk iterator. Chunk k is `kExtractChunk` records
+/// whose sources are spread over the lanes; while the lanes diff chunk k,
+/// the caller folds chunk k - 1 (in `next_chunk`) and indexes chunk k + 1,
+/// and the lanes keep diffing between calls. Not thread-safe: one thread
+/// calls `next_chunk`.
+class LaneExtractor {
+ public:
+  /// `records` (time-ordered) and `census` must outlive the extractor.
+  LaneExtractor(const std::vector<LspRecord>& records, const LinkCensus& census);
+  ~LaneExtractor();  // waits for the lanes still diffing
+  LaneExtractor(const LaneExtractor&) = delete;
+  LaneExtractor& operator=(const LaneExtractor&) = delete;
+
+  /// Refill `out` with the next chunk, in record order; false (and `out`
+  /// untouched) once every chunk has been returned.
+  bool next_chunk(ExtractedChunk& out);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// A host pair in `sym::ordered` form with its census links (empty for a
 /// pair the census does not know; more than one for a multi-link pair).

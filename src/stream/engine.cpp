@@ -71,15 +71,20 @@ void StreamEngine::feed_syslog(const syslog::ReceivedLine& rec) {
 }
 
 void StreamEngine::feed_lsp(const isis::LspRecord& rec) {
+  scratch_.clear();
+  isis_extractor_.feed(rec, scratch_);
+  feed_isis(rec.received_at, scratch_);
+}
+
+void StreamEngine::feed_isis(TimePoint received_at,
+                             std::span<const isis::IsisTransition> transitions) {
   ++events_;
   ++lsp_events_;
   engine_metrics().events.inc();
   engine_metrics().lsp_events.inc();
-  if (rec.received_at > high_water_) high_water_ = rec.received_at;
+  if (received_at > high_water_) high_water_ = received_at;
 
-  scratch_.clear();
-  isis_extractor_.feed(rec, scratch_);
-  for (const isis::IsisTransition& tr : scratch_) {
+  for (const isis::IsisTransition& tr : transitions) {
     // Same filter as reconstruct_from_isis: link-resolved IS-reachability
     // transitions only (multi-link pairs excluded).
     if (tr.field != isis::ReachabilityField::kIsReach) continue;
@@ -89,7 +94,7 @@ void StreamEngine::feed_lsp(const isis::LspRecord& rec) {
     if (!owns_link(tr.link)) continue;
     if (detector_.enabled()) detector_.observe_isis(tr.link, tr.time, tr.dir);
     isis_tracker_.ingest(analysis::RawTransition{tr.link, tr.time, tr.dir},
-                         rec.received_at);
+                         received_at);
   }
 }
 

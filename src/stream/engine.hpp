@@ -10,6 +10,15 @@
 // reconstructions. All state
 // is O(links + reorder window); the full event trace is never buffered.
 //
+// LSPs enter by one of two doors that share the tracker path. `feed_lsp`
+// runs the engine's own `isis::StreamingExtractor` on the record and hands
+// the transitions to `feed_isis`; `serve` uses it, because its checkpoints
+// carry the differ and fold state, and a live socket delivers one record
+// at a time. `feed_isis` takes a record's transitions extracted elsewhere:
+// `netfail stream` extracts the whole capture on the batch lanes ahead of
+// the engine (see lookahead.hpp) and feeds each LSP event that way, so its
+// engine's own extractor stays empty.
+//
 // `Checkpoint` captures the engine mid-stream (extractor LSP baselines,
 // per-link FSM states, reorder buffers, counters) so analysis can be
 // paused and resumed — e.g. across capture-file rotations — without
@@ -19,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "src/config/census.hpp"
 #include "src/detect/detector.hpp"
@@ -92,7 +102,14 @@ class StreamEngine {
   /// Feed the next event in merged arrival order (see EventMux).
   void feed(const StreamEvent& ev);
   void feed_syslog(const syslog::ReceivedLine& rec);
+  /// Extract `rec` with the engine's own extractor, then `feed_isis`.
   void feed_lsp(const isis::LspRecord& rec);
+  /// One LSP event received at `received_at` whose transitions (the
+  /// record's, in emission order) were extracted outside the engine.
+  /// Counts the event, advances the high-water mark and runs the IS-reach
+  /// filter, detector and tracker; `isis_stats()` does not see the record.
+  void feed_isis(TimePoint received_at,
+                 std::span<const isis::IsisTransition> transitions);
 
   /// End of stream: drain both trackers. Idempotent.
   void finish();
@@ -115,6 +132,7 @@ class StreamEngine {
   const syslog::SyslogExtractionStats& syslog_stats() const {
     return syslog_stats_;
   }
+  /// What the engine's own extractor counted (records fed via `feed_lsp`).
   const isis::ExtractionStats& isis_stats() const {
     return isis_extractor_.stats();
   }

@@ -13,7 +13,9 @@
 //       Tail a capture bundle through the online engine: interleave the
 //       syslog and LSP streams in arrival order, maintain per-link failure
 //       state incrementally in bounded memory, print rolling per-link
-//       stats, and end with a metrics snapshot.
+//       stats, and end with a metrics snapshot. IS-IS extraction runs on
+//       the batch differ lanes a chunk ahead of the engine
+//       (stream::IsisLookahead).
 //
 //   netfail serve --dir DIR --syslog-port N --lsp-port N [--policy P] ...
 //       Run the live ingest gateway: a UDP syslog receiver and a TCP LSP
@@ -70,6 +72,7 @@
 #include "src/net/replay.hpp"
 #include "src/stream/engine.hpp"
 #include "src/stream/event_mux.hpp"
+#include "src/stream/lookahead.hpp"
 #include "src/stream/merge.hpp"
 #include "src/svc/export.hpp"
 #include "src/svc/http.hpp"
@@ -373,6 +376,7 @@ int cmd_stream(int argc, char** argv) {
   stream::EventMux mux =
       stream::EventMux::over_vectors(bundle.collector.lines(),
                                      bundle.lsp_records);
+  stream::IsisLookahead lookahead(bundle.lsp_records, bundle.census);
 
   metrics::Histogram& latency = metrics::global().histogram(
       "stream.event_latency_us", metrics::exponential_bounds(1, 4, 10));
@@ -384,7 +388,7 @@ int cmd_stream(int argc, char** argv) {
 
   while (std::optional<stream::StreamEvent> ev = mux.next()) {
     const Clock::time_point t0 = Clock::now();
-    engine.feed(*ev);
+    lookahead.feed(engine, *ev);
     const Clock::time_point t1 = Clock::now();
     latency.observe(
         static_cast<double>(

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <unistd.h>
 
 #include "src/analysis/scenario_cache.hpp"
@@ -18,6 +19,7 @@
 #include "src/io/bundle.hpp"
 #include "src/io/config_dir.hpp"
 #include "src/io/interval_file.hpp"
+#include "src/io/lsp_capture.hpp"
 #include "src/io/ticket_file.hpp"
 #include "src/topology/generator.hpp"
 
@@ -275,6 +277,27 @@ TEST_F(CaptureBundle, MalformedListenerGapsFailTheLoad) {
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.error().code, ErrorCode::kParseError);
   EXPECT_NE(b.error().message.find("listener_gaps.tsv"), std::string::npos);
+}
+
+TEST_F(CaptureBundle, OutOfOrderLspCaptureFailsTheLoad) {
+  // Every bundle-fed LSP vector is arrival-ordered: a capture whose frame
+  // goes back in time is refused, not half-read.
+  std::vector<isis::LspRecord> records = capture_->sim.listener.records();
+  std::size_t i = 0;
+  while (i + 1 < records.size() &&
+         !(records[i].received_at < records[i + 1].received_at)) {
+    ++i;
+  }
+  ASSERT_LT(i + 1, records.size());
+  std::swap(records[i], records[i + 1]);
+  ASSERT_TRUE(
+      write_lsp_capture(records, (dir_.path() / "listener.nfc").string()).ok());
+  const Result<Bundle> b = read_bundle(dir());
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.error().code, ErrorCode::kParseError);
+  EXPECT_NE(b.error().message.find("frame " + std::to_string(i + 1) + ":"),
+            std::string::npos)
+      << b.error().message;
 }
 
 TEST_F(CaptureBundle, MissingRequiredFilesFailTheLoad) {

@@ -55,6 +55,28 @@ TEST(LspCapture, BadMagicRejected) {
   EXPECT_EQ(loaded.error().code, ErrorCode::kParseError);
 }
 
+TEST(LspCapture, FrameArrivingBeforeThePreviousIsRejected) {
+  // Batch extraction would fold such a frame while the stream's EventMux
+  // drops it, so `analyze` and `stream` would read the capture differently.
+  std::stringstream stream;
+  write_lsp_capture({record(1000, 1), record(3000, 2), record(2999, 3)},
+                    stream);
+  const auto loaded = read_lsp_capture(stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, ErrorCode::kParseError);
+  EXPECT_NE(loaded.error().message.find("frame 2"), std::string::npos)
+      << loaded.error().message;
+}
+
+TEST(LspCapture, EqualArrivalTimesAreInOrder) {
+  std::stringstream stream;
+  write_lsp_capture({record(1000, 1), record(1000, 2), record(1000, 3)},
+                    stream);
+  const auto loaded = read_lsp_capture(stream);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  EXPECT_EQ(loaded->size(), 3u);
+}
+
 TEST(LspCapture, TruncatedTailRecovered) {
   const std::vector<isis::LspRecord> records{record(1000, 1), record(2000, 2)};
   std::stringstream stream;
