@@ -91,12 +91,15 @@ run_tsan() {
   # layer: the HTTP server's loop-thread handler racing live
   # snapshot_engines() reads against ingest, and snapshot save/restore across
   # the same threads; the bundle load (messages.log and listener.nfc read
-  # on two worker threads while the caller mines configs/); batch IS-IS
-  # extraction (source lanes diffing while the caller folds the last chunk);
-  # and the stream lookahead (a producer thread running that extraction a
-  # chunk ahead of the engine thread).
+  # on two worker threads while the caller mines configs/); the syslog
+  # file reader (byte ranges parsed on lanes, then stamped in file order);
+  # batch IS-IS extraction (source lanes diffing while the caller folds the
+  # last chunk); the analysis fan-out (syslog extraction on a task beside
+  # the IS-IS lanes, Tables 2-6 rendered on tasks); and the stream
+  # lookahead (a producer thread running that extraction a chunk ahead of
+  # the engine thread).
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'CaptureBundle|BundleSymbolOrder|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'CaptureBundle|BundleSymbolOrder|SyslogFile|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
 run_e2e() {

@@ -57,7 +57,8 @@ struct Reconstructed {
   Reconstruction syslog_recon;
 };
 
-/// `options.period` is replaced by the capture's period.
+/// `options.period` is replaced by the capture's period. Syslog extracts
+/// on a task while IS-IS runs its lanes from the calling thread.
 Reconstructed extract_and_reconstruct(const CaptureView& capture,
                                       ReconstructOptions options = {});
 

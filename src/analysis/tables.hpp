@@ -83,7 +83,8 @@ Table7Data compute_table7(const PipelineResult& r);
 std::string render_table7(const Table7Data& d);
 
 // ---- The comparison report `netfail analyze` prints ------------------------------
-/// Tables 2-4, the long-failure verification line, Table 5, KS and Table 6.
+/// Tables 2-4, the long-failure verification line, Table 5, KS and Table 6,
+/// computed on concurrent tasks and joined in that order.
 std::string render_comparison(const AnalysisResult& r,
                               const LinkCensus& census);
 

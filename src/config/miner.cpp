@@ -1,6 +1,8 @@
 #include "src/config/miner.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <map>
 
 #include "src/common/strfmt.hpp"
@@ -18,59 +20,79 @@ int prefix_length_of_mask(Ipv4Address mask) {
   return len;
 }
 
+/// std::isspace, as the trim() the statements are cut with uses.
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
 }  // namespace
 
 Result<MinedConfig> parse_config(std::string_view text) {
   MinedConfig out;
-  std::string current_interface;  // empty when outside an interface stanza
+  // A view into `text`; empty when outside an interface stanza.
+  std::string_view current_interface;
 
-  for (const std::string& raw : split(text, '\n')) {
+  std::size_t start = 0;
+  for (bool last = false; !last;) {
+    const std::size_t nl = text.find('\n', start);
+    last = nl == std::string_view::npos;
+    const std::string_view raw =
+        text.substr(start, last ? std::string_view::npos : nl - start);
+    start = nl + 1;
     const std::string_view line = trim(raw);
     if (line.empty() || line[0] == '!') {
       // Comment or stanza separator. IOS-XR nests "interface" under
       // "router isis" too, so a bare "!" conservatively ends the stanza.
-      if (line == "!") current_interface.clear();
+      if (line == "!") current_interface = {};
       continue;
     }
-    const std::vector<std::string> tok = split_whitespace(line);
-    if (tok.empty()) continue;
+    // The first four tokens are all any statement below reads.
+    std::array<std::string_view, 4> tok;
+    std::size_t ntok = 0;
+    for (std::size_t i = 0; i < line.size() && ntok < tok.size();) {
+      while (i < line.size() && is_space(line[i])) ++i;
+      std::size_t j = i;
+      while (j < line.size() && !is_space(line[j])) ++j;
+      if (j > i) tok[ntok++] = line.substr(i, j - i);
+      i = j;
+    }
 
-    if (tok[0] == "hostname" && tok.size() >= 2) {
+    if (tok[0] == "hostname" && ntok >= 2) {
       out.hostname = tok[1];
       continue;
     }
-    if (tok[0] == "interface" && tok.size() >= 2 && raw[0] != ' ') {
+    if (tok[0] == "interface" && ntok >= 2 && raw[0] != ' ') {
       // Top-level interface stanza (the indented "interface" lines inside
       // "router isis" on IOS-XR carry no addresses and are skipped by the
       // raw[0] check).
       current_interface = tok[1];
       continue;
     }
-    if (tok[0] == "net" && tok.size() >= 2) {
-      // "net 49.0001.xxxx.xxxx.xxxx.00": system id is the middle 12 digits.
-      const std::vector<std::string> parts = split(tok[1], '.');
-      if (parts.size() >= 5) {
-        const std::string sysid =
-            parts[parts.size() - 4] + "." + parts[parts.size() - 3] + "." +
-            parts[parts.size() - 2];
-        if (Result<OsiSystemId> r = OsiSystemId::parse(sysid)) {
+    if (tok[0] == "net" && ntok >= 2) {
+      // "net 49.0001.xxxx.xxxx.xxxx.00": the system id is the three
+      // dot-separated fields before the last one.
+      const std::string_view net = tok[1];
+      if (std::count(net.begin(), net.end(), '.') >= 4) {
+        const std::size_t end = net.rfind('.');
+        std::size_t begin = end;
+        for (int k = 0; k < 3; ++k) begin = net.rfind('.', begin - 1);
+        if (Result<OsiSystemId> r =
+                OsiSystemId::parse(net.substr(begin + 1, end - begin - 1))) {
           out.system_id = *r;
           out.has_system_id = true;
         }
       }
       continue;
     }
-    const bool is_addr_line =
-        tok.size() >= 3 && (tok[0] == "ip" || tok[0] == "ipv4") &&
-        tok[1] == "address";
-    if (is_addr_line && !current_interface.empty() && tok.size() >= 4) {
+    const bool is_addr_line = ntok >= 4 &&
+                              (tok[0] == "ip" || tok[0] == "ipv4") &&
+                              tok[1] == "address";
+    if (is_addr_line && !current_interface.empty()) {
       const Result<Ipv4Address> addr = Ipv4Address::parse(tok[2]);
       const Result<Ipv4Address> mask = Ipv4Address::parse(tok[3]);
       if (!addr || !mask) continue;  // tolerate malformed lines
       const int len = prefix_length_of_mask(*mask);
       if (len == 31) {
-        out.interfaces.push_back(
-            MinedConfig::MinedInterface{current_interface, *addr, len});
+        out.interfaces.push_back(MinedConfig::MinedInterface{
+            std::string(current_interface), *addr, len});
       }
       continue;
     }

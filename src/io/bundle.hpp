@@ -16,13 +16,21 @@
 // listener.nfc are read on two worker threads while the calling thread reads
 // configs/, mines the census and reads the two optional files; the load then
 // joins both workers. It takes as long as the longest of the three chains
-// instead of their sum. The config archive (tens of MB of text) is
-// transient: it is freed as soon as it is mined, so it is allocated and
+// instead of their sum. The syslog chain spreads over lanes of its own
+// (read_syslog_file), and the config chain reads each file in one sized
+// read and mines it without copying lines, so on a busy capture the three
+// chains take about the same time. The config archive (tens of MB of text)
+// is transient: it is freed as soon as it is mined, so it is allocated and
 // freed on the caller, whose heap the later extraction and matching reuse.
 // Only what lives as long as the Bundle (the collector, the LSP records)
 // comes from worker threads. On a bad bundle the error reported is the
 // first failure in the order META, configs/, messages.log, listener.nfc,
 // tickets.tsv, listener_gaps.tsv, whichever thread finishes first.
+//
+// Extraction is not part of the load: `stream` extracts IS-IS on its own
+// lookahead, and with the chains balanced there is little load left to
+// overlap it with. `analyze` and `export` extract both sources at once
+// afterwards (analysis::extract_and_reconstruct).
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,46 @@
 #include "src/io/config_dir.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include "src/common/strfmt.hpp"
 
 namespace netfail::io {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// A config file's bytes, read in one call sized by fstat; empty when the
+/// file cannot be opened. A file that changes size under the read keeps
+/// what was read up to its fstat size.
+std::string read_file(const fs::path& path) {
+  std::string text;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return text;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    text.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < text.size()) {
+      const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    text.resize(got);
+  }
+  ::close(fd);
+  return text;
+}
+
+}  // namespace
 
 Status write_config_dir(const ConfigArchive& archive, const std::string& root) {
   std::error_code ec;
@@ -69,13 +100,10 @@ Result<ConfigArchive> read_config_dir(const std::string& root,
         ++st.skipped;
         continue;
       }
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
       files.push_back(ConfigFile{
           hostname,
           TimePoint::from_unix_seconds(static_cast<std::int64_t>(ts)),
-          std::move(text)});
+          read_file(entry.path())});
       ++st.files;
     }
   }

@@ -23,6 +23,8 @@ namespace {
 // core.
 constexpr int kRecvBatch = 64;
 constexpr std::size_t kMaxDatagram = 2048;
+// Control-message room per slot: one SO_RXQ_OVFL drop count.
+constexpr std::size_t kRecvControl = CMSG_SPACE(sizeof(std::uint32_t));
 
 // How many items the consumer moves out of a queue per lock acquisition.
 constexpr std::size_t kDrainBatch = 256;
@@ -47,6 +49,25 @@ std::string shard_metric(const char* base, std::uint32_t shard) {
 
 metrics::Gauge* shard_gauge(const char* base, std::uint32_t shard) {
   return &metrics::global().gauge(shard_metric(base, shard));
+}
+
+/// Live in /metrics: the IO thread adds kernel drops as it learns of them.
+metrics::Counter& kernel_drops_metric() {
+  static metrics::Counter& c = metrics::global().counter("net.udp.kernel_drops");
+  return c;
+}
+
+/// The socket's running drop count carried by a received datagram's
+/// control data; the kernel attaches it once the count is nonzero.
+bool rxq_drop_count(msghdr& hdr, std::uint32_t& out) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(&hdr); c != nullptr;
+       c = CMSG_NXTHDR(&hdr, c)) {
+    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL) {
+      std::memcpy(&out, CMSG_DATA(c), sizeof(out));
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -94,6 +115,8 @@ Status IngestGateway::bind_sockets() {
   auto udp = udp_bind(options_.bind_host, options_.syslog_port);
   if (!udp) return Status(udp.error());
   (void)set_recv_buffer(*udp, kRecvBufferBytes);
+  // Best effort too: without it the kernel's drops stay uncounted (0).
+  (void)set_rxq_overflow(*udp);
   if (Status st = set_nonblocking(*udp); !st.ok()) return st;
   auto sport = local_port(*udp);
   if (!sport) return Status(sport.error());
@@ -129,6 +152,7 @@ Status IngestGateway::start() {
 void IngestGateway::on_udp_readable() {
   mmsghdr msgs[kRecvBatch];
   iovec iovs[kRecvBatch];
+  alignas(cmsghdr) char control[kRecvBatch][kRecvControl];
   const std::uint32_t nshards = options_.shards;
   for (;;) {
     std::memset(msgs, 0, sizeof(msgs));
@@ -138,11 +162,22 @@ void IngestGateway::on_udp_readable() {
       iovs[i].iov_len = kMaxDatagram;
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
+      msgs[i].msg_hdr.msg_control = control[i];
+      msgs[i].msg_hdr.msg_controllen = kRecvControl;
     }
     const int n = ::recvmmsg(udp_.get(), msgs, kRecvBatch, 0, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: drained
+    }
+    // The kernel's count only grows, in arrival order, so the batch's last
+    // datagram carries the newest (the difference is unsigned: it wraps).
+    if (std::uint32_t dropped = 0;
+        n > 0 && rxq_drop_count(msgs[n - 1].msg_hdr, dropped)) {
+      const std::uint32_t fresh = dropped - kernel_drops_seen_;
+      kernel_drops_seen_ = dropped;
+      counters_.udp_kernel_drops += fresh;
+      kernel_drops_metric().inc(fresh);
     }
     // Peel markers out (rare, end-of-replay only), stamp each line's
     // arrival with the socket's cursor, route it to the owning shard's

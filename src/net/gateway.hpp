@@ -109,6 +109,11 @@ struct GatewayCounters {
   std::uint64_t syslog_enqueued = 0;
   std::uint64_t syslog_queue_drops = 0;  // bounded-queue overflow
   std::uint64_t end_markers = 0;
+  /// Datagrams (syslog lines and end markers alike) the kernel dropped
+  /// from the UDP socket's full receive buffer before the gateway could
+  /// read them. The kernel reports its running count with each datagram
+  /// read (SO_RXQ_OVFL), so this covers drops up to the last datagram read.
+  std::uint64_t udp_kernel_drops = 0;
 
   std::uint64_t lsp_frames = 0;          // complete frames decoded
   std::uint64_t lsp_decode_errors = 0;   // frame payload not a valid record
@@ -250,6 +255,8 @@ class IngestGateway {
   /// clamp runs over socket arrival order exactly as the batch reader's
   /// cursor runs over file order.
   syslog::ArrivalCursor cursor_;
+  /// The kernel's running drop count as of the last datagram read.
+  std::uint32_t kernel_drops_seen_ = 0;
   std::vector<std::unique_ptr<Connection>> connections_;
   /// recvmmsg slots and per-shard routing buckets, reused sweep to sweep.
   std::vector<std::uint8_t> recv_buf_;

@@ -135,6 +135,15 @@ Status set_recv_buffer(const Fd& fd, int bytes) {
   return Status::ok_status();
 }
 
+Status set_rxq_overflow(const Fd& fd) {
+  const int one = 1;
+  if (::setsockopt(fd.get(), SOL_SOCKET, SO_RXQ_OVFL, &one, sizeof(one)) !=
+      0) {
+    return Status(errno_error("setsockopt SO_RXQ_OVFL"));
+  }
+  return Status::ok_status();
+}
+
 Status set_abortive_close(const Fd& fd) {
   const linger lg{1, 0};
   if (::setsockopt(fd.get(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg)) != 0) {

@@ -58,6 +58,10 @@ Result<std::uint16_t> local_port(const Fd& fd);
 
 Status set_nonblocking(const Fd& fd);
 Status set_recv_buffer(const Fd& fd, int bytes);
+/// Have the kernel attach the socket's running count of datagrams it
+/// dropped for want of receive-buffer space to each datagram it hands out
+/// (SO_RXQ_OVFL, a control message). Affects this socket only.
+Status set_rxq_overflow(const Fd& fd);
 /// Arrange for close() to send RST instead of FIN (SO_LINGER, timeout 0) —
 /// the fault injector's "connection reset" primitive.
 Status set_abortive_close(const Fd& fd);

@@ -20,6 +20,13 @@ struct CollectorMetrics {
 };
 CollectorMetrics g_collector_metrics;
 
+constexpr std::int64_t kMillisPerDay = 86'400'000;
+constexpr std::int64_t kNoCandidate = std::numeric_limits<std::int64_t>::min();
+
+bool is_leap(int year) {
+  return year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+}
+
 }  // namespace
 
 ReceivedLine::ReceivedLine(TimePoint at, std::string text)
@@ -51,7 +58,7 @@ TimePoint resolve_year(TimePoint parsed, TimePoint received) {
   for (int year = received_year - 1; year <= received_year + 1; ++year) {
     // Feb 29 in a non-leap year would assert inside from_civil's day math;
     // the candidate is simply skipped (it cannot be the right year).
-    if (p.month == 2 && p.day == 29 && !(year % 4 == 0 && (year % 100 != 0 || year % 400 == 0))) {
+    if (p.month == 2 && p.day == 29 && !is_leap(year)) {
       continue;
     }
     const TimePoint candidate = TimePoint::from_civil(
@@ -66,13 +73,57 @@ TimePoint resolve_year(TimePoint parsed, TimePoint received) {
   return best;
 }
 
-ReceivedLine ArrivalCursor::stamp(std::string line) {
-  ReceivedLine rec(cursor_, std::move(line));
+TimePoint ArrivalCursor::resolve(TimePoint parsed) {
+  if (cursor_ < year_begin_ || cursor_ >= year_end_) {
+    year_ = to_civil(cursor_).year;
+    year_begin_ = TimePoint::from_civil(year_, 1, 1);
+    year_end_ = TimePoint::from_civil(year_ + 1, 1, 1);
+    memo_valid_ = false;
+  }
+  // from_civil(year, m, d, time of day) is the start of (year, m, d) plus
+  // the time of day, so only the day's start depends on the year.
+  const std::int64_t ms = parsed.unix_millis();
+  std::int64_t day = ms / kMillisPerDay;
+  if (ms % kMillisPerDay < 0) --day;
+  if (!memo_valid_ || day != memo_day_) {
+    const CivilTime p = to_civil(TimePoint::from_unix_millis(day * kMillisPerDay));
+    for (int k = 0; k < 3; ++k) {
+      const int year = year_ - 1 + k;
+      day_start_ms_[static_cast<std::size_t>(k)] =
+          p.month == 2 && p.day == 29 && !is_leap(year)
+              ? kNoCandidate
+              : TimePoint::from_civil(year, p.month, p.day).unix_millis();
+    }
+    memo_day_ = day;
+    memo_valid_ = true;
+  }
+  // The same choice as resolve_year: the earliest of the closest.
+  const std::int64_t time_of_day = ms - day * kMillisPerDay;
+  TimePoint best = parsed;
+  std::int64_t best_gap = -1;
+  for (const std::int64_t start : day_start_ms_) {
+    if (start == kNoCandidate) continue;
+    const TimePoint candidate = TimePoint::from_unix_millis(start + time_of_day);
+    const std::int64_t gap = std::llabs((candidate - cursor_).total_millis());
+    if (best_gap < 0 || gap < best_gap) {
+      best_gap = gap;
+      best = candidate;
+    }
+  }
+  return best;
+}
+
+void ArrivalCursor::stamp(ReceivedLine& rec) {
   if (rec.status() == ParseStatus::kOk) {
     // Keep arrival order monotonic: never step back past the cursor.
-    cursor_ = std::max(cursor_, resolve_year(rec.parse().timestamp, cursor_));
-    rec.received_at = cursor_;
+    cursor_ = std::max(cursor_, resolve(rec.parse().timestamp));
   }
+  rec.received_at = cursor_;
+}
+
+ReceivedLine ArrivalCursor::stamp(std::string line) {
+  ReceivedLine rec(cursor_, std::move(line));
+  stamp(rec);
   return rec;
 }
 

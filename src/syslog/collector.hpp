@@ -12,6 +12,7 @@
 // none of them tokenizes the text again.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -76,14 +77,30 @@ class ArrivalCursor {
  public:
   explicit ArrivalCursor(TimePoint capture_start) : cursor_(capture_start) {}
 
-  /// Receive the next line: parse it once and stamp its arrival, advancing
-  /// the cursor.
+  /// Stamp the arrival of the next line, already parsed, advancing the
+  /// cursor. Lines must be stamped in arrival order.
+  void stamp(ReceivedLine& rec);
+
+  /// Receive the next line: parse it once, then stamp it as above.
   ReceivedLine stamp(std::string line);
 
   TimePoint cursor() const { return cursor_; }
 
  private:
+  /// resolve_year(parsed, cursor_), keeping what depends only on the
+  /// cursor's year and the day `parsed` falls on for the next line:
+  /// consecutive lines nearly always share both.
+  TimePoint resolve(TimePoint parsed);
+
   TimePoint cursor_;
+  int year_ = 0;                 // the cursor's year, valid in [begin, end)
+  TimePoint year_begin_;
+  TimePoint year_end_;           // == year_begin_ until the first resolve
+  std::int64_t memo_day_ = 0;    // the day (since the epoch) memoized
+  bool memo_valid_ = false;
+  /// Start of `memo_day_`'s month and day in years year_ - 1 .. year_ + 1,
+  /// or kNoCandidate for a Feb 29 that year lacks.
+  std::array<std::int64_t, 3> day_start_ms_{};
 };
 
 }  // namespace netfail::syslog

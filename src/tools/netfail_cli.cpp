@@ -707,13 +707,15 @@ int cmd_serve(int argc, char** argv) {
   const net::GatewayCounters c = gateway.counters();
   std::printf(
       "\ningested %llu syslog datagrams (%llu enqueued, %llu dropped at the "
-      "queue) and %llu LSP frames\n"
+      "queue) and %llu LSP frames; the kernel dropped %llu datagrams "
+      "before they were read\n"
       "connections: %llu accepted, %llu closed; backpressure pauses: %llu; "
       "torn frame tails: %llu\n",
       static_cast<unsigned long long>(c.syslog_datagrams),
       static_cast<unsigned long long>(c.syslog_enqueued),
       static_cast<unsigned long long>(c.syslog_queue_drops),
       static_cast<unsigned long long>(c.lsp_frames),
+      static_cast<unsigned long long>(c.udp_kernel_drops),
       static_cast<unsigned long long>(c.connections_accepted),
       static_cast<unsigned long long>(c.connections_closed),
       static_cast<unsigned long long>(c.backpressure_pauses),

@@ -1,5 +1,7 @@
 #include "src/topology/ipv4.hpp"
 
+#include <algorithm>
+
 #include "src/common/strfmt.hpp"
 
 namespace netfail {
@@ -10,19 +12,22 @@ std::string Ipv4Address::to_string() const {
 }
 
 Result<Ipv4Address> Ipv4Address::parse(std::string_view s) {
-  const std::vector<std::string> parts = split(s, '.');
-  if (parts.size() != 4) {
+  if (std::count(s.begin(), s.end(), '.') != 3) {
     return make_error(ErrorCode::kParseError,
                       "IPv4 address needs 4 octets: '" + std::string(s) + "'");
   }
   std::uint32_t v = 0;
-  for (const std::string& p : parts) {
+  for (std::size_t start = 0, i = 0; i < 4; ++i) {
+    const std::size_t dot = std::min(s.find('.', start), s.size());
+    const std::string_view p = s.substr(start, dot - start);
     std::uint64_t octet = 0;
     if (!parse_uint(p, octet) || octet > 255) {
       return make_error(ErrorCode::kParseError,
-                        "bad IPv4 octet '" + p + "' in '" + std::string(s) + "'");
+                        "bad IPv4 octet '" + std::string(p) + "' in '" +
+                            std::string(s) + "'");
     }
     v = (v << 8) | static_cast<std::uint32_t>(octet);
+    start = dot + 1;
   }
   return Ipv4Address{v};
 }

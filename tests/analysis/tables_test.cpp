@@ -2,7 +2,11 @@
 // hold for ANY pipeline run, checked on a small fast scenario.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "src/analysis/scenario_cache.hpp"
 #include "src/analysis/tables.hpp"
+#include "src/common/strfmt.hpp"
 
 namespace netfail::analysis {
 namespace {
@@ -122,6 +126,90 @@ TEST_F(TablesTest, RendersContainPaperReferences) {
             std::string::npos);
   EXPECT_NE(render_table7(compute_table7(result())).find("(paper)"),
             std::string::npos);
+}
+
+// ---- the analysis fan-out ----------------------------------------------------
+// extract_and_reconstruct runs the two sources' extractions on two threads
+// and render_comparison computes the tables on several; both must equal the
+// one-thread composition of the same stages.
+
+auto failure_key(const Failure& f) {
+  return std::make_tuple(f.link, f.span.begin, f.span.end, f.source,
+                         f.in_flap_episode);
+}
+
+void expect_same_reconstruction(const Reconstruction& got,
+                                const Reconstruction& want) {
+  EXPECT_EQ(got.double_downs, want.double_downs);
+  EXPECT_EQ(got.double_ups, want.double_ups);
+  EXPECT_EQ(got.merged_duplicates, want.merged_duplicates);
+  EXPECT_EQ(got.unterminated, want.unterminated);
+  EXPECT_EQ(got.ambiguous.size(), want.ambiguous.size());
+  ASSERT_EQ(got.failures.size(), want.failures.size());
+  for (std::size_t i = 0; i < want.failures.size(); ++i) {
+    EXPECT_EQ(failure_key(got.failures[i]), failure_key(want.failures[i]))
+        << "failure " << i;
+  }
+}
+
+TEST(AnalysisFanOut, ExtractionEqualsEachSourceOnItsOwn) {
+  // kAssumeDown reads the period, which extract_and_reconstruct fills in.
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto capture =
+        ScenarioCache::global().capture(sim::test_scenario(seed));
+    const CaptureView view = capture->view();
+    const isis::IsisExtraction isis =
+        isis::extract_transitions(view.lsp_records, view.census);
+    const syslog::SyslogExtraction syslog =
+        syslog::extract_transitions(view.collector, view.census);
+    for (const AmbiguityPolicy policy :
+         {AmbiguityPolicy::kDrop, AmbiguityPolicy::kAssumeDown}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", policy "
+                                      << static_cast<int>(policy));
+      ReconstructOptions options;
+      options.policy = policy;
+      const Reconstructed both = extract_and_reconstruct(view, options);
+
+      EXPECT_EQ(both.isis.is_reach.size(), isis.is_reach.size());
+      EXPECT_EQ(both.isis.ip_reach.size(), isis.ip_reach.size());
+      EXPECT_EQ(both.isis.stats.lsps_processed, isis.stats.lsps_processed);
+      EXPECT_EQ(both.syslog.stats.lines_seen, syslog.stats.lines_seen);
+      EXPECT_EQ(both.syslog.stats.unresolved_links,
+                syslog.stats.unresolved_links);
+      ASSERT_EQ(both.syslog.transitions.size(), syslog.transitions.size());
+      for (std::size_t i = 0; i < syslog.transitions.size(); ++i) {
+        EXPECT_EQ(both.syslog.transitions[i].time, syslog.transitions[i].time);
+        EXPECT_EQ(both.syslog.transitions[i].link, syslog.transitions[i].link);
+      }
+      options.period = view.period;
+      expect_same_reconstruction(
+          both.isis_recon, reconstruct_from_isis(isis.is_reach, options));
+      expect_same_reconstruction(
+          both.syslog_recon,
+          reconstruct_from_syslog(syslog.transitions, options));
+    }
+  }
+}
+
+TEST(AnalysisFanOut, ComparisonJoinsTheTablesInPaperOrder) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(seed);
+    const auto capture =
+        ScenarioCache::global().capture(sim::test_scenario(seed));
+    const AnalysisResult r = run_analysis(capture->view());
+    const Table5Data t5 = compute_table5(r, capture->census);
+    const std::string serial =
+        render_table2(compute_table2(r)) + "\n" +
+        render_table3(compute_table3(r)) + "\n" +
+        render_table4(compute_table4(r)) + "\n" +
+        strformat("Long-failure verification removed %zu failures (%.0f h "
+                  "spurious)\n\n",
+                  r.syslog_long_report.long_failures_removed,
+                  r.syslog_long_report.spurious_hours_removed.hours_f()) +
+        render_table5(t5) + "\n" + render_ks(compute_ks(t5)) + "\n" +
+        render_table6(compute_table6(r)) + "\n";
+    EXPECT_EQ(render_comparison(r, capture->census), serial);
+  }
 }
 
 }  // namespace

@@ -91,6 +91,114 @@ TEST(ParseConfig, NestedXrInterfaceStanzasIgnored) {
   EXPECT_EQ(mined->interfaces.size(), 1u);
 }
 
+TEST(ParseConfig, TabsSeparateTokens) {
+  const char* cfg =
+      "hostname\tr1\n"
+      "interface\tGi0/1\n"
+      " ip\taddress 10.2.0.0\t255.255.255.254\n";
+  const auto mined = parse_config(cfg);
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r1");
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/1");
+  EXPECT_EQ(mined->interfaces[0].address, Ipv4Address(10, 2, 0, 0));
+}
+
+TEST(ParseConfig, CrLfLineEndsAreNotPartOfAnyToken) {
+  const char* cfg =
+      "hostname r1\r\n"
+      "interface Gi0/1\r\n"
+      " ip address 10.2.0.0 255.255.255.254\r\n"
+      "router isis cenic\r\n"
+      " net 49.0001.1371.6420.0007.00\r\n";
+  const auto mined = parse_config(cfg);
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r1");
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/1");
+  EXPECT_TRUE(mined->has_system_id);
+  EXPECT_EQ(mined->system_id.to_string(), "1371.6420.0007");
+}
+
+TEST(ParseConfig, TrailingBlanksAreTrimmed) {
+  const char* cfg =
+      "hostname r1   \n"
+      "interface Gi0/1 \t \n"
+      " ip address 10.2.0.0 255.255.255.254    \n";
+  const auto mined = parse_config(cfg);
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r1");
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/1");
+}
+
+TEST(ParseConfig, SecondaryAddressIsMinedLikeAPrimary) {
+  // Tokens after the mask ("secondary") do not stop the line matching.
+  const char* cfg =
+      "hostname r1\n"
+      "interface Gi0/1\n"
+      " ip address 10.2.0.0 255.255.255.254 secondary\n";
+  const auto mined = parse_config(cfg);
+  ASSERT_TRUE(mined.ok());
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].address, Ipv4Address(10, 2, 0, 0));
+  EXPECT_EQ(mined->interfaces[0].prefix_length, 31);
+}
+
+TEST(ParseConfig, IndentedXrInterfaceOpensNoStanza) {
+  // After "!" closes the top-level stanza, the indented "interface" under
+  // "router isis" must not open one: the address below it belongs to no
+  // interface and is not mined.
+  const char* cfg =
+      "hostname r1\n"
+      "interface Te0/0/0/1\n"
+      " ipv4 address 10.0.0.0 255.255.255.254\n"
+      "!\n"
+      "router isis cenic\n"
+      " interface Te0/0/0/2\n"
+      "  ipv4 address 10.0.0.2 255.255.255.254\n";
+  const auto mined = parse_config(cfg);
+  ASSERT_TRUE(mined.ok());
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Te0/0/0/1");
+}
+
+TEST(ParseConfig, BareBangWithSurroundingBlanksEndsTheStanza) {
+  const char* cfg =
+      "hostname r1\n"
+      "interface Gi0/1\n"
+      "  ! \t\n"
+      " ip address 10.2.0.0 255.255.255.254\n"
+      "interface Gi0/2\n"
+      " ! a comment, not a separator\n"
+      " ip address 10.3.0.0 255.255.255.254\n";
+  const auto mined = parse_config(cfg);
+  ASSERT_TRUE(mined.ok());
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/2");
+}
+
+TEST(ParseConfig, LastLineWithoutNewlineIsParsed) {
+  const auto address_last = parse_config(
+      "hostname r1\ninterface Gi0/1\n ip address 10.2.0.0 255.255.255.254");
+  ASSERT_TRUE(address_last.ok());
+  ASSERT_EQ(address_last->interfaces.size(), 1u);
+  const auto hostname_last = parse_config("!\nhostname r9");
+  ASSERT_TRUE(hostname_last.ok());
+  EXPECT_EQ(hostname_last->hostname, "r9");
+}
+
+TEST(ParseConfig, NetNeedsFiveDottedFields) {
+  const auto short_net = parse_config("hostname r1\n net 1371.6420.0007.00\n");
+  ASSERT_TRUE(short_net.ok());
+  EXPECT_FALSE(short_net->has_system_id);
+  const auto long_net =
+      parse_config("hostname r1\n net 39.840f.0001.1371.6420.0007.00\n");
+  ASSERT_TRUE(long_net.ok());
+  ASSERT_TRUE(long_net->has_system_id);
+  EXPECT_EQ(long_net->system_id.to_string(), "1371.6420.0007");
+}
+
 class MineArchiveTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "src/syslog/message.hpp"
 
@@ -96,6 +99,152 @@ TEST(SyslogFile, StoreIsSizedToTheKeptLines) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 4u);  // two messages, "\r" and "x"
   EXPECT_EQ(loaded->lines().capacity(), loaded->size());
+}
+
+// ---- the lane reader against a per-line oracle ---------------------------
+
+struct Loaded {
+  syslog::Collector collector;
+  SyslogReadStats stats;
+};
+
+/// The reader's contract, one line at a time: std::getline, one trailing
+/// '\r' dropped, blank lines skipped, every kept line stamped in file order
+/// by one ArrivalCursor.
+Loaded per_line_oracle(const std::string& text, TimePoint start) {
+  Loaded out;
+  std::istringstream in(text);
+  syslog::ArrivalCursor cursor(start);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) {
+      ++out.stats.blank;
+      continue;
+    }
+    ++out.stats.lines;
+    syslog::ReceivedLine rec = cursor.stamp(std::move(line));
+    if (rec.status() != syslog::ParseStatus::kOk) ++out.stats.unparsable;
+    out.collector.receive(std::move(rec));
+  }
+  return out;
+}
+
+const TimePoint kStart = TimePoint::from_civil(2011, 2, 25);
+
+void expect_matches_oracle(const std::string& text) {
+  SCOPED_TRACE(testing::Message() << "input of " << text.size() << " bytes");
+  const Loaded want = per_line_oracle(text, kStart);
+  std::istringstream in(text);
+  Loaded got;
+  Result<syslog::Collector> read = read_syslog_file(in, kStart, &got.stats);
+  ASSERT_TRUE(read.ok());
+  got.collector = std::move(*read);
+
+  EXPECT_EQ(got.stats.lines, want.stats.lines);
+  EXPECT_EQ(got.stats.blank, want.stats.blank);
+  EXPECT_EQ(got.stats.unparsable, want.stats.unparsable);
+  ASSERT_EQ(got.collector.size(), want.collector.size());
+  for (std::size_t i = 0; i < want.collector.size(); ++i) {
+    const syslog::ReceivedLine& g = got.collector.lines()[i];
+    const syslog::ReceivedLine& w = want.collector.lines()[i];
+    ASSERT_EQ(g.line(), w.line()) << "line " << i;
+    EXPECT_EQ(g.received_at, w.received_at) << "line " << i;
+    EXPECT_EQ(g.status(), w.status()) << "line " << i;
+    EXPECT_EQ(g.parse().timestamp, w.parse().timestamp) << "line " << i;
+    EXPECT_EQ(g.parse().reporter, w.parse().reporter) << "line " << i;
+    EXPECT_EQ(g.reason(), w.reason()) << "line " << i;
+  }
+  EXPECT_EQ(got.collector.lines().capacity(), got.collector.size());
+}
+
+/// Messages whose timestamps go backwards, so the arrival clamp carries
+/// state from one line to the next (and so across every range boundary),
+/// mixed with CRLF, '\r'-only, blank and unparsable lines.
+std::string mixed_capture() {
+  std::string text;
+  for (int i = 0; i < 12; ++i) {
+    text += sample_message(1 + (i * 7) % 5, (i * 5) % 24).render(i);
+    text += i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 4 == 1) text += "\r\n";
+    if (i % 4 == 2) text += "\n\n";
+    if (i % 5 == 3) text += "garbage that is no syslog\n\r\r\n";
+  }
+  return text;
+}
+
+TEST(SyslogFileLanes, EveryCutPositionMatchesThePerLineReader) {
+  // A leading line of growing length moves every range boundary across
+  // every byte of the capture: CRLF pairs, '\r'-only lines and runs of
+  // blank lines all land on a cut somewhere in the sweep.
+  const std::string body = mixed_capture();
+  for (std::size_t pad = 0; pad <= 2 * body.size() / kSyslogReadLanes;
+       ++pad) {
+    expect_matches_oracle(std::string(pad, 'p') + "\n" + body);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SyslogFileLanes, CrLfSplitAcrossAFileThatIsAllCarriageReturns) {
+  expect_matches_oracle("\r\n\r\n\r\n\r\n\r\n\r\n\r\n\r\n");
+  expect_matches_oracle("\r\r\r\r\r\r\r\r\n\r\n");
+  expect_matches_oracle("\n\n\n\n\n\n\n\n\n\n\n\n");
+}
+
+TEST(SyslogFileLanes, NoTrailingNewline) {
+  expect_matches_oracle(sample_message(1, 5).render(1) + "\n" +
+                        sample_message(2, 5).render(2));
+  expect_matches_oracle(sample_message(1, 5).render(1) + "\n" +
+                        sample_message(2, 5).render(2) + "\r");
+}
+
+TEST(SyslogFileLanes, EmptyFile) {
+  expect_matches_oracle("");
+  SyslogReadStats stats;
+  std::istringstream in("");
+  const auto loaded = read_syslog_file(in, kStart, &stats);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->size(), 0u);
+  EXPECT_EQ(stats.lines + stats.blank + stats.unparsable, 0u);
+}
+
+TEST(SyslogFileLanes, FewerLinesThanLanes) {
+  static_assert(kSyslogReadLanes > 2);
+  expect_matches_oracle(sample_message(3, 1).render(1) + "\n");
+  expect_matches_oracle(sample_message(3, 1).render(1) + "\n" +
+                        sample_message(2, 1).render(2) + "\n");
+  expect_matches_oracle("x");
+}
+
+TEST(SyslogFileLanes, OneLineLongerThanAWholeRange) {
+  // The long line spans the nominal position of every later cut, so the
+  // ranges after it are empty, and the short lines around it still stamp
+  // against one cursor.
+  const std::string longest(8 * 1024, 'L');
+  expect_matches_oracle(sample_message(4, 4).render(1) + "\n" + longest +
+                        "\n" + sample_message(2, 2).render(2) + "\n");
+  expect_matches_oracle(longest + "\r\n" + sample_message(2, 2).render(2));
+  expect_matches_oracle(longest);
+}
+
+TEST(SyslogFileLanes, PathAndStreamOverloadsAgree) {
+  const std::string text = mixed_capture();
+  const std::string path = testing::TempDir() + "syslog_lanes_overloads.log";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  SyslogReadStats from_path_stats;
+  const auto from_path = read_syslog_file(path, kStart, &from_path_stats);
+  ASSERT_TRUE(from_path.ok());
+  const Loaded want = per_line_oracle(text, kStart);
+  ASSERT_EQ(from_path->size(), want.collector.size());
+  for (std::size_t i = 0; i < want.collector.size(); ++i) {
+    EXPECT_EQ(from_path->lines()[i].line(), want.collector.lines()[i].line());
+    EXPECT_EQ(from_path->lines()[i].received_at,
+              want.collector.lines()[i].received_at);
+  }
+  EXPECT_EQ(from_path_stats.blank, want.stats.blank);
+  EXPECT_EQ(from_path_stats.unparsable, want.stats.unparsable);
 }
 
 TEST(SyslogFile, MissingFileReported) {

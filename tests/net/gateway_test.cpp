@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -391,6 +392,60 @@ TEST(NetGateway, StopDrainsBufferedEventsBeforeCheckpoint) {
   EXPECT_EQ(gw.engine().syslog_events(), c.syslog_enqueued);
   EXPECT_EQ(gw.final_checkpoint().events_ingested(),
             gw.engine().events_ingested());
+}
+
+TEST(NetGateway, UnpacedBurstIsAccountedForIncludingKernelDrops) {
+  if (!sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
+  const Scenario s = scenario(6);
+  IngestGateway gw(s->census, gateway_options(*s, nullptr));
+  ASSERT_TRUE(gw.start().ok());
+
+  // An unpaced burst from three senders at once, each several times the
+  // capture, outruns the one IO thread, so the socket's receive buffer
+  // overflows: whatever the kernel drops must be counted, not vanish.
+  constexpr int kSenders = 3;
+  constexpr int kRounds = 4;
+  std::vector<std::unique_ptr<FaultyChannel>> wires;
+  for (int i = 0; i < kSenders; ++i) {
+    wires.push_back(std::make_unique<FaultyChannel>(replay_options(gw, 0.0),
+                                                    FaultParams{}));
+    ASSERT_TRUE(wires.back()->open().ok());
+  }
+  std::vector<std::thread> senders;
+  for (const auto& wire : wires) {
+    senders.emplace_back([&s, w = wire.get()] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (const syslog::ReceivedLine& line : s->sim.collector.lines()) {
+          if (!w->send_syslog(line.line()).ok()) return;
+        }
+      }
+      (void)w->finish();
+    });
+  }
+  for (std::thread& t : senders) t.join();
+  std::uint64_t sent = 0;
+  for (const auto& wire : wires) sent += wire->stats().syslog_sent;
+  ASSERT_EQ(sent, std::uint64_t{kSenders} * kRounds * s->sim.collector.size());
+  FaultyChannel& wire = *wires.front();
+
+  // End markers go out one at a time once the burst has had time to drain.
+  // The first one read was queued behind every burst datagram, so it
+  // carries the kernel's full drop count for the burst.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::uint64_t markers = 0;
+  for (bool done = false; !done;) {
+    ASSERT_LT(markers, 50u) << "no end marker got through";
+    ASSERT_TRUE(wire.send_raw_datagram(kReplayEndMarker).ok());
+    ++markers;
+    done = gw.wait_replay_complete(std::chrono::milliseconds(500));
+  }
+  gw.stop();
+
+  const GatewayCounters c = gw.counters();
+  EXPECT_EQ(c.syslog_datagrams, c.syslog_enqueued + c.syslog_queue_drops);
+  EXPECT_EQ(sent + markers,
+            c.syslog_datagrams + c.end_markers + c.udp_kernel_drops);
+  RecordProperty("kernel_drops", static_cast<int>(c.udp_kernel_drops));
 }
 
 TEST(NetGateway, StartFailsCleanlyOnUnusableAddress) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/common/rng.hpp"
+#include "src/common/strfmt.hpp"
+
 namespace netfail::syslog {
 namespace {
 
@@ -55,6 +60,45 @@ TEST(ArrivalCursor, StampsTrackedLinesAndClampsMonotonic) {
       "state to down");
   EXPECT_EQ(d.received_at, mar9);
   EXPECT_EQ(cursor.cursor(), mar9);
+}
+
+TEST(ArrivalCursor, StampsAsResolveYearDoes) {
+  // The cursor keeps resolve_year's per-day work between lines; its stamps
+  // must equal a loop that calls resolve_year on every line. Captures start
+  // in leap, non-leap and century years, and walk through New Year, with
+  // timestamps that jump back and forth across days, months and the year
+  // boundary.
+  static const char* const kMonths[] = {"Jan", "Feb", "Mar", "Apr",
+                                        "May", "Jun", "Jul", "Aug",
+                                        "Sep", "Oct", "Nov", "Dec"};
+  Rng rng(41);
+  for (const int start_year : {1999, 2000, 2011, 2012, 2099, 2100}) {
+    SCOPED_TRACE(start_year);
+    const TimePoint start = TimePoint::from_civil(start_year, 12, 20);
+    ArrivalCursor cursor(start);
+    TimePoint want = start;
+    // Mostly Dec/Jan around the cursor, sometimes any month.
+    int month = 12, day = 20;
+    for (int i = 0; i < 4000; ++i) {
+      if (rng.uniform_int(0, 9) == 0) {
+        month = static_cast<int>(rng.uniform_int(1, 12));
+        day = static_cast<int>(rng.uniform_int(1, 31));
+      } else if (rng.uniform_int(0, 3) == 0) {
+        month = month == 12 ? 1 : 12;
+        day = static_cast<int>(rng.uniform_int(1, 31));
+      }
+      const std::string line = strformat(
+          "<189>%s %2d %02d:%02d:%02d h 1: %%LINK-3-UPDOWN: Interface Gi0, "
+          "changed state to up",
+          kMonths[month - 1], day, static_cast<int>(rng.uniform_int(0, 23)),
+          static_cast<int>(rng.uniform_int(0, 59)),
+          static_cast<int>(rng.uniform_int(0, 59)));
+      const ReceivedLine got = cursor.stamp(std::string(line));
+      ASSERT_EQ(got.status(), ParseStatus::kOk) << line;
+      want = std::max(want, resolve_year(got.parse().timestamp, want));
+      ASSERT_EQ(got.received_at, want) << "line " << i << ": " << line;
+    }
+  }
 }
 
 TEST(ResolveYear, SameYear) {
