@@ -91,7 +91,8 @@ run_tsan() {
   # layer: the HTTP server's loop-thread handler racing live
   # snapshot_engines() reads against ingest, and snapshot save/restore across
   # the same threads; the bundle load (messages.log and listener.nfc read
-  # on two worker threads while the caller mines configs/); the syslog
+  # on two worker threads, configs/ mined off a shared queue of host
+  # directories that the caller and both workers drain); the syslog
   # file reader (byte ranges parsed on lanes, then stamped in file order);
   # batch IS-IS extraction (source lanes diffing while the caller folds the
   # last chunk); the analysis fan-out (syslog extraction on a task beside
@@ -99,7 +100,7 @@ run_tsan() {
   # lookahead (a producer thread running that extraction a chunk ahead of
   # the engine thread).
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'CaptureBundle|BundleSymbolOrder|SyslogFile|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
 run_e2e() {

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <map>
-
-#include "src/common/strfmt.hpp"
 
 namespace netfail {
 namespace {
@@ -20,8 +17,12 @@ int prefix_length_of_mask(Ipv4Address mask) {
   return len;
 }
 
-/// std::isspace, as the trim() the statements are cut with uses.
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+/// std::isspace in the C locale, written out: space, \t, \n, \v, \f, \r.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Whether a line whose first non-blank byte is `c` can be a statement
+/// parse_config reads: hostname, interface, net, ip/ipv4 or a bare "!".
+bool may_matter(char c) { return c == 'h' || c == 'i' || c == 'n' || c == '!'; }
 
 }  // namespace
 
@@ -37,22 +38,28 @@ Result<MinedConfig> parse_config(std::string_view text) {
     const std::string_view raw =
         text.substr(start, last ? std::string_view::npos : nl - start);
     start = nl + 1;
-    const std::string_view line = trim(raw);
-    if (line.empty() || line[0] == '!') {
+    // Dispatch on the first non-blank byte: most lines (descriptions,
+    // options) are skipped here, before they are cut into tokens.
+    std::size_t i = 0;
+    while (i < raw.size() && is_space(raw[i])) ++i;
+    if (i == raw.size() || !may_matter(raw[i])) continue;
+    if (raw[i] == '!') {
       // Comment or stanza separator. IOS-XR nests "interface" under
       // "router isis" too, so a bare "!" conservatively ends the stanza.
-      if (line == "!") current_interface = {};
+      std::size_t j = i + 1;
+      while (j < raw.size() && is_space(raw[j])) ++j;
+      if (j == raw.size()) current_interface = {};
       continue;
     }
     // The first four tokens are all any statement below reads.
     std::array<std::string_view, 4> tok;
     std::size_t ntok = 0;
-    for (std::size_t i = 0; i < line.size() && ntok < tok.size();) {
-      while (i < line.size() && is_space(line[i])) ++i;
+    while (i < raw.size() && ntok < tok.size()) {
       std::size_t j = i;
-      while (j < line.size() && !is_space(line[j])) ++j;
-      if (j > i) tok[ntok++] = line.substr(i, j - i);
+      while (j < raw.size() && !is_space(raw[j])) ++j;
+      tok[ntok++] = raw.substr(i, j - i);
       i = j;
+      while (i < raw.size() && is_space(raw[i])) ++i;
     }
 
     if (tok[0] == "hostname" && ntok >= 2) {
@@ -104,74 +111,67 @@ Result<MinedConfig> parse_config(std::string_view text) {
   return out;
 }
 
-LinkCensus mine_archive(const ConfigArchive& archive, TimeRange period,
-                        const MinerParams& params, MiningStats* stats) {
-  MiningStats local;
-  MiningStats& st = stats ? *stats : local;
-
-  // Accumulate endpoints keyed by /31 subnet. std::map keeps the census
-  // ordering deterministic regardless of archive order.
-  struct Endpoint {
-    std::string host;
-    std::string iface;
-    Ipv4Address address;
-    TimePoint first_seen;
-    TimePoint last_seen;
-  };
-  std::map<Ipv4Prefix, std::vector<Endpoint>> by_subnet;
-  std::map<std::string, OsiSystemId> system_ids;  // hostname -> system id
-
-  for (const ConfigFile& file : archive.files()) {
-    Result<MinedConfig> mined = parse_config(file.text);
-    if (!mined) {
-      ++st.files_failed;
-      continue;
-    }
-    ++st.files_parsed;
-    if (mined->has_system_id) system_ids[mined->hostname] = mined->system_id;
-    for (const auto& intf : mined->interfaces) {
-      const Ipv4Prefix subnet = Ipv4Prefix::slash31_of(intf.address);
-      std::vector<Endpoint>& eps = by_subnet[subnet];
-      auto it = std::find_if(eps.begin(), eps.end(), [&](const Endpoint& e) {
-        return e.host == mined->hostname && e.iface == intf.name;
-      });
-      if (it == eps.end()) {
-        eps.push_back(Endpoint{mined->hostname, intf.name, intf.address,
-                               file.captured_at, file.captured_at});
-        ++st.endpoints;
-      } else {
-        it->first_seen = std::min(it->first_seen, file.captured_at);
-        it->last_seen = std::max(it->last_seen, file.captured_at);
-      }
+void CensusFold::add(TimePoint captured_at, const Result<MinedConfig>& mined) {
+  if (!mined) {
+    ++stats_.files_failed;
+    return;
+  }
+  ++stats_.files_parsed;
+  if (mined->has_system_id) system_ids_[mined->hostname] = mined->system_id;
+  for (const auto& intf : mined->interfaces) {
+    const Ipv4Prefix subnet = Ipv4Prefix::slash31_of(intf.address);
+    std::vector<Endpoint>& eps = by_subnet_[subnet];
+    auto it = std::find_if(eps.begin(), eps.end(), [&](const Endpoint& e) {
+      return e.host == mined->hostname && e.iface == intf.name;
+    });
+    if (it == eps.end()) {
+      eps.push_back(Endpoint{mined->hostname, intf.name, intf.address,
+                             captured_at, captured_at});
+      ++stats_.endpoints;
+    } else {
+      it->first_seen = std::min(it->first_seen, captured_at);
+      it->last_seen = std::max(it->last_seen, captured_at);
     }
   }
+}
 
+LinkCensus CensusFold::finish(MiningStats* stats) {
   LinkCensus census;
-  for (const auto& [subnet, eps] : by_subnet) {
+  for (const auto& [subnet, eps] : by_subnet_) {
     // A healthy /31 has exactly two endpoints on two different hosts.
     if (eps.size() != 2 || eps[0].host == eps[1].host) {
-      ++st.unpaired_subnets;
+      ++stats_.unpaired_subnets;
       continue;
     }
     const TimePoint first =
-        std::min(eps[0].first_seen, eps[1].first_seen) - params.lifetime_slack;
+        std::min(eps[0].first_seen, eps[1].first_seen) - params_.lifetime_slack;
     const TimePoint last =
-        std::max(eps[0].last_seen, eps[1].last_seen) + params.lifetime_slack;
-    const TimeRange lifetime{std::max(first, period.begin),
-                             std::min(last, period.end)};
+        std::max(eps[0].last_seen, eps[1].last_seen) + params_.lifetime_slack;
+    const TimeRange lifetime{std::max(first, period_.begin),
+                             std::min(last, period_.end)};
     const bool cpe =
-        eps[0].host.find(params.cpe_host_token) != std::string::npos ||
-        eps[1].host.find(params.cpe_host_token) != std::string::npos;
+        eps[0].host.find(params_.cpe_host_token) != std::string::npos ||
+        eps[1].host.find(params_.cpe_host_token) != std::string::npos;
     census.add_link(CensusEndpoint{eps[0].host, eps[0].iface, eps[0].address},
                     CensusEndpoint{eps[1].host, eps[1].iface, eps[1].address},
                     subnet, lifetime,
                     cpe ? RouterClass::kCpe : RouterClass::kCore);
   }
-  for (const auto& [host, sysid] : system_ids) {
+  for (const auto& [host, sysid] : system_ids_) {
     census.set_hostname(sysid, host);
   }
   census.finalize();
+  if (stats) *stats = stats_;
   return census;
+}
+
+LinkCensus mine_archive(const ConfigArchive& archive, TimeRange period,
+                        const MinerParams& params, MiningStats* stats) {
+  CensusFold fold(period, params);
+  for (const ConfigFile& file : archive.files()) {
+    fold.add(file.captured_at, parse_config(file.text));
+  }
+  return fold.finish(stats);
 }
 
 }  // namespace netfail

@@ -6,10 +6,22 @@
 // ("ipv4 address A M") interface stanzas plus the IS-IS "net" statement,
 // pairs interfaces that share a /31, and derives per-link lifetimes from
 // first/last appearance in the archive.
+//
+// Mining is two steps: parse_config reads one file on its own, and
+// CensusFold folds the parses into the census in archive order. The fold is
+// the only step whose result depends on the order of the files (the
+// endpoints of a /31 in first-seen order, the last system id seen per
+// hostname), so parsing may run anywhere: mine_archive parses and folds an
+// in-memory archive file by file, and io::read_bundle parses configs/ on
+// the load's threads (io::ConfigQueue) and folds the parses on the caller
+// in the (host, capture time) order read_config_dir returns.
 #pragma once
 
 #include <cstddef>
+#include <map>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/result.hpp"
 #include "src/config/archive.hpp"
@@ -53,7 +65,40 @@ struct MinerParams {
   bool operator==(const MinerParams&) const = default;
 };
 
-/// Mine the whole archive into a census.
+/// The order-dependent half of mining: /31 pairing, lifetimes and system
+/// ids over parsed configs, fed one file at a time in archive order.
+class CensusFold {
+ public:
+  explicit CensusFold(TimeRange period, const MinerParams& params = {})
+      : period_(period), params_(params) {}
+
+  /// Fold one file's parse, captured at `captured_at`. A failed parse only
+  /// counts in the stats.
+  void add(TimePoint captured_at, const Result<MinedConfig>& mined);
+
+  /// Pair the subnets into a census and finalize it; call once, last.
+  LinkCensus finish(MiningStats* stats = nullptr);
+
+ private:
+  struct Endpoint {
+    std::string host;
+    std::string iface;
+    Ipv4Address address;
+    TimePoint first_seen;
+    TimePoint last_seen;
+  };
+
+  TimeRange period_;
+  MinerParams params_;
+  MiningStats stats_;
+  // std::map keeps the census ordering deterministic regardless of the
+  // order the files come in.
+  std::map<Ipv4Prefix, std::vector<Endpoint>> by_subnet_;
+  std::map<std::string, OsiSystemId> system_ids_;  // hostname -> system id
+};
+
+/// Mine the whole archive into a census: parse_config on every file, folded
+/// in archive order.
 LinkCensus mine_archive(const ConfigArchive& archive, TimeRange period,
                         const MinerParams& params = {},
                         MiningStats* stats = nullptr);

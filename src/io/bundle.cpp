@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/common/strfmt.hpp"
-#include "src/config/miner.hpp"
 #include "src/io/config_dir.hpp"
 #include "src/io/interval_file.hpp"
 #include "src/io/lsp_capture.hpp"
@@ -86,17 +85,6 @@ Status read_optional(Result<T> read, const char* name, T& out) {
   return Status::ok_status();
 }
 
-/// Reads configs/ and mines it into `out`; the archive is freed on return.
-Status read_census(const fs::path& root, Bundle& out) {
-  ConfigDirStats stats;
-  const Result<ConfigArchive> archive =
-      read_config_dir((root / kConfigs).string(), &stats);
-  if (!archive) return archive.error();
-  out.config_files = stats.files;
-  out.census = mine_archive(*archive, out.period);
-  return Status::ok_status();
-}
-
 }  // namespace
 
 Result<Bundle> read_bundle(const std::string& dir) {
@@ -106,32 +94,48 @@ Result<Bundle> read_bundle(const std::string& dir) {
   if (!period) return period.error();
   out.period = *period;
 
+  // configs/ is a queue of host directories that the load's three threads
+  // drain: the caller first, each task once its own file has loaded. It is
+  // declared before the tasks, so it outlives them on every path.
+  ConfigQueue configs((root / kConfigs).string());
+  if (!configs.status()) return configs.status().error();
+
   // The two event files load on worker threads; the result they return
   // outlives this call, so where it is allocated does not matter.
-  std::future<Result<syslog::Collector>> collector =
-      std::async(std::launch::async, [path = (root / kSyslog).string(),
-                                      start = out.period.begin] {
-        return read_syslog_file(path, start);
+  std::future<Result<syslog::Collector>> collector = std::async(
+      std::launch::async, [&configs, path = (root / kSyslog).string(),
+                           start = out.period.begin] {
+        Result<syslog::Collector> read = read_syslog_file(path, start);
+        configs.drain();
+        return read;
       });
-  std::future<Result<std::vector<isis::LspRecord>>> records =
-      std::async(std::launch::async, [path = (root / kLsps).string()] {
-        return read_lsp_capture(path);
+  std::future<Result<std::vector<isis::LspRecord>>> records = std::async(
+      std::launch::async, [&configs, path = (root / kLsps).string()] {
+        Result<std::vector<isis::LspRecord>> read = read_lsp_capture(path);
+        configs.drain();
+        return read;
       });
 
-  // The config archive is read, mined and freed here, on the caller: the
-  // allocations that follow the load reuse its memory only if it comes
-  // from this thread's heap.
-  const Status configs = read_census(root, out);
+  configs.drain();
   const Status tickets = read_optional(
       read_ticket_file((root / kTickets).string()), kTickets, out.tickets);
   const Status gaps = read_optional(read_interval_file((root / kGaps).string()),
                                     kGaps, out.listener_gaps);
 
-  // Join both tasks before reporting anything, then report the first
-  // failure in file order, whichever thread finished first.
+  // The fold runs on the caller, in host order: at once when every host is
+  // mined already (the event files take longer, as on a busy capture),
+  // else after the join. Both tasks are joined before anything is
+  // reported, and the first failure is reported in file order, whichever
+  // thread finished first.
+  ConfigDirStats stats;
+  std::optional<Result<LinkCensus>> census;
+  if (configs.mined()) census.emplace(configs.fold(out.period, &stats));
   Result<syslog::Collector> lines = collector.get();
   Result<std::vector<isis::LspRecord>> lsps = records.get();
-  if (!configs) return configs.error();
+  if (!census) census.emplace(configs.fold(out.period, &stats));
+  if (!*census) return census->error();
+  out.census = std::move(**census);
+  out.config_files = stats.files;
   if (!lines) return lines.error();
   out.collector = std::move(*lines);
   if (!lsps) return lsps.error();

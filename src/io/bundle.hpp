@@ -12,18 +12,23 @@
 // cannot be read fails the whole load: a corrupt listener-gap file must not
 // quietly switch sanitization off.
 //
-// read_bundle loads the three sources at once. After META, messages.log and
-// listener.nfc are read on two worker threads while the calling thread reads
-// configs/, mines the census and reads the two optional files; the load then
-// joins both workers. It takes as long as the longest of the three chains
-// instead of their sum. The syslog chain spreads over lanes of its own
-// (read_syslog_file), and the config chain reads each file in one sized
-// read and mines it without copying lines, so on a busy capture the three
-// chains take about the same time. The config archive (tens of MB of text)
-// is transient: it is freed as soon as it is mined, so it is allocated and
-// freed on the caller, whose heap the later extraction and matching reuse.
-// Only what lives as long as the Bundle (the collector, the LSP records)
-// comes from worker threads. On a bad bundle the error reported is the
+// read_bundle loads the three sources at once, on the caller and two
+// tasks. After META the caller lists configs/ into a queue
+// of host directories (io::ConfigQueue) and starts the tasks, one reading
+// messages.log and one listener.nfc. The caller drains the queue at once;
+// each task drains it too once its own file has loaded. Draining a host
+// means listing its config files, reading them in capture-time order into
+// one buffer per thread and parsing each. When the queue is empty the
+// caller reads the two optional files and folds the parses into the census
+// in host-name order, once every host is mined: at once when it mined them
+// all itself (on a busy capture the event files load for longer), else
+// after joining both tasks. Host-name order is the order read_config_dir
+// returns, so the census is the one mine_archive gives over it. No config
+// archive is ever built, and no thread beyond the two tasks is started.
+// The syslog chain spreads over lanes of its own (read_syslog_file). Only
+// what lives as long as the Bundle (the collector, the LSP records) and the
+// small per-file parses come from the tasks; the read buffers are freed as
+// each thread finishes draining. On a bad bundle the error reported is the
 // first failure in the order META, configs/, messages.log, listener.nfc,
 // tickets.tsv, listener_gaps.tsv, whichever thread finishes first.
 //

@@ -52,7 +52,7 @@ void StreamEngine::feed_syslog(const syslog::ReceivedLine& rec) {
   if (rec.received_at > high_water_) high_water_ = rec.received_at;
 
   const std::optional<syslog::SyslogTransition> tr =
-      syslog::extract_line(rec, *census_, syslog_stats_);
+      syslog::extract_line(rec, *census_, years_, syslog_stats_);
   if (!tr) return;
   // Partitioned: a routed line should always resolve to an owned link (the
   // dispatcher and the extractor share the census lookup); the filter is

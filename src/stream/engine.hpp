@@ -156,6 +156,9 @@ class StreamEngine {
   EngineOptions options_;
   isis::StreamingExtractor isis_extractor_;
   syslog::SyslogExtractionStats syslog_stats_;
+  // A pure cache over the syslog path's year resolution: not saved with
+  // the engine's state (svc::EngineCodec), and empty after a restore.
+  syslog::YearResolver years_;
   LinkTracker isis_tracker_;
   LinkTracker syslog_tracker_;
   detect::LinkDetector detector_;

@@ -73,9 +73,9 @@ TimePoint resolve_year(TimePoint parsed, TimePoint received) {
   return best;
 }
 
-TimePoint ArrivalCursor::resolve(TimePoint parsed) {
-  if (cursor_ < year_begin_ || cursor_ >= year_end_) {
-    year_ = to_civil(cursor_).year;
+TimePoint YearResolver::resolve(TimePoint parsed, TimePoint reference) {
+  if (reference < year_begin_ || reference >= year_end_) {
+    year_ = to_civil(reference).year;
     year_begin_ = TimePoint::from_civil(year_, 1, 1);
     year_end_ = TimePoint::from_civil(year_ + 1, 1, 1);
     memo_valid_ = false;
@@ -104,7 +104,8 @@ TimePoint ArrivalCursor::resolve(TimePoint parsed) {
   for (const std::int64_t start : day_start_ms_) {
     if (start == kNoCandidate) continue;
     const TimePoint candidate = TimePoint::from_unix_millis(start + time_of_day);
-    const std::int64_t gap = std::llabs((candidate - cursor_).total_millis());
+    const std::int64_t gap =
+        std::llabs((candidate - reference).total_millis());
     if (best_gap < 0 || gap < best_gap) {
       best_gap = gap;
       best = candidate;
@@ -116,7 +117,8 @@ TimePoint ArrivalCursor::resolve(TimePoint parsed) {
 void ArrivalCursor::stamp(ReceivedLine& rec) {
   if (rec.status() == ParseStatus::kOk) {
     // Keep arrival order monotonic: never step back past the cursor.
-    cursor_ = std::max(cursor_, resolve(rec.parse().timestamp));
+    cursor_ =
+        std::max(cursor_, years_.resolve(rec.parse().timestamp, cursor_));
   }
   rec.received_at = cursor_;
 }

@@ -65,6 +65,26 @@ class Collector {
 /// time: pick the year that brings the message time closest to arrival.
 TimePoint resolve_year(TimePoint parsed, TimePoint received);
 
+/// resolve_year with a memo of the work that depends only on the
+/// reference's year and the day `parsed` falls on: consecutive lines nearly
+/// always share both. A pure cache: resolve(parsed, reference) equals
+/// resolve_year(parsed, reference) for any arguments in any order, so one
+/// may be kept for a whole stream and never needs saving with it.
+class YearResolver {
+ public:
+  TimePoint resolve(TimePoint parsed, TimePoint reference);
+
+ private:
+  int year_ = 0;                 // the reference's year, valid in [begin, end)
+  TimePoint year_begin_;
+  TimePoint year_end_;           // == year_begin_ until the first resolve
+  std::int64_t memo_day_ = 0;    // the day (since the epoch) memoized
+  bool memo_valid_ = false;
+  /// Start of `memo_day_`'s month and day in years year_ - 1 .. year_ + 1,
+  /// or kNoCandidate for a Feb 29 that year lacks.
+  std::array<std::int64_t, 3> day_start_ms_{};
+};
+
 /// Arrival-time reconstruction for raw syslog lines that carry no arrival
 /// timestamp of their own (a flat capture file, a UDP datagram): each
 /// line's arrival is its own message timestamp year-resolved against a
@@ -87,20 +107,8 @@ class ArrivalCursor {
   TimePoint cursor() const { return cursor_; }
 
  private:
-  /// resolve_year(parsed, cursor_), keeping what depends only on the
-  /// cursor's year and the day `parsed` falls on for the next line:
-  /// consecutive lines nearly always share both.
-  TimePoint resolve(TimePoint parsed);
-
   TimePoint cursor_;
-  int year_ = 0;                 // the cursor's year, valid in [begin, end)
-  TimePoint year_begin_;
-  TimePoint year_end_;           // == year_begin_ until the first resolve
-  std::int64_t memo_day_ = 0;    // the day (since the epoch) memoized
-  bool memo_valid_ = false;
-  /// Start of `memo_day_`'s month and day in years year_ - 1 .. year_ + 1,
-  /// or kNoCandidate for a Feb 29 that year lacks.
-  std::array<std::int64_t, 3> day_start_ms_{};
+  YearResolver years_;
 };
 
 }  // namespace netfail::syslog

@@ -24,6 +24,7 @@ SyslogMetrics& syslog_metrics() { return g_syslog_metrics; }
 
 std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
                                              const LinkCensus& census,
+                                             YearResolver& years,
                                              SyslogExtractionStats& stats) {
   ++stats.lines_seen;
   syslog_metrics().lines.inc();
@@ -46,7 +47,7 @@ std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
   }
 
   SyslogTransition tr;
-  tr.time = resolve_year(m.timestamp, rec.received_at);
+  tr.time = years.resolve(m.timestamp, rec.received_at);
   tr.dir = m.dir();
   tr.cls = classify(m.type());
   tr.type = m.type();
@@ -61,9 +62,10 @@ SyslogExtraction extract_transitions(const Collector& collector,
                                      const LinkCensus& census) {
   SyslogExtraction out;
   out.transitions.reserve(collector.size());
+  YearResolver years;
   for (const ReceivedLine& rec : collector.lines()) {
     if (std::optional<SyslogTransition> tr =
-            extract_line(rec, census, out.stats)) {
+            extract_line(rec, census, years, out.stats)) {
       out.transitions.push_back(std::move(*tr));
     }
   }

@@ -46,11 +46,13 @@ SyslogExtraction extract_transitions(const Collector& collector,
 
 /// Incremental form: resolve one received line from its stored parse.
 /// Returns the transition when the line is a tracked message type on a
-/// census link; otherwise updates `stats` and returns nullopt. Batch
-/// extraction is a loop over this function, so the streaming engine sees
-/// identical transitions.
+/// census link; otherwise updates `stats` and returns nullopt. The message
+/// year is resolved against the arrival time through `years`, which the
+/// caller keeps across lines. Batch extraction is a loop over this
+/// function, so the streaming engine sees identical transitions.
 std::optional<SyslogTransition> extract_line(const ReceivedLine& rec,
                                              const LinkCensus& census,
+                                             YearResolver& years,
                                              SyslogExtractionStats& stats);
 
 }  // namespace netfail::syslog

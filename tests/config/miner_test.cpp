@@ -199,6 +199,69 @@ TEST(ParseConfig, NetNeedsFiveDottedFields) {
   EXPECT_EQ(long_net->system_id.to_string(), "1371.6420.0007");
 }
 
+TEST(ParseConfig, IndentedHostnameAndNetAreRead) {
+  const auto mined = parse_config(
+      "\t hostname r1\n"
+      "router isis cenic\n"
+      "   net 49.0001.1371.6420.0007.00\n");
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r1");
+  ASSERT_TRUE(mined->has_system_id);
+  EXPECT_EQ(mined->system_id.to_string(), "1371.6420.0007");
+}
+
+TEST(ParseConfig, VerticalTabAndFormFeedSeparateTokens) {
+  // Both are blanks to std::isspace in the C locale, as to trim().
+  const auto mined = parse_config(
+      "\vhostname\fr1\v\n"
+      "interface\fGi0/1\n"
+      "\fip\vaddress\f10.2.0.0\v255.255.255.254\f\n");
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r1");
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/1");
+  EXPECT_EQ(mined->interfaces[0].address, Ipv4Address(10, 2, 0, 0));
+}
+
+TEST(ParseConfig, BytesFromTheUpperHalfAreNotBlanks) {
+  // 0xA0 (a no-break space in Latin-1) is not a blank in the C locale: a
+  // line starting with it is no statement, and inside a token it is kept.
+  const auto mined = parse_config(
+      "\xa0hostname wrong\n"
+      "hostname r\xc3\xa9\xa0x\n"
+      "interface Gi0/1\xa0\n"
+      " ip address 10.2.0.0 255.255.255.254\n");
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r\xc3\xa9\xa0x");
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/1\xa0");
+}
+
+TEST(ParseConfig, BangGluedToAStatementIsAComment) {
+  // "!hostname x" names no host and, not being a bare "!", does not end
+  // the stanza either.
+  EXPECT_FALSE(parse_config("!hostname x\n").ok());
+  const auto mined = parse_config(
+      "hostname r1\n"
+      "interface Gi0/1\n"
+      "!hostname x\n"
+      " ip address 10.2.0.0 255.255.255.254\n");
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(mined->hostname, "r1");
+  ASSERT_EQ(mined->interfaces.size(), 1u);
+  EXPECT_EQ(mined->interfaces[0].name, "Gi0/1");
+}
+
+TEST(ParseConfig, BangFollowedByAVerticalTabIsBare) {
+  const auto mined = parse_config(
+      "hostname r1\n"
+      "interface Gi0/1\n"
+      "!\v\n"
+      " ip address 10.2.0.0 255.255.255.254\n");
+  ASSERT_TRUE(mined.ok());
+  EXPECT_TRUE(mined->interfaces.empty());
+}
+
 class MineArchiveTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 #include <utility>
-#include <unistd.h>
 
 #include "src/analysis/scenario_cache.hpp"
 #include "src/analysis/tables.hpp"
@@ -22,6 +21,7 @@
 #include "src/io/lsp_capture.hpp"
 #include "src/io/ticket_file.hpp"
 #include "src/topology/generator.hpp"
+#include "tests/io/temp_dir.hpp"
 
 namespace netfail::io {
 namespace {
@@ -29,24 +29,6 @@ namespace {
 namespace fs = std::filesystem;
 
 TimePoint at(std::int64_t s) { return TimePoint::from_unix_seconds(s); }
-
-class TempDir {
- public:
-  TempDir() : path_(fs::temp_directory_path() /
-                    ("netfail_test_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(counter_++))) {
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
 
 TEST(ConfigDir, RoundTripThroughMiner) {
   const Topology topo = generate_topology(TopologyParams{}.scaled_down(8));

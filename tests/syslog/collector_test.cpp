@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "src/common/rng.hpp"
@@ -98,6 +99,51 @@ TEST(ArrivalCursor, StampsAsResolveYearDoes) {
       want = std::max(want, resolve_year(got.parse().timestamp, want));
       ASSERT_EQ(got.received_at, want) << "line " << i << ": " << line;
     }
+  }
+}
+
+TEST(YearResolver, EqualsResolveYear) {
+  // One resolver, kept across every call as extraction keeps it, against
+  // resolve_year called afresh. References sit within three days of a year
+  // end or of Mar 1, in leap, non-leap and century years, and jump back
+  // and forth between those years; parsed days are the last and first days
+  // of a year and Feb 28/29/Mar 1, in a leap and a non-leap base year, and
+  // repeat for several calls so the memo is reused.
+  static constexpr int kYears[] = {1999, 2000, 2011, 2012, 2099, 2100, 2104};
+  static constexpr struct {
+    int month, day;
+  } kDays[] = {{12, 30}, {12, 31}, {1, 1}, {1, 2}, {2, 28}, {2, 29}, {3, 1}};
+  constexpr std::int64_t kDayMs = 86'400'000;
+  Rng rng(0x7EA5);
+  YearResolver years;
+  int ref_year = 2011;
+  int base_year = 2012;
+  int day = 5;  // index into kDays
+  for (int i = 0; i < 50'000; ++i) {
+    if (rng.uniform_int(0, 39) == 0) {
+      ref_year = kYears[rng.uniform_int(
+          0, static_cast<std::int64_t>(std::size(kYears)) - 1)];
+    }
+    if (rng.uniform_int(0, 3) == 0) {
+      day = static_cast<int>(
+          rng.uniform_int(0, static_cast<std::int64_t>(std::size(kDays)) - 1));
+      base_year = rng.uniform_int(0, 1) == 0 ? 2011 : 2012;
+    }
+    // from_civil has no Feb 29 in a non-leap base year.
+    const auto [month, dom] = base_year == 2011 && kDays[day].day == 29
+                                  ? kDays[day - 1]
+                                  : kDays[day];
+    const TimePoint parsed =
+        TimePoint::from_civil(base_year, month, dom) +
+        Duration::millis(rng.uniform_int(0, kDayMs - 1));
+    const TimePoint anchor = rng.uniform_int(0, 1) == 0
+                                 ? TimePoint::from_civil(ref_year + 1, 1, 1)
+                                 : TimePoint::from_civil(ref_year, 3, 1);
+    const TimePoint reference =
+        anchor + Duration::millis(rng.uniform_int(-3 * kDayMs, 3 * kDayMs));
+    ASSERT_EQ(years.resolve(parsed, reference), resolve_year(parsed, reference))
+        << "call " << i << ": parsed " << parsed.to_string() << ", reference "
+        << reference.to_string();
   }
 }
 

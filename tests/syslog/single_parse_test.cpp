@@ -95,7 +95,7 @@ class SingleParse : public ::testing::Test {
   void check_extract(const ReceivedLine& rec, const Result<Message>& ref) {
     SyslogExtractionStats stats;
     const std::optional<SyslogTransition> tr =
-        extract_line(rec, census_, stats);
+        extract_line(rec, census_, years_, stats);
     EXPECT_EQ(stats.lines_seen, 1u);
     if (!ref.ok()) {
       EXPECT_FALSE(tr.has_value());
@@ -144,6 +144,7 @@ class SingleParse : public ::testing::Test {
   Rng rng_{0x5EED};
   std::size_t checked_ = 0;
   std::size_t resolved_ = 0;
+  YearResolver years_;  // kept across lines, as batch extraction keeps it
 };
 
 TEST_F(SingleParse, RenderedLinesAgreeWithTheReference) {
