@@ -93,14 +93,16 @@ run_tsan() {
   # the same threads; the bundle load (messages.log and listener.nfc read
   # on two worker threads, configs/ mined off a shared queue of host
   # directories that the caller and both workers drain); the syslog
-  # file reader (byte ranges parsed on lanes, then stamped in file order);
+  # file reader (byte ranges parsed on lanes, then stamped in file order)
+  # and the LSP capture reader (both read a regular file in concurrent
+  # slices, and their records share the one buffer's reference count);
   # batch IS-IS extraction (source lanes diffing while the caller folds the
   # last chunk); the analysis fan-out (syslog extraction on a task beside
   # the IS-IS lanes, Tables 2-6 rendered on tasks); and the stream
   # lookahead (a producer thread running that extraction a chunk ahead of
   # the engine thread).
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|LspCapture|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
 run_e2e() {

@@ -6,6 +6,9 @@
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
+
+#include "src/io/file_bytes.hpp"
 
 namespace netfail::io {
 namespace {
@@ -22,32 +25,78 @@ void put_u64(std::ostream& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v));
 }
 
-bool get_u32(std::istream& in, std::uint32_t& v) {
-  std::array<char, 4> buf;
-  if (!in.read(buf.data(), buf.size())) return false;
-  v = (static_cast<std::uint32_t>(static_cast<unsigned char>(buf[0])) << 24) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(buf[1])) << 16) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(buf[2])) << 8) |
-      static_cast<std::uint32_t>(static_cast<unsigned char>(buf[3]));
-  return true;
+std::uint32_t get_u32(const char* p) {
+  return (std::uint32_t{static_cast<unsigned char>(p[0])} << 24) |
+         (std::uint32_t{static_cast<unsigned char>(p[1])} << 16) |
+         (std::uint32_t{static_cast<unsigned char>(p[2])} << 8) |
+         std::uint32_t{static_cast<unsigned char>(p[3])};
 }
 
-bool get_u64(std::istream& in, std::uint64_t& v) {
-  std::uint32_t hi = 0, lo = 0;
-  if (!get_u32(in, hi) || !get_u32(in, lo)) return false;
-  v = (std::uint64_t{hi} << 32) | lo;
-  return true;
+std::uint64_t get_u64(const char* p) {
+  return (std::uint64_t{get_u32(p)} << 32) | get_u32(p + 4);
 }
 
-/// The bytes left in a seekable stream; 0 when it cannot seek.
-std::uint64_t remaining_bytes(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  if (here == std::istream::pos_type(-1)) return 0;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.clear();
-  in.seekg(here);
-  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+/// Both overloads: the frames of a capture read whole into `file`. Each
+/// record's bytes are a slice of it.
+Result<std::vector<isis::LspRecord>> parse_capture(const ByteSlice& file,
+                                                   LspCaptureStats* stats) {
+  LspCaptureStats local;
+  LspCaptureStats& st = stats ? *stats : local;
+  const std::string_view in = file.view();
+
+  constexpr std::size_t kHeaderBytes = 16;
+  if (in.size() < sizeof kLspCaptureMagic ||
+      std::memcmp(in.data(), kLspCaptureMagic, sizeof kLspCaptureMagic) != 0) {
+    return make_error(ErrorCode::kParseError, "not an NFC1 LSP capture");
+  }
+  if (in.size() < kHeaderBytes) {
+    return make_error(ErrorCode::kTruncated, "capture header truncated");
+  }
+  const std::uint64_t declared = get_u64(in.data() + 8);  // after the flags
+
+  // The declared count comes from the file: reserve no more frames than
+  // the remaining bytes can hold (12-byte frame header, empty payload).
+  constexpr std::uint64_t kMinFrameBytes = 12;
+  std::vector<isis::LspRecord> out;
+  out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      declared, (in.size() - kHeaderBytes) / kMinFrameBytes)));
+  for (std::size_t at = kHeaderBytes;;) {
+    // Fewer bytes than an arrival time left: a clean end of file.
+    if (in.size() - at < 8) break;
+    const TimePoint arrival = TimePoint::from_unix_millis(
+        static_cast<std::int64_t>(get_u64(in.data() + at)));
+    at += 8;
+    if (!kInputTimeRange.contains(arrival)) {
+      return make_error(ErrorCode::kOutOfRange,
+                        "frame " + std::to_string(st.frames) +
+                            ": arrival time outside the accepted range");
+    }
+    if (!out.empty() && arrival < out.back().received_at) {
+      return make_error(ErrorCode::kParseError,
+                        "frame " + std::to_string(st.frames) +
+                            ": arrival time precedes the previous frame's");
+    }
+    if (in.size() - at < 4) {
+      st.truncated_tail = true;
+      break;
+    }
+    const std::uint32_t len = get_u32(in.data() + at);
+    at += 4;
+    if (len > kMaxLspFrameBytes) {
+      return make_error(ErrorCode::kParseError,
+                        "frame " + std::to_string(st.frames) + ": length " +
+                            std::to_string(len) + " exceeds " +
+                            std::to_string(kMaxLspFrameBytes) + " bytes");
+    }
+    if (in.size() - at < len) {
+      st.truncated_tail = true;
+      break;
+    }
+    out.push_back(isis::LspRecord{arrival, file.substr(at, len)});
+    at += len;
+    ++st.frames;
+  }
+  return out;
 }
 
 }  // namespace
@@ -60,7 +109,7 @@ void write_lsp_capture(const std::vector<isis::LspRecord>& records,
   for (const isis::LspRecord& rec : records) {
     put_u64(out, static_cast<std::uint64_t>(rec.received_at.unix_millis()));
     put_u32(out, static_cast<std::uint32_t>(rec.bytes.size()));
-    out.write(reinterpret_cast<const char*>(rec.bytes.data()),
+    out.write(rec.bytes.view().data(),
               static_cast<std::streamsize>(rec.bytes.size()));
   }
 }
@@ -79,71 +128,14 @@ Status write_lsp_capture(const std::vector<isis::LspRecord>& records,
 
 Result<std::vector<isis::LspRecord>> read_lsp_capture(std::istream& in,
                                                       LspCaptureStats* stats) {
-  LspCaptureStats local;
-  LspCaptureStats& st = stats ? *stats : local;
-
-  char magic[4];
-  if (!in.read(magic, sizeof magic) ||
-      std::memcmp(magic, kLspCaptureMagic, sizeof magic) != 0) {
-    return make_error(ErrorCode::kParseError, "not an NFC1 LSP capture");
-  }
-  std::uint32_t flags = 0;
-  std::uint64_t declared = 0;
-  if (!get_u32(in, flags) || !get_u64(in, declared)) {
-    return make_error(ErrorCode::kTruncated, "capture header truncated");
-  }
-
-  // The declared count comes from the file: reserve no more frames than
-  // the remaining bytes can hold (12-byte frame header, empty payload).
-  constexpr std::uint64_t kMinFrameBytes = 12;
-  std::vector<isis::LspRecord> out;
-  out.reserve(static_cast<std::size_t>(
-      std::min(declared, remaining_bytes(in) / kMinFrameBytes)));
-  while (true) {
-    std::uint64_t at_ms = 0;
-    if (!get_u64(in, at_ms)) break;  // clean end of file
-    const TimePoint at =
-        TimePoint::from_unix_millis(static_cast<std::int64_t>(at_ms));
-    if (!kInputTimeRange.contains(at)) {
-      return make_error(ErrorCode::kOutOfRange,
-                        "frame " + std::to_string(st.frames) +
-                            ": arrival time outside the accepted range");
-    }
-    if (!out.empty() && at < out.back().received_at) {
-      return make_error(ErrorCode::kParseError,
-                        "frame " + std::to_string(st.frames) +
-                            ": arrival time precedes the previous frame's");
-    }
-    std::uint32_t len = 0;
-    if (!get_u32(in, len)) {
-      st.truncated_tail = true;
-      break;
-    }
-    if (len > kMaxLspFrameBytes) {
-      return make_error(ErrorCode::kParseError,
-                        "frame " + std::to_string(st.frames) + ": length " +
-                            std::to_string(len) + " exceeds " +
-                            std::to_string(kMaxLspFrameBytes) + " bytes");
-    }
-    std::vector<std::uint8_t> payload(len);
-    if (!in.read(reinterpret_cast<char*>(payload.data()),
-                 static_cast<std::streamsize>(len))) {
-      st.truncated_tail = true;
-      break;
-    }
-    out.push_back(isis::LspRecord{at, std::move(payload)});
-    ++st.frames;
-  }
-  return out;
+  return parse_capture(read_stream_bytes(in), stats);
 }
 
 Result<std::vector<isis::LspRecord>> read_lsp_capture(const std::string& path,
                                                       LspCaptureStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return make_error(ErrorCode::kNotFound, "cannot open " + path);
-  }
-  return read_lsp_capture(in, stats);
+  Result<ByteSlice> file = read_file_bytes(path);
+  if (!file) return file.error();
+  return parse_capture(*file, stats);
 }
 
 }  // namespace netfail::io

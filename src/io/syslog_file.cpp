@@ -1,13 +1,7 @@
 #include "src/io/syslog_file.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -16,68 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/io/file_bytes.hpp"
+
 namespace netfail::io {
 namespace {
-
-/// A file's bytes, read into memory once. Not zero-filled first: a fresh
-/// buffer is paid for in page faults, and the reads fill every byte.
-struct Text {
-  std::unique_ptr<char[]> bytes;
-  std::size_t size = 0;
-
-  explicit Text(std::size_t n)
-      : bytes(std::make_unique_for_overwrite<char[]>(n)), size(n) {}
-  std::string_view view() const { return {bytes.get(), size}; }
-};
-
-/// What is left of `in`: one sized read when the stream can seek, else
-/// read to the end in blocks.
-Text read_rest(std::istream& in) {
-  const std::istream::pos_type start = in.tellg();
-  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
-    const std::istream::pos_type end = in.tellg();
-    in.seekg(start);
-    Text text(end > start ? static_cast<std::size_t>(end - start) : 0);
-    in.read(text.bytes.get(), static_cast<std::streamsize>(text.size));
-    text.size = static_cast<std::size_t>(in.gcount());
-    return text;
-  }
-  in.clear();
-  std::string rest;
-  char block[1 << 16];
-  while (in.read(block, sizeof(block)) || in.gcount() > 0) {
-    rest.append(block, static_cast<std::size_t>(in.gcount()));
-  }
-  Text text(rest.size());
-  std::memcpy(text.bytes.get(), rest.data(), rest.size());
-  return text;
-}
-
-/// Fill `text` with the first `text.size` bytes of the open file `fd`, in
-/// `kSyslogReadLanes` equal slices read concurrently: the page faults of a
-/// fresh buffer, not the copy, dominate a serial read. False if any slice
-/// comes back short.
-bool read_slices(int fd, Text& text) {
-  auto read_slice = [fd, &text](std::size_t i) {
-    std::size_t at = text.size * i / kSyslogReadLanes;
-    const std::size_t end = text.size * (i + 1) / kSyslogReadLanes;
-    while (at < end) {
-      const ssize_t n = ::pread(fd, text.bytes.get() + at, end - at,
-                                static_cast<off_t>(at));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      at += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
-  std::array<std::future<bool>, kSyslogReadLanes> tasks;
-  for (std::size_t i = 1; i < kSyslogReadLanes; ++i) {
-    tasks[i] = std::async(std::launch::async, read_slice, i);
-  }
-  bool ok = read_slice(0);
-  for (std::size_t i = 1; i < kSyslogReadLanes; ++i) ok = tasks[i].get() && ok;
-  return ok;
-}
 
 /// Calls `fn(line)` for each line of `range` as std::getline splits it,
 /// with one trailing '\r' dropped: a final line without '\n' counts when
@@ -99,7 +35,22 @@ struct LaneLines {
   std::size_t blank = 0;
 };
 
-LaneLines parse_range(std::string_view range) {
+/// `bytes` under a reference count of its own, which holds `bytes`'s: a
+/// lane that cuts many slices off its own handle never contends with the
+/// other lanes for one count.
+ByteSlice own_handle(const ByteSlice& bytes) {
+  auto holder = std::make_shared<const ByteSlice>(bytes);
+  return ByteSlice(std::shared_ptr<const char>(holder, bytes.view().data()),
+                   0, bytes.size());
+}
+
+/// The lines of `whole`'s bytes [begin, end), each a slice of them through
+/// this lane's own handle.
+LaneLines parse_range(const ByteSlice& whole, std::size_t begin,
+                      std::size_t end) {
+  const ByteSlice file = own_handle(whole);
+  const std::string_view all = file.view();
+  const std::string_view range = all.substr(begin, end - begin);
   LaneLines out;
   // Size the store up front: growing a vector of parsed lines by doubling
   // strands the outgrown buffers in the heap. Blank lines are not stored,
@@ -111,20 +62,23 @@ LaneLines parse_range(std::string_view range) {
     if (line.empty()) {
       ++out.blank;
     } else {
-      out.lines.emplace_back(TimePoint{}, std::string(line));
+      out.lines.emplace_back(
+          TimePoint{},
+          file.substr(static_cast<std::size_t>(line.data() - all.data()),
+                      line.size()));
     }
   });
   return out;
 }
 
-/// `text` cut into `kSyslogReadLanes` ranges of about equal size, each
+/// `text` cut into `kReadLanes` ranges of about equal size, each
 /// starting on a line (so a range may be empty): range i is
 /// [cuts[i], cuts[i + 1]).
-std::array<std::size_t, kSyslogReadLanes + 1> line_cuts(std::string_view text) {
-  std::array<std::size_t, kSyslogReadLanes + 1> cuts{};
-  cuts[kSyslogReadLanes] = text.size();
-  for (std::size_t i = 1; i < kSyslogReadLanes; ++i) {
-    std::size_t p = std::max(text.size() * i / kSyslogReadLanes, cuts[i - 1]);
+std::array<std::size_t, kReadLanes + 1> line_cuts(std::string_view text) {
+  std::array<std::size_t, kReadLanes + 1> cuts{};
+  cuts[kReadLanes] = text.size();
+  for (std::size_t i = 1; i < kReadLanes; ++i) {
+    std::size_t p = std::max(text.size() * i / kReadLanes, cuts[i - 1]);
     if (p > 0 && p < text.size() && text[p - 1] != '\n') {
       p = std::min(text.find('\n', p), text.size() - 1) + 1;
     }
@@ -133,31 +87,26 @@ std::array<std::size_t, kSyslogReadLanes + 1> line_cuts(std::string_view text) {
   return cuts;
 }
 
-/// Both overloads: parse `text` on lanes, free it, stamp in file order.
-syslog::Collector collect(Text text, TimePoint capture_start,
+/// Both overloads: parse `file` on lanes, then stamp in file order. Every
+/// line is a slice of `file`'s block, which the collector's lines keep.
+syslog::Collector collect(const ByteSlice& file, TimePoint capture_start,
                           SyslogReadStats& st) {
   // Parse: range 0 on this thread, the others on tasks. The ranges' lines
   // live as long as the collector, so which heap they come from does not
   // matter.
-  std::array<LaneLines, kSyslogReadLanes> lanes;
-  {
-    const std::string_view all = text.view();
-    const auto cuts = line_cuts(all);
-    auto range = [&](std::size_t i) {
-      return all.substr(cuts[i], cuts[i + 1] - cuts[i]);
-    };
-    std::array<std::future<LaneLines>, kSyslogReadLanes> tasks;
-    for (std::size_t i = 1; i < kSyslogReadLanes; ++i) {
-      if (cuts[i] == cuts[i + 1]) continue;
-      tasks[i] = std::async(std::launch::async,
-                            [view = range(i)] { return parse_range(view); });
-    }
-    lanes[0] = parse_range(range(0));
-    for (std::size_t i = 1; i < kSyslogReadLanes; ++i) {
-      if (tasks[i].valid()) lanes[i] = tasks[i].get();
-    }
+  std::array<LaneLines, kReadLanes> lanes;
+  const auto cuts = line_cuts(file.view());
+  std::array<std::future<LaneLines>, kReadLanes> tasks;
+  for (std::size_t i = 1; i < kReadLanes; ++i) {
+    if (cuts[i] == cuts[i + 1]) continue;
+    tasks[i] = std::async(std::launch::async, [&file, &cuts, i] {
+      return parse_range(file, cuts[i], cuts[i + 1]);
+    });
   }
-  text.bytes.reset();  // the file's bytes are freed before the store grows
+  lanes[0] = parse_range(file, cuts[0], cuts[1]);
+  for (std::size_t i = 1; i < kReadLanes; ++i) {
+    if (tasks[i].valid()) lanes[i] = tasks[i].get();
+  }
 
   // Stamp arrivals in file order, with the same cursor the live UDP
   // receiver applies, so a capture file and its zero-loss replay load
@@ -204,30 +153,16 @@ Result<syslog::Collector> read_syslog_file(std::istream& in,
                                            TimePoint capture_start,
                                            SyslogReadStats* stats) {
   SyslogReadStats local;
-  return collect(read_rest(in), capture_start, stats ? *stats : local);
+  return collect(read_stream_bytes(in), capture_start, stats ? *stats : local);
 }
 
 Result<syslog::Collector> read_syslog_file(const std::string& path,
                                            TimePoint capture_start,
                                            SyslogReadStats* stats) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return make_error(ErrorCode::kNotFound, "cannot open " + path);
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    // Not a regular file (a pipe, say): no size to split by, so stream it.
-    ::close(fd);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return make_error(ErrorCode::kNotFound, "cannot open " + path);
-    return read_syslog_file(in, capture_start, stats);
-  }
-  Text text(static_cast<std::size_t>(st.st_size));
-  const bool whole = read_slices(fd, text);
-  ::close(fd);
-  if (!whole) {
-    return make_error(ErrorCode::kInternal, "short read of " + path);
-  }
+  Result<ByteSlice> file = read_file_bytes(path);
+  if (!file) return file.error();
   SyslogReadStats local;
-  return collect(std::move(text), capture_start, stats ? *stats : local);
+  return collect(*file, capture_start, stats ? *stats : local);
 }
 
 }  // namespace netfail::io

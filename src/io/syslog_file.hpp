@@ -30,20 +30,18 @@ struct SyslogReadStats {
   std::size_t unparsable = 0;
 };
 
-/// Byte ranges a syslog file is parsed in, concurrently (see below).
-inline constexpr std::size_t kSyslogReadLanes = 4;
-
 /// Load a flat syslog file into a Collector. `capture_start` anchors year
 /// resolution; arrival times are reconstructed as the (year-resolved)
 /// message timestamps, nudged forward where needed to stay monotonic.
 ///
-/// Both overloads read the input once, into memory (a regular file as
-/// `kSyslogReadLanes` slices read concurrently), and cut it into that many
+/// Both overloads read the input once, into one buffer (a regular file in
+/// four slices read concurrently, see file_bytes.hpp), and cut it into four
 /// byte ranges that start on a line. Each range's lines are parsed
 /// (ReceivedLine's one tokenizer call) on its own thread; then the calling
 /// thread stamps every line's arrival in file order with one ArrivalCursor,
 /// the same algorithm a UDP receiver runs per datagram, so the result does
-/// not depend on where the cuts fall.
+/// not depend on where the cuts fall. Every line's text is a slice of the
+/// buffer, which lives as long as the last line that points into it.
 Result<syslog::Collector> read_syslog_file(std::istream& in,
                                            TimePoint capture_start,
                                            SyslogReadStats* stats = nullptr);

@@ -117,7 +117,8 @@ ExtractionStats& ExtractionStats::operator+=(const ExtractionStats& o) {
 
 void LspDiffer::diff(const LspRecord& rec, std::size_t index,
                      DeltaBuffer& out, ExtractionStats& stats) {
-  if (Status decoded = Lsp::decode_into(rec.bytes, scratch_lsp_); !decoded) {
+  if (Status decoded = Lsp::decode_into(rec.bytes.span(), scratch_lsp_);
+      !decoded) {
     if (decoded.error().code == ErrorCode::kChecksumMismatch) {
       ++stats.checksum_failures;
     } else {
@@ -367,7 +368,7 @@ namespace {
 OsiSystemId record_source(const LspRecord& rec) {
   std::array<std::uint8_t, 6> id{};
   if (rec.bytes.size() >= 18) {
-    std::copy_n(rec.bytes.begin() + 12, id.size(), id.begin());
+    std::copy_n(rec.bytes.span().begin() + 12, id.size(), id.begin());
   }
   return OsiSystemId(id);
 }

@@ -9,16 +9,22 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "src/common/byte_slice.hpp"
 #include "src/common/interval_set.hpp"
 #include "src/common/time.hpp"
 
 namespace netfail::isis {
 
+/// One recorded LSP. `bytes` is the raw PDU: a slice of the capture file
+/// a record was loaded from, or a block of its own for one delivered live.
 struct LspRecord {
   TimePoint received_at;
-  std::vector<std::uint8_t> bytes;
+  ByteSlice bytes;
+
+  friend bool operator==(const LspRecord&, const LspRecord&) = default;
 };
 
 class Listener {
@@ -29,7 +35,8 @@ class Listener {
   bool is_offline(TimePoint t) const { return offline_.contains(t); }
 
   /// Deliver a flooded LSP; dropped silently when the listener is offline.
-  void deliver(TimePoint t, std::vector<std::uint8_t> bytes);
+  /// A recorded LSP is copied into one block of its own.
+  void deliver(TimePoint t, std::span<const std::uint8_t> bytes);
 
   const std::vector<LspRecord>& records() const { return records_; }
   std::size_t delivered_count() const { return records_.size(); }

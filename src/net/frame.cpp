@@ -42,7 +42,8 @@ void append_lsp_frame(std::vector<std::uint8_t>& out,
   append_u32be(out, static_cast<std::uint32_t>(8 + record.bytes.size()));
   append_u64be(out,
                static_cast<std::uint64_t>(record.received_at.unix_millis()));
-  out.insert(out.end(), record.bytes.begin(), record.bytes.end());
+  const std::span<const std::uint8_t> pdu = record.bytes.span();
+  out.insert(out.end(), pdu.begin(), pdu.end());
 }
 
 Result<isis::LspRecord> decode_lsp_payload(
@@ -58,7 +59,7 @@ Result<isis::LspRecord> decode_lsp_payload(
     return make_error(ErrorCode::kOutOfRange,
                       "LSP frame arrival time outside the accepted range");
   }
-  record.bytes.assign(payload.begin() + 8, payload.end());
+  record.bytes = ByteSlice::copy_of(payload.subspan(8));
   return record;
 }
 

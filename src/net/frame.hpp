@@ -40,8 +40,9 @@ void append_frame(std::vector<std::uint8_t>& out,
 void append_lsp_frame(std::vector<std::uint8_t>& out,
                       const isis::LspRecord& record);
 
-/// Decode an LSP-feed frame payload back into a record. An arrival time
-/// outside kInputTimeRange is an error.
+/// Decode an LSP-feed frame payload back into a record, its PDU copied into
+/// one block of its own. An arrival time outside kInputTimeRange is an
+/// error.
 Result<isis::LspRecord> decode_lsp_payload(
     std::span<const std::uint8_t> payload);
 

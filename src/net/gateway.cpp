@@ -203,7 +203,7 @@ void IngestGateway::on_udp_readable() {
         done_cv_.notify_all();
         continue;
       }
-      syslog::ReceivedLine rec = cursor_.stamp(std::string(payload));
+      syslog::ReceivedLine rec = cursor_.stamp(payload);
       buckets_[shard_map_.shard_of(rec)].push_back(std::move(rec));
     }
     for (std::uint32_t s = 0; s < nshards; ++s) {
@@ -305,11 +305,11 @@ void IngestGateway::extract_frames(Connection& conn) {
     // stream (pair state spans both endpoints of a link); the ownership
     // filter is applied per transition inside the engine. Every shard
     // queue therefore carries the identical frame sequence. Copy to all
-    // shards but the last, move into the last. push_wait, not try_push:
-    // TCP frames are the reliable source, and the watermark check above
-    // already bounds occupancy (this thread is the only LSP producer). A
-    // refusal means a closed queue (shutdown) — the rest of the stream is
-    // moot then anyway.
+    // shards but the last (a copy shares the PDU's one block), move into
+    // the last. push_wait, not try_push: TCP frames are the reliable
+    // source, and the watermark check above already bounds occupancy
+    // (this thread is the only LSP producer). A refusal means a closed
+    // queue (shutdown) — the rest of the stream is moot then anyway.
     for (std::uint32_t s = 0; s + 1 < nshards; ++s) {
       isis::LspRecord copy = *record;
       if (!shards_[s]->lsp_queue.push_wait(std::move(copy))) return;

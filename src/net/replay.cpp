@@ -61,19 +61,21 @@ void FaultyChannel::set_reset_points(std::vector<std::uint64_t> points) {
 Status FaultyChannel::send_datagram(std::string_view payload) {
   // Counted as sent now; the bytes leave in the next flush. Send order is
   // exactly batch order, so the fault model's sequencing is preserved.
-  udp_batch_.emplace_back(payload);
+  udp_batch_.append(payload);
+  udp_ends_.push_back(udp_batch_.size());
   ++stats_.syslog_sent;
-  if (udp_batch_.size() >= kUdpBatch) return flush_udp();
+  if (udp_ends_.size() >= kUdpBatch) return flush_udp();
   return Status::ok_status();
 }
 
 Status FaultyChannel::flush_udp() {
-  if (udp_batch_.empty()) return Status::ok_status();
-  std::vector<iovec> iov(udp_batch_.size());
-  std::vector<mmsghdr> msgs(udp_batch_.size());
-  for (std::size_t i = 0; i < udp_batch_.size(); ++i) {
-    iov[i].iov_base = udp_batch_[i].data();
-    iov[i].iov_len = udp_batch_[i].size();
+  if (udp_ends_.empty()) return Status::ok_status();
+  std::vector<iovec> iov(udp_ends_.size());
+  std::vector<mmsghdr> msgs(udp_ends_.size());
+  for (std::size_t i = 0, begin = 0; i < udp_ends_.size(); ++i) {
+    iov[i].iov_base = udp_batch_.data() + begin;
+    iov[i].iov_len = udp_ends_[i] - begin;
+    begin = udp_ends_[i];
     std::memset(&msgs[i], 0, sizeof(msgs[i]));
     msgs[i].msg_hdr.msg_iov = &iov[i];
     msgs[i].msg_hdr.msg_iovlen = 1;
@@ -89,6 +91,7 @@ Status FaultyChannel::flush_udp() {
     done += static_cast<std::size_t>(n);
   }
   udp_batch_.clear();
+  udp_ends_.clear();
   return Status::ok_status();
 }
 
@@ -103,7 +106,7 @@ Status FaultyChannel::send_raw_datagram(std::string_view payload) {
   }
 }
 
-Status FaultyChannel::send_syslog(const std::string& line) {
+Status FaultyChannel::send_syslog(std::string_view line) {
   if (rng_.bernoulli(faults_.udp_loss)) {
     ++stats_.syslog_lost;
     return Status::ok_status();

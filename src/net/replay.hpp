@@ -71,7 +71,7 @@ class FaultyChannel {
   Status open();
 
   /// Queue one syslog line through the fault model.
-  Status send_syslog(const std::string& line);
+  Status send_syslog(std::string_view line);
   /// Queue one LSP record; frames are batched and flushed opportunistically.
   Status send_lsp(const isis::LspRecord& record);
 
@@ -101,7 +101,10 @@ class FaultyChannel {
   Fd tcp_;
   /// Datagrams are batched into one sendmmsg(2) per ~32 messages: the
   /// syscall, not the copy, is the per-datagram cost that caps replay rate.
-  std::vector<std::string> udp_batch_;
+  /// The batch's payloads lie back to back in one reused buffer;
+  /// `udp_ends_[i]` is where datagram i ends.
+  std::string udp_batch_;
+  std::vector<std::size_t> udp_ends_;
   std::vector<std::uint8_t> tcp_buf_;
   std::vector<std::uint64_t> reset_points_;  // sorted ascending
   std::size_t next_reset_ = 0;

@@ -29,10 +29,10 @@ bool is_leap(int year) {
 
 }  // namespace
 
-ReceivedLine::ReceivedLine(TimePoint at, std::string text)
+ReceivedLine::ReceivedLine(TimePoint at, ByteSlice text)
     : received_at(at), line_(std::move(text)) {
   if (line_.size() > std::numeric_limits<std::uint32_t>::max()) return;
-  const Status st = tokenize(line_, parse_);
+  const Status st = tokenize(line_.view(), parse_);
   if (st.ok()) {
     parse_.status = ParseStatus::kOk;
     return;
@@ -123,8 +123,8 @@ void ArrivalCursor::stamp(ReceivedLine& rec) {
   rec.received_at = cursor_;
 }
 
-ReceivedLine ArrivalCursor::stamp(std::string line) {
-  ReceivedLine rec(cursor_, std::move(line));
+ReceivedLine ArrivalCursor::stamp(std::string_view line) {
+  ReceivedLine rec(cursor_, line);
   stamp(rec);
   return rec;
 }

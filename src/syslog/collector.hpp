@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/byte_slice.hpp"
 #include "src/common/time.hpp"
 #include "src/syslog/message.hpp"
 
@@ -25,26 +26,30 @@ namespace netfail::syslog {
 
 /// One received raw line and its parse. Construction always parses, so no
 /// ReceivedLine can hold fields that disagree with its text. `received_at`
-/// is the collector's arrival stamp, not part of the parse.
+/// is the collector's arrival stamp, not part of the parse. The text is an
+/// immutable slice: of the file a line was loaded from, or a block of its
+/// own for a line received live.
 class ReceivedLine {
  public:
-  /// Parse `line`: the one place src/ calls the tokenizer. A line longer
+  /// Parse `text`: the one place src/ calls the tokenizer. A line longer
   /// than the 32-bit reason offsets can address is a parse error.
-  ReceivedLine(TimePoint at, std::string text);
+  ReceivedLine(TimePoint at, ByteSlice text);
+  /// The same over a copy of `text` in one block of its own.
+  ReceivedLine(TimePoint at, std::string_view text)
+      : ReceivedLine(at, ByteSlice::copy_of(text)) {}
 
   TimePoint received_at;
 
-  const std::string& line() const { return line_; }
+  std::string_view line() const { return line_.view(); }
   const LineParse& parse() const { return parse_; }
   ParseStatus status() const { return parse_.status; }
   /// Adjacency messages' free-text reason, rebuilt from the stored offsets.
   std::string_view reason() const {
-    return std::string_view(line_).substr(parse_.reason_offset,
-                                          parse_.reason_length);
+    return line().substr(parse_.reason_offset, parse_.reason_length);
   }
 
  private:
-  std::string line_;
+  ByteSlice line_;
   LineParse parse_;
 };
 
@@ -101,8 +106,8 @@ class ArrivalCursor {
   /// cursor. Lines must be stamped in arrival order.
   void stamp(ReceivedLine& rec);
 
-  /// Receive the next line: parse it once, then stamp it as above.
-  ReceivedLine stamp(std::string line);
+  /// Receive the next line: copy and parse it once, then stamp it as above.
+  ReceivedLine stamp(std::string_view line);
 
   TimePoint cursor() const { return cursor_; }
 

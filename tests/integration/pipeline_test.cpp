@@ -33,7 +33,7 @@ std::map<OsiSystemId, isis::Lsp> lsps_heard_by(const PipelineResult& r,
   std::map<OsiSystemId, isis::Lsp> latest;
   for (const isis::LspRecord& rec : r.sim.listener.records()) {
     if (rec.received_at > when) break;
-    Result<isis::Lsp> lsp = isis::Lsp::decode(rec.bytes);
+    Result<isis::Lsp> lsp = isis::Lsp::decode(rec.bytes.span());
     if (!lsp.ok()) continue;
     if (lsp->remaining_lifetime == 0) {
       latest.erase(lsp->source);

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/analysis/scenario_cache.hpp"
 #include "src/analysis/tables.hpp"
@@ -243,6 +244,28 @@ TEST_F(CaptureBundle, RoundTripRendersTheInMemoryComparison) {
             analysis::render_comparison(*in_memory, in_memory->census));
 }
 
+TEST_F(CaptureBundle, RecordsAndLinesCopiedOutOutliveTheBundle) {
+  // The bundle's records and lines are slices of their files' buffers;
+  // copies share those buffers, so they stay readable (and clean under
+  // ASan) once the Bundle that loaded them is gone.
+  std::vector<syslog::ReceivedLine> lines;
+  std::vector<isis::LspRecord> records;
+  {
+    Result<Bundle> b = read_bundle(dir());
+    ASSERT_TRUE(b.ok()) << b.error().to_string();
+    ASSERT_GT(b->collector.size(), 2u);
+    ASSERT_GT(b->lsp_records.size(), 2u);
+    lines = {b->collector.lines().front(), b->collector.lines().back()};
+    records = {b->lsp_records.front(), b->lsp_records.back()};
+  }
+  const sim::SimulationResult& sim = capture_->sim;
+  EXPECT_EQ(lines[0].line(), sim.collector.lines().front().line());
+  EXPECT_EQ(lines[1].line(), sim.collector.lines().back().line());
+  EXPECT_EQ(lines[1].reason(), sim.collector.lines().back().reason());
+  EXPECT_EQ(records[0], sim.listener.records().front());
+  EXPECT_EQ(records[1], sim.listener.records().back());
+}
+
 TEST_F(CaptureBundle, OptionalFilesMayBeAbsent) {
   fs::remove(dir_.path() / "tickets.tsv");
   fs::remove(dir_.path() / "listener_gaps.tsv");
@@ -288,6 +311,21 @@ TEST_F(CaptureBundle, MissingRequiredFilesFailTheLoad) {
     fs::copy(dir_.path(), copy.path(), fs::copy_options::recursive);
     fs::remove(copy.path() / file);
     EXPECT_FALSE(read_bundle(copy.path().string()).ok()) << file;
+  }
+}
+
+TEST_F(CaptureBundle, EventFileThatIsADirectoryFailsTheLoad) {
+  // A directory in messages.log's place once sized the syslog buffer from
+  // a seek on the directory and aborted the load with std::bad_alloc.
+  for (const char* file : {"messages.log", "listener.nfc"}) {
+    TempDir copy;
+    fs::copy(dir_.path(), copy.path(), fs::copy_options::recursive);
+    fs::remove(copy.path() / file);
+    fs::create_directory(copy.path() / file);
+    const Result<Bundle> b = read_bundle(copy.path().string());
+    ASSERT_FALSE(b.ok()) << file;
+    EXPECT_NE(b.error().message.find(file), std::string::npos)
+        << b.error().message;
   }
 }
 

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/isis/pdu.hpp"
+#include "src/net/frame.hpp"
+#include "tests/io/fifo_feed.hpp"
+#include "tests/io/temp_dir.hpp"
 
 namespace netfail::io {
 namespace {
@@ -16,7 +22,8 @@ isis::LspRecord record(std::int64_t ms, std::uint32_t index) {
   lsp.source = OsiSystemId::from_index(index);
   lsp.sequence = index + 1;
   lsp.hostname = "r" + std::to_string(index);
-  return isis::LspRecord{TimePoint::from_unix_millis(ms), lsp.encode()};
+  return isis::LspRecord{TimePoint::from_unix_millis(ms),
+                         ByteSlice::copy_of(lsp.encode())};
 }
 
 TEST(LspCapture, RoundTrip) {
@@ -35,7 +42,7 @@ TEST(LspCapture, RoundTrip) {
     EXPECT_EQ((*loaded)[i].received_at, records[i].received_at);
     EXPECT_EQ((*loaded)[i].bytes, records[i].bytes);
     // And the payloads still decode as LSPs.
-    EXPECT_TRUE(isis::Lsp::decode((*loaded)[i].bytes).ok());
+    EXPECT_TRUE(isis::Lsp::decode((*loaded)[i].bytes.span()).ok());
   }
 }
 
@@ -190,6 +197,137 @@ TEST(LspCapture, FrameLongerThanAnIsisPduIsRejected) {
   EXPECT_EQ(loaded.error().code, ErrorCode::kParseError);
   EXPECT_NE(loaded.error().message.find("frame 1"), std::string::npos)
       << loaded.error().message;
+}
+
+// ---- one parser, whatever the input -------------------------------------
+
+/// `bytes` read as a capture from an istream, from a regular file (sized,
+/// in concurrent slices) and from a FIFO (no size, read to its end). The
+/// three must agree: on the records and the stats, or on the error.
+void expect_every_input_agrees(const std::string& bytes) {
+  SCOPED_TRACE(testing::Message() << "capture of " << bytes.size() << " bytes");
+  std::istringstream in(bytes);
+  LspCaptureStats want_stats;
+  const auto want = read_lsp_capture(in, &want_stats);
+
+  TempDir dir;
+  const std::string file = (dir.path() / "listener.nfc").string();
+  std::ofstream(file, std::ios::binary) << bytes;
+  LspCaptureStats file_stats;
+  const auto from_file = read_lsp_capture(file, &file_stats);
+  LspCaptureStats fifo_stats;
+  const auto from_fifo = read_through_fifo(
+      dir.path() / "listener.fifo", bytes, [&](const std::string& path) {
+        return read_lsp_capture(path, &fifo_stats);
+      });
+
+  for (const auto* got : {&from_file, &from_fifo}) {
+    ASSERT_EQ(got->ok(), want.ok());
+    if (!want.ok()) {
+      EXPECT_EQ(got->error().code, want.error().code);
+      EXPECT_EQ(got->error().message, want.error().message);
+      continue;
+    }
+    EXPECT_EQ(**got, *want);
+  }
+  if (want.ok()) {
+    for (const LspCaptureStats* st : {&file_stats, &fifo_stats}) {
+      EXPECT_EQ(st->frames, want_stats.frames);
+      EXPECT_EQ(st->truncated_tail, want_stats.truncated_tail);
+    }
+  }
+}
+
+TEST(LspCapture, FileFifoAndStreamAgreeOnEveryHostileCase) {
+  std::stringstream three;
+  write_lsp_capture({record(1000, 1), record(2000, 2), record(3000, 3)},
+                    three);
+  const std::string whole = three.str();
+  // Cut at every byte: no magic, a short header, a clean end between
+  // frames, a torn frame header, a torn payload.
+  for (std::size_t n = 0; n <= whole.size(); ++n) {
+    expect_every_input_agrees(whole.substr(0, n));
+    if (HasFatalFailure()) return;
+  }
+  expect_every_input_agrees("GARBAGE DATA HERE");
+  for (const std::vector<isis::LspRecord>& records :
+       std::vector<std::vector<isis::LspRecord>>{
+           {record(1000, 1), record(3000, 2), record(2999, 3)},
+           {record(1000, 1), record(1000, 2), record(1000, 3)},
+           {record(-1000, 1)},
+           {record(1000, 1),
+            record(std::numeric_limits<std::int64_t>::min(), 2)},
+           {record(1000, 1),
+            record(std::numeric_limits<std::int64_t>::max(), 2)},
+           {record(kInputTimeRange.end.unix_millis(), 1)},
+           {record(kInputTimeRange.begin.unix_millis() - 1, 1)},
+           {record(kInputTimeRange.begin.unix_millis(), 1)},
+       }) {
+    std::stringstream stream;
+    write_lsp_capture(records, stream);
+    expect_every_input_agrees(stream.str());
+  }
+  expect_every_input_agrees(
+      capture_bytes(std::uint64_t{1} << 62, std::string(8, '\0')));
+  const std::string ok_frame =
+      frame_header(kMaxLspFrameBytes) + std::string(kMaxLspFrameBytes, 'x');
+  expect_every_input_agrees(capture_bytes(1, ok_frame));
+  expect_every_input_agrees(capture_bytes(
+      2, ok_frame + frame_header(kMaxLspFrameBytes + 1) +
+             std::string(kMaxLspFrameBytes + 1, 'x')));
+  expect_every_input_agrees(capture_bytes(1, frame_header(0)));
+}
+
+TEST(LspCapture, RecordsShareTheFileBufferAndOutliveTheirVector) {
+  std::stringstream stream;
+  write_lsp_capture({record(1000, 1), record(2000, 2)}, stream);
+  std::vector<isis::LspRecord> kept;
+  {
+    auto loaded = read_lsp_capture(stream);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded->size(), 2u);
+    // Both payloads lie in one buffer, back to back after a frame header.
+    const std::string_view a = (*loaded)[0].bytes.view();
+    const std::string_view b = (*loaded)[1].bytes.view();
+    EXPECT_EQ(a.data() + a.size() + 12, b.data());
+    kept.push_back((*loaded)[1]);
+  }
+  // The vector (and the other record) are gone; the copy still reads.
+  EXPECT_EQ(kept[0], record(2000, 2));
+  EXPECT_TRUE(isis::Lsp::decode(kept[0].bytes.span()).ok());
+}
+
+TEST(LspCapture, LiveRecordsEqualTheFileBackedRecordOfTheSameBytes) {
+  // The same PDU reaches a record three ways: delivered by the simulator's
+  // listener, decoded off the TCP feed's framing, and loaded from a
+  // capture file. The first two own a block each, the last is a slice of
+  // the file's buffer; all compare equal.
+  isis::Listener listener;
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    const isis::LspRecord r = record(1000 * i, i);
+    listener.deliver(r.received_at, r.bytes.span());
+  }
+  TempDir dir;
+  const std::string path = (dir.path() / "listener.nfc").string();
+  ASSERT_TRUE(write_lsp_capture(listener.records(), path).ok());
+  const auto from_file = read_lsp_capture(path);
+  ASSERT_TRUE(from_file.ok());
+
+  std::vector<std::uint8_t> wire;
+  for (const isis::LspRecord& r : listener.records()) {
+    net::append_lsp_frame(wire, r);
+  }
+  net::FrameDecoder decoder;
+  decoder.feed(wire);
+  std::vector<isis::LspRecord> from_frames;
+  while (const auto payload = decoder.next()) {
+    auto rec = net::decode_lsp_payload(*payload);
+    ASSERT_TRUE(rec.ok()) << rec.error().to_string();
+    from_frames.push_back(std::move(*rec));
+  }
+  EXPECT_EQ(*from_file, listener.records());
+  EXPECT_EQ(from_frames, listener.records());
+  EXPECT_EQ(from_frames, *from_file);
 }
 
 }  // namespace

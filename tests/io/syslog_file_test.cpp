@@ -6,8 +6,12 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/io/file_bytes.hpp"
 #include "src/syslog/message.hpp"
+#include "tests/io/fifo_feed.hpp"
+#include "tests/io/temp_dir.hpp"
 
 namespace netfail::io {
 namespace {
@@ -131,6 +135,40 @@ Loaded per_line_oracle(const std::string& text, TimePoint start) {
 
 const TimePoint kStart = TimePoint::from_civil(2011, 2, 25);
 
+/// `text` read from a regular file (sized, in concurrent slices) and from
+/// a FIFO (no size, read to its end) gives what the istream gave: the same
+/// lines, arrivals and counts.
+void expect_files_match_stream(const std::string& text, const Loaded& want) {
+  TempDir dir;
+  const std::string file = (dir.path() / "messages.log").string();
+  std::ofstream(file, std::ios::binary) << text;
+  Loaded from_file;
+  Result<syslog::Collector> read_file =
+      read_syslog_file(file, kStart, &from_file.stats);
+  Loaded from_fifo;
+  Result<syslog::Collector> read_fifo = read_through_fifo(
+      dir.path() / "messages.fifo", text, [&](const std::string& path) {
+        return read_syslog_file(path, kStart, &from_fifo.stats);
+      });
+  ASSERT_TRUE(read_file.ok());
+  ASSERT_TRUE(read_fifo.ok());
+  from_file.collector = std::move(*read_file);
+  from_fifo.collector = std::move(*read_fifo);
+  for (const Loaded* got : {&from_file, &from_fifo}) {
+    EXPECT_EQ(got->stats.lines, want.stats.lines);
+    EXPECT_EQ(got->stats.blank, want.stats.blank);
+    EXPECT_EQ(got->stats.unparsable, want.stats.unparsable);
+    ASSERT_EQ(got->collector.size(), want.collector.size());
+    for (std::size_t i = 0; i < want.collector.size(); ++i) {
+      const syslog::ReceivedLine& g = got->collector.lines()[i];
+      const syslog::ReceivedLine& w = want.collector.lines()[i];
+      ASSERT_EQ(g.line(), w.line()) << "line " << i;
+      EXPECT_EQ(g.received_at, w.received_at) << "line " << i;
+      EXPECT_EQ(g.status(), w.status()) << "line " << i;
+    }
+  }
+}
+
 void expect_matches_oracle(const std::string& text) {
   SCOPED_TRACE(testing::Message() << "input of " << text.size() << " bytes");
   const Loaded want = per_line_oracle(text, kStart);
@@ -139,6 +177,7 @@ void expect_matches_oracle(const std::string& text) {
   Result<syslog::Collector> read = read_syslog_file(in, kStart, &got.stats);
   ASSERT_TRUE(read.ok());
   got.collector = std::move(*read);
+  expect_files_match_stream(text, got);
 
   EXPECT_EQ(got.stats.lines, want.stats.lines);
   EXPECT_EQ(got.stats.blank, want.stats.blank);
@@ -177,7 +216,7 @@ TEST(SyslogFileLanes, EveryCutPositionMatchesThePerLineReader) {
   // every byte of the capture: CRLF pairs, '\r'-only lines and runs of
   // blank lines all land on a cut somewhere in the sweep.
   const std::string body = mixed_capture();
-  for (std::size_t pad = 0; pad <= 2 * body.size() / kSyslogReadLanes;
+  for (std::size_t pad = 0; pad <= 2 * body.size() / kReadLanes;
        ++pad) {
     expect_matches_oracle(std::string(pad, 'p') + "\n" + body);
     if (HasFatalFailure()) return;
@@ -208,7 +247,7 @@ TEST(SyslogFileLanes, EmptyFile) {
 }
 
 TEST(SyslogFileLanes, FewerLinesThanLanes) {
-  static_assert(kSyslogReadLanes > 2);
+  static_assert(kReadLanes > 2);
   expect_matches_oracle(sample_message(3, 1).render(1) + "\n");
   expect_matches_oracle(sample_message(3, 1).render(1) + "\n" +
                         sample_message(2, 1).render(2) + "\n");
@@ -245,6 +284,26 @@ TEST(SyslogFileLanes, PathAndStreamOverloadsAgree) {
   }
   EXPECT_EQ(from_path_stats.blank, want.stats.blank);
   EXPECT_EQ(from_path_stats.unparsable, want.stats.unparsable);
+}
+
+TEST(SyslogFile, LinesShareTheFileBufferAndOutliveTheCollector) {
+  const std::string first = sample_message(1, 5).render(1);
+  const std::string second = sample_message(2, 5).render(2);
+  std::vector<syslog::ReceivedLine> kept;
+  {
+    std::istringstream in(first + "\r\n" + second + "\n");
+    auto loaded = read_syslog_file(in, kStart);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded->size(), 2u);
+    // Both lines lie in one buffer, the CRLF between them.
+    const std::string_view a = loaded->lines()[0].line();
+    EXPECT_EQ(a.data() + a.size() + 2, loaded->lines()[1].line().data());
+    kept.push_back(loaded->lines()[1]);
+  }
+  // The collector (and the other line) are gone; the copy still reads.
+  EXPECT_EQ(kept[0].line(), second);
+  EXPECT_EQ(kept[0].status(), syslog::ParseStatus::kOk);
+  EXPECT_EQ(kept[0].reason(), "interface state down");
 }
 
 TEST(SyslogFile, MissingFileReported) {

@@ -53,7 +53,7 @@ TEST_P(ExtractProperty, TransitionsAlternateAndMatchHistory) {
   std::vector<LspRecord> records;
   std::int64_t t = 0;
   auto flood = [&](LspOriginator& o) {
-    records.push_back(LspRecord{at(t), o.build().encode()});
+    records.push_back(LspRecord{at(t), ByteSlice::copy_of(o.build().encode())});
     ++t;
   };
   flood(hub);

@@ -54,7 +54,8 @@ class ExtractTest : public ::testing::Test {
   }
 
   void flood(LspOriginator& o, std::int64_t t) {
-    records_.push_back(LspRecord{at(t), o.build().encode()});
+    records_.push_back(
+        LspRecord{at(t), ByteSlice::copy_of(o.build().encode())});
   }
   void flood_all(std::int64_t t) {
     flood(oa_, t);
@@ -170,7 +171,7 @@ TEST_F(ExtractTest, StaleSequenceIgnored) {
     l.hostname = "aa";
     return l;
   }();
-  records_.push_back(LspRecord{at(10), lsp.encode()});
+  records_.push_back(LspRecord{at(10), ByteSlice::copy_of(lsp.encode())});
   const IsisExtraction ex = extract();
   EXPECT_EQ(ex.stats.stale_lsps, 1u);
   EXPECT_TRUE(ex.is_reach.empty());
@@ -180,7 +181,7 @@ TEST_F(ExtractTest, CorruptLspCounted) {
   flood_all(0);
   auto bytes = oa_.build().encode();
   bytes[20] ^= 0x40;
-  records_.push_back(LspRecord{at(5), bytes});
+  records_.push_back(LspRecord{at(5), ByteSlice::copy_of(bytes)});
   const IsisExtraction ex = extract();
   EXPECT_EQ(ex.stats.checksum_failures, 1u);
   EXPECT_TRUE(ex.is_reach.empty());
@@ -244,7 +245,7 @@ TEST_F(ExtractTest, PurgeWithdrawsEverything) {
   purge.sequence = 10;
   purge.remaining_lifetime = 0;
   purge.hostname = "aa";
-  records_.push_back(LspRecord{at(50), purge.encode()});
+  records_.push_back(LspRecord{at(50), ByteSlice::copy_of(purge.encode())});
 
   const IsisExtraction ex = extract();
   EXPECT_EQ(ex.stats.purges, 1u);
@@ -261,7 +262,7 @@ TEST_F(ExtractTest, ReadvertisementAfterPurgeRestoresState) {
   purge.sequence = 10;
   purge.remaining_lifetime = 0;
   purge.hostname = "aa";
-  records_.push_back(LspRecord{at(50), purge.encode()});
+  records_.push_back(LspRecord{at(50), ByteSlice::copy_of(purge.encode())});
   // aa comes back with a fresh full LSP at a higher sequence.
   for (int i = 0; i < 10; ++i) oa_.build();  // advance past sequence 10
   flood(oa_, 90);

@@ -92,7 +92,7 @@ HostileCapture make_hostile(const HostileParams& params) {
     if (!sent[r].empty() && rng.bernoulli(0.03)) {  // replay: stale sequence
       const auto& old = sent[r][static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(sent[r].size()) - 1))];
-      cap.records.push_back(LspRecord{at, old});
+      cap.records.push_back(LspRecord{at, ByteSlice::copy_of(old)});
       continue;
     }
 
@@ -161,7 +161,7 @@ HostileCapture make_hostile(const HostileParams& params) {
       sent[r].push_back(bytes);
       if (sent[r].size() > 8) sent[r].erase(sent[r].begin());
     }
-    cap.records.push_back(LspRecord{at, std::move(bytes)});
+    cap.records.push_back(LspRecord{at, ByteSlice::copy_of(bytes)});
   }
   return cap;
 }

@@ -233,8 +233,9 @@ TEST(FrameFuzz, EveryDecodedPayloadFeedsTheExtractor) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   Bytes wire;
   for (std::size_t i = 0; i < 2000; ++i) {
+    // Records are immutable: mutate a copy of the PDU's bytes.
     isis::LspRecord rec = records[i % records.size()];
-    Bytes& pdu = rec.bytes;
+    Bytes pdu(rec.bytes.span().begin(), rec.bytes.span().end());
     switch (rng.uniform_int(0, 3)) {
       case 0:
         break;  // intact
@@ -259,6 +260,7 @@ TEST(FrameFuzz, EveryDecodedPayloadFeedsTheExtractor) {
         break;
     }
     if (rng.bernoulli(0.5)) refresh_checksum(pdu);
+    rec.bytes = ByteSlice::copy_of(pdu);
     switch (rng.uniform_int(0, 5)) {
       case 0:
         rec.received_at = TimePoint::from_unix_millis(kMin);

@@ -129,7 +129,7 @@ TEST(Frame, ResetDropsPartialTail) {
 TEST(Frame, LspPayloadRoundTrips) {
   isis::LspRecord record;
   record.received_at = TimePoint::from_unix_millis(1286546400123);
-  record.bytes = payload_of(27, 3);
+  record.bytes = ByteSlice::copy_of(payload_of(27, 3));
 
   std::vector<std::uint8_t> wire;
   append_lsp_frame(wire, record);
@@ -153,7 +153,7 @@ TEST(Frame, LspArrivalOutsideAcceptedRangeIsError) {
         kInputTimeRange.begin.unix_millis() - 1}) {
     isis::LspRecord record;
     record.received_at = TimePoint::from_unix_millis(ms);
-    record.bytes = payload_of(27, 3);
+    record.bytes = ByteSlice::copy_of(payload_of(27, 3));
     std::vector<std::uint8_t> wire;
     append_lsp_frame(wire, record);
     FrameDecoder dec;

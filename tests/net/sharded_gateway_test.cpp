@@ -203,8 +203,19 @@ TEST(ShardedGateway, OneIoThreadAndOneUdpSocketAtEveryShardCount) {
     gw.stop();
     // Counted as the threads stop() joins, not as the threads start()
     // added: a sanitizer runtime may start a helper thread of its own on
-    // the first thread creation, and that one outlives the gateway.
-    EXPECT_EQ(running - process_threads(), static_cast<int>(1 + shards));
+    // the first thread creation, and that one outlives the gateway. A
+    // thread that pthread_join has returned on can still be listed in
+    // /proc/self/task for a moment, until the kernel has released it, so
+    // the count is polled until it settles (bounded), then checked exactly.
+    const int joined = static_cast<int>(1 + shards);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int left = running - process_threads();
+    while (left < joined && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      left = running - process_threads();
+    }
+    EXPECT_EQ(left, joined);
   }
 }
 

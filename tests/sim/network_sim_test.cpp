@@ -25,7 +25,7 @@ TEST_F(NetworkSimTest, ProducesBothStreams) {
 
 TEST_F(NetworkSimTest, AllLspsDecode) {
   for (const isis::LspRecord& rec : result().listener.records()) {
-    const auto lsp = isis::Lsp::decode(rec.bytes);
+    const auto lsp = isis::Lsp::decode(rec.bytes.span());
     ASSERT_TRUE(lsp.ok()) << lsp.error().to_string();
     EXPECT_FALSE(lsp->hostname.empty());
   }

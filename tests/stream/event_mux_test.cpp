@@ -13,7 +13,8 @@ syslog::ReceivedLine line_at(std::int64_t s) {
   return {at(s), "line@" + std::to_string(s)};
 }
 isis::LspRecord lsp_at(std::int64_t s) {
-  return {at(s), {0x83}};
+  const std::uint8_t pdu[] = {0x83};
+  return {at(s), ByteSlice::copy_of(pdu)};
 }
 
 TEST(EventMux, MergesByArrivalTime) {
