@@ -93,9 +93,10 @@ run_tsan() {
   # the same threads; the bundle load (messages.log and listener.nfc read
   # on two worker threads, configs/ mined off a shared queue of host
   # directories that the caller and both workers drain); the syslog
-  # file reader (byte ranges parsed on lanes, then stamped in file order)
-  # and the LSP capture reader (both read a regular file in concurrent
-  # slices, and their records share the one buffer's reference count);
+  # file reader (byte ranges of the mapped file parsed on lanes, then
+  # stamped in file order) and the LSP capture reader (records cut from a
+  # mapped file or a FIFO's buffer, sharing its owner's reference count
+  # across threads);
   # batch IS-IS extraction (source lanes diffing while the caller folds the
   # last chunk); the analysis fan-out (syslog extraction on a task beside
   # the IS-IS lanes, Tables 2-6 rendered on tasks); and the stream

@@ -166,6 +166,9 @@ ALLOC_TU_ROSTER = {
         ("netfail::isis::LspDiffer::adopt",
          "first sighting of a source on a batch lane creates its state, on "
          "the calling thread between chunks"),
+        ("netfail::isis::(anonymous namespace)::make_change",
+         "a neighbor's first resolution under its source's hostname joins "
+         "the source's memo, capped at kMaxResolved entries"),
         ("netfail::isis::(anonymous namespace)::append_missing",
          "delta buffer growth, amortized; a lane's buffer is reserved per "
          "chunk on the caller and reused"),
@@ -182,6 +185,29 @@ ALLOC_TU_ROSTER = {
          "caller, and reused"),
         ("netfail::isis::extract_transitions",
          "drains the chunks into the capture-wide output vectors"),
+    ),
+    # The one LSP walk: the differ reads every record through
+    # LspReach::read into reused scratch, so only error paths, the
+    # encoders and the hello codec allocate.
+    "src/isis/pdu.cpp": (
+        ("netfail::isis::(anonymous namespace)::walk_lsp",
+         "error paths build the Error message; a sink's vectors and hostname "
+         "grow amortized in storage the caller reuses"),
+        ("netfail::isis::Lsp::decode(",
+         "returns a fresh Lsp (tests, tools); extraction reads through "
+         "LspReach::read"),
+        ("netfail::isis::Lsp::encode",
+         "builds a PDU: the simulator and tests, never a reader"),
+        ("netfail::ByteWriter::",
+         "the encoders' output buffer grows"),
+        ("netfail::isis::(anonymous namespace)::write_common_header",
+         "encoder header into the growing output buffer"),
+        ("netfail::isis::(anonymous namespace)::read_common_header",
+         "hello and pdu_type parse: error path builds the reason"),
+        ("netfail::isis::(anonymous namespace)::read_system_id",
+         "hello parse: error path builds the reason"),
+        ("netfail::isis::PointToPointHello::",
+         "the adjacency FSM's hello codec, not on the LSP path"),
     ),
     # The stream lookahead: the producer thread and chunk buffers are set
     # up once; per-event feeding hands out borrowed slices and must not

@@ -1,7 +1,7 @@
 #include "src/analysis/ambiguous.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
 namespace netfail::analysis {
 
@@ -10,33 +10,37 @@ AmbiguityClassification classify_ambiguous(
     const std::vector<Failure>& isis_failures,
     const std::vector<isis::IsisTransition>& is_reach,
     const MatchOptions& options) {
+  return classify_ambiguous(segments, isis_failures,
+                            TransitionTimeIndex(is_reach),
+                            LinkDowntime(isis_failures), options);
+}
+
+AmbiguityClassification classify_ambiguous(
+    const std::vector<AmbiguousSegment>& segments,
+    const std::vector<Failure>& isis_failures,
+    const TransitionTimeIndex& index, const LinkDowntime& isis_down,
+    const MatchOptions& options) {
   AmbiguityClassification out;
 
-  TransitionTimeIndex index;
-  for (const isis::IsisTransition& tr : is_reach) {
-    if (!tr.link.valid() || tr.multilink) continue;
-    index.add(tr.link, tr.dir, tr.time);
-  }
-  index.finalize();
-
-  std::map<LinkId, IntervalSet> isis_down = downtime_by_link(isis_failures);
   // Failure spans per link, sorted by begin, for the same-failure statistic.
-  // `reach[k]` is the latest end among the first k + 1 spans, so one binary
-  // search answers "does some span cover both messages".
-  struct LinkSpans {
-    std::vector<TimeRange> spans;
-    std::vector<TimePoint> reach;
-  };
-  std::map<LinkId, LinkSpans> spans;
-  for (const Failure& f : isis_failures) spans[f.link].spans.push_back(f.span);
-  for (auto& [link, s] : spans) {
-    std::sort(s.spans.begin(), s.spans.end(),
-              [](const TimeRange& a, const TimeRange& b) {
-                return a.begin < b.begin;
-              });
-    s.reach.reserve(s.spans.size());
-    for (const TimeRange& r : s.spans) {
-      s.reach.push_back(s.reach.empty() ? r.end : std::max(s.reach.back(), r.end));
+  // `reach[k]` is the latest end among the link's first k + 1 spans, so one
+  // binary search answers "does some span cover both messages".
+  const LinkSlots& slots = isis_down.slots();
+  Buckets<TimeRange> spans(
+      slots.size(), isis_failures.size(),
+      [&](std::size_t i) { return slots.of(isis_failures[i].link); },
+      [&](std::size_t i) { return isis_failures[i].span; });
+  std::vector<TimePoint> reach(spans.all().size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const std::span<TimeRange> v = spans[s];
+    std::sort(v.begin(), v.end(), [](const TimeRange& a, const TimeRange& b) {
+      return a.begin < b.begin;
+    });
+    const std::size_t base =
+        static_cast<std::size_t>(v.data() - spans.all().data());
+    for (std::size_t k = 0; k < v.size(); ++k) {
+      reach[base + k] =
+          k == 0 ? v[k].end : std::max(reach[base + k - 1], v[k].end);
     }
   }
 
@@ -67,31 +71,27 @@ AmbiguityClassification classify_ambiguous(
     // time of the repeated message. Failure boundaries carry detection and
     // flooding jitter, so the containment test gets the matching window as
     // tolerance.
-    const auto dt = isis_down.find(seg.link);
+    const IntervalSet* dt = isis_down.find(seg.link);
     const bool link_down_at_second =
-        dt != isis_down.end() &&
-        (dt->second.contains(seg.second_message) ||
-         dt->second.overlaps(TimeRange{seg.second_message - options.window,
-                                       seg.second_message + options.window}));
+        dt != nullptr &&
+        (dt->contains(seg.second_message) ||
+         dt->overlaps(TimeRange{seg.second_message - options.window,
+                                seg.second_message + options.window}));
     if (is_down && link_down_at_second) {
       ++out.spurious_down;
       // Same failure: one IS-IS failure span, padded by the window, covers
       // both messages. Only spans beginning by `lo + window` can cover the
       // earlier message; of those, the latest-ending one decides.
-      const auto sp = spans.find(seg.link);
-      if (sp != spans.end()) {
-        const TimePoint lo = std::min(seg.first_message, seg.second_message);
-        const TimePoint hi = std::max(seg.first_message, seg.second_message);
-        const std::vector<TimeRange>& v = sp->second.spans;
-        const auto end = std::upper_bound(
-            v.begin(), v.end(), lo + options.window,
-            [](TimePoint t, const TimeRange& r) { return t < r.begin; });
-        if (end != v.begin() &&
-            sp->second.reach[static_cast<std::size_t>(end - v.begin()) - 1] +
-                    options.window >
-                hi) {
-          ++out.spurious_down_same_failure;
-        }
+      const std::span<const TimeRange> v = spans[slots.of(seg.link)];
+      const TimePoint lo = std::min(seg.first_message, seg.second_message);
+      const TimePoint hi = std::max(seg.first_message, seg.second_message);
+      const auto end = std::upper_bound(
+          v.begin(), v.end(), lo + options.window,
+          [](TimePoint t, const TimeRange& r) { return t < r.begin; });
+      if (end != v.begin()) {
+        const std::size_t last =
+            static_cast<std::size_t>(&*(end - 1) - spans.all().data());
+        if (reach[last] + options.window > hi) ++out.spurious_down_same_failure;
       }
       continue;
     }

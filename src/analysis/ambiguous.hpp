@@ -53,5 +53,11 @@ AmbiguityClassification classify_ambiguous(
     const std::vector<Failure>& isis_failures,
     const std::vector<isis::IsisTransition>& is_reach,
     const MatchOptions& options);
+/// The same, with `is_reach` indexed and `isis_failures`' downtime built.
+AmbiguityClassification classify_ambiguous(
+    const std::vector<AmbiguousSegment>& segments,
+    const std::vector<Failure>& isis_failures,
+    const TransitionTimeIndex& is_reach, const LinkDowntime& isis_down,
+    const MatchOptions& options);
 
 }  // namespace netfail::analysis

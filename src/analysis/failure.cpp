@@ -1,7 +1,5 @@
 #include "src/analysis/failure.hpp"
 
-#include <algorithm>
-
 namespace netfail::analysis {
 
 std::map<LinkId, IntervalSet> downtime_by_link(const std::vector<Failure>& fs) {
@@ -14,18 +12,6 @@ Duration total_downtime(const std::vector<Failure>& fs) {
   Duration total;
   for (const auto& [link, set] : downtime_by_link(fs)) total += set.total();
   return total;
-}
-
-std::map<LinkId, std::vector<Failure>> failures_by_link(
-    std::vector<Failure> fs) {
-  std::map<LinkId, std::vector<Failure>> out;
-  for (Failure& f : fs) out[f.link].push_back(std::move(f));
-  for (auto& [link, v] : out) {
-    std::sort(v.begin(), v.end(), [](const Failure& a, const Failure& b) {
-      return a.span.begin < b.span.begin;
-    });
-  }
-  return out;
 }
 
 }  // namespace netfail::analysis

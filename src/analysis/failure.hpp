@@ -37,8 +37,4 @@ std::map<LinkId, IntervalSet> downtime_by_link(const std::vector<Failure>& fs);
 /// Total downtime across links.
 Duration total_downtime(const std::vector<Failure>& fs);
 
-/// Failures on one link, time-sorted (input need not be sorted).
-std::map<LinkId, std::vector<Failure>> failures_by_link(
-    std::vector<Failure> fs);
-
 }  // namespace netfail::analysis

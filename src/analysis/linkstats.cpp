@@ -1,6 +1,9 @@
 #include "src/analysis/linkstats.hpp"
 
 #include <algorithm>
+#include <span>
+
+#include "src/analysis/dense_links.hpp"
 
 namespace netfail::analysis {
 namespace {
@@ -14,7 +17,19 @@ LinkStatistics compute_link_statistics(const std::vector<Failure>& failures,
                                        TimeRange period,
                                        const LinkStatsOptions& options) {
   LinkStatistics out;
-  std::map<LinkId, std::vector<Failure>> by_link = failures_by_link(failures);
+  // Each link's failures, sorted by begin.
+  const LinkSlots slots = LinkSlots::covering(
+      failures.size(), [&](std::size_t i) { return failures[i].link; });
+  Buckets<Failure> by_link(
+      slots.size(), failures.size(),
+      [&](std::size_t i) { return slots.of(failures[i].link); },
+      [&](std::size_t i) { return failures[i]; });
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const std::span<Failure> v = by_link[s];
+    std::sort(v.begin(), v.end(), [](const Failure& a, const Failure& b) {
+      return a.span.begin < b.span.begin;
+    });
+  }
 
   for (const CensusLink& link : census.links()) {
     if (options.exclude_multilink && link.multilink) continue;
@@ -28,15 +43,14 @@ LinkStatistics compute_link_statistics(const std::vector<Failure>& failures,
     const double years = life.duration().hours_f() / kHoursPerYear;
     if (years <= 0) continue;
 
-    const auto it = by_link.find(link.id);
-    if (it == by_link.end()) {
+    const std::span<const Failure> fs = by_link[slots.of(link.id)];
+    if (fs.empty()) {
       if (options.include_zero_failure_links) {
         samples.failures_per_year.push_back(0);
         samples.downtime_hours_per_year.push_back(0);
       }
       continue;
     }
-    const std::vector<Failure>& fs = it->second;
 
     samples.failures_per_year.push_back(static_cast<double>(fs.size()) / years);
 

@@ -5,43 +5,38 @@
 #include "src/common/assert.hpp"
 
 namespace netfail::analysis {
-namespace {
 
-std::uint64_t link_dir_key(LinkId link, LinkDirection dir) {
-  return (std::uint64_t{link.value()} << 1) |
-         (dir == LinkDirection::kUp ? 1u : 0u);
-}
-
-}  // namespace
-
-void TransitionTimeIndex::add(LinkId link, LinkDirection dir, TimePoint t) {
-  map_[link_dir_key(link, dir)].push_back(t);
-}
-
-void TransitionTimeIndex::finalize() {
-  for (auto& [k, v] : map_) std::sort(v.begin(), v.end());
-}
-
-const std::vector<TimePoint>* TransitionTimeIndex::times(
-    LinkId link, LinkDirection dir) const {
-  const auto it = map_.find(link_dir_key(link, dir));
-  return it == map_.end() ? nullptr : &it->second;
+TransitionTimeIndex::TransitionTimeIndex(
+    const std::vector<isis::IsisTransition>& transitions)
+    : slots_(LinkSlots::covering(
+          transitions.size(),
+          [&](std::size_t i) { return transitions[i].link; })),
+      times_(
+          slots_.directed_size(), transitions.size(),
+          [&](std::size_t i) {
+            const isis::IsisTransition& tr = transitions[i];
+            return link_resolved(tr) ? slots_.of(tr.link, tr.dir)
+                                     : slots_.directed_size();
+          },
+          [&](std::size_t i) { return transitions[i].time; }) {
+  for (std::size_t s = 0; s < slots_.directed_size(); ++s) {
+    const std::span<TimePoint> v = times_[s];
+    std::sort(v.begin(), v.end());
+  }
 }
 
 bool TransitionTimeIndex::any_within(LinkId link, LinkDirection dir,
                                      TimePoint t, Duration window) const {
-  const std::vector<TimePoint>* v = times(link, dir);
-  if (v == nullptr) return false;
-  const auto lo = std::lower_bound(v->begin(), v->end(), t - window);
-  return lo != v->end() && *lo <= t + window;
+  const std::span<const TimePoint> v = times_[slots_.of(link, dir)];
+  const auto lo = std::lower_bound(v.begin(), v.end(), t - window);
+  return lo != v.end() && *lo <= t + window;
 }
 
 bool TransitionTimeIndex::any_between(LinkId link, LinkDirection dir,
                                       TimePoint a, TimePoint b) const {
-  const std::vector<TimePoint>* v = times(link, dir);
-  if (v == nullptr) return false;
-  const auto lo = std::upper_bound(v->begin(), v->end(), a);
-  return lo != v->end() && *lo < b;
+  const std::span<const TimePoint> v = times_[slots_.of(link, dir)];
+  const auto lo = std::upper_bound(v.begin(), v.end(), a);
+  return lo != v.end() && *lo < b;
 }
 
 TransitionMatchCounts match_transitions(
@@ -55,49 +50,54 @@ TransitionMatchCounts match_transitions(
     Symbol reporter;
     bool used = false;
   };
-  std::map<std::uint64_t, std::vector<Msg>> buckets;
-  for (const syslog::SyslogTransition& tr : syslog) {
-    if (tr.cls != syslog::MessageClass::kIsisAdjacency || !tr.link.valid()) {
-      continue;
-    }
-    buckets[link_dir_key(tr.link, tr.dir)].push_back(Msg{tr.time, tr.reporter});
-  }
-  for (auto& [k, v] : buckets) {
+  auto adjacency = [&](std::size_t i) {
+    const syslog::SyslogTransition& tr = syslog[i];
+    return tr.cls == syslog::MessageClass::kIsisAdjacency && tr.link.valid();
+  };
+  const LinkSlots slots =
+      LinkSlots::covering(syslog.size(), [&](std::size_t i) {
+        return adjacency(i) ? syslog[i].link : LinkId::invalid();
+      });
+  Buckets<Msg> buckets(
+      slots.directed_size(), syslog.size(),
+      [&](std::size_t i) {
+        return adjacency(i) ? slots.of(syslog[i].link, syslog[i].dir)
+                            : slots.directed_size();
+      },
+      [&](std::size_t i) { return Msg{syslog[i].time, syslog[i].reporter}; });
+  for (std::size_t s = 0; s < slots.directed_size(); ++s) {
+    const std::span<Msg> v = buckets[s];
     std::sort(v.begin(), v.end(),
               [](const Msg& a, const Msg& b) { return a.time < b.time; });
   }
 
   TransitionMatchCounts out;
   for (const isis::IsisTransition& tr : isis) {
-    if (!tr.link.valid() || tr.multilink) continue;
+    if (!link_resolved(tr)) continue;
 
     int reporters = 0;
-    auto it = buckets.find(link_dir_key(tr.link, tr.dir));
-    if (it != buckets.end()) {
-      std::vector<Msg>& v = it->second;
-      const auto lo = std::lower_bound(
-          v.begin(), v.end(), tr.time - options.window,
-          [](const Msg& m, TimePoint t) { return m.time < t; });
-      // The loop breaks at two reporters, so at most one distinct reporter
-      // is ever "seen" when the dedup check runs — a single Symbol suffices.
-      Symbol seen = Symbol::invalid();
-      for (auto m = lo; m != v.end() && m->time <= tr.time + options.window;
-           ++m) {
-        if (m->used || m->reporter == seen) continue;
-        m->used = true;
-        seen = m->reporter;
-        if (++reporters == 2) break;
-      }
+    const std::span<Msg> v = buckets[slots.of(tr.link, tr.dir)];
+    const auto lo = std::lower_bound(
+        v.begin(), v.end(), tr.time - options.window,
+        [](const Msg& m, TimePoint t) { return m.time < t; });
+    // The loop breaks at two reporters, so at most one distinct reporter
+    // is ever "seen" when the dedup check runs — a single Symbol suffices.
+    Symbol seen = Symbol::invalid();
+    for (auto m = lo; m != v.end() && m->time <= tr.time + options.window;
+         ++m) {
+      if (m->used || m->reporter == seen) continue;
+      m->used = true;
+      seen = m->reporter;
+      if (++reporters == 2) break;
     }
 
     const bool down = tr.dir == LinkDirection::kDown;
-    const bool in_flap = [&] {
-      const auto f = flaps.find(tr.link);
-      return f != flaps.end() && f->second.contains(tr.time);
-    }();
     if (reporters == 0) {
       (down ? out.down_none : out.up_none)++;
-      if (in_flap) (down ? out.down_none_in_flap : out.up_none_in_flap)++;
+      const auto f = flaps.find(tr.link);
+      if (f != flaps.end() && f->second.contains(tr.time)) {
+        (down ? out.down_none_in_flap : out.up_none_in_flap)++;
+      }
     } else if (reporters == 1) {
       (down ? out.down_one : out.up_one)++;
     } else {
@@ -112,15 +112,16 @@ ReachabilityMatchTable match_reachability(
     const std::vector<isis::IsisTransition>& is_reach,
     const std::vector<isis::IsisTransition>& ip_reach,
     const MatchOptions& options) {
-  TransitionTimeIndex is_index, ip_index;
-  for (const isis::IsisTransition& tr : is_reach) {
-    if (tr.link.valid()) is_index.add(tr.link, tr.dir, tr.time);
-  }
-  for (const isis::IsisTransition& tr : ip_reach) {
-    if (tr.link.valid()) ip_index.add(tr.link, tr.dir, tr.time);
-  }
-  is_index.finalize();
-  ip_index.finalize();
+  return match_reachability(syslog, TransitionTimeIndex(is_reach), ip_reach,
+                            options);
+}
+
+ReachabilityMatchTable match_reachability(
+    const std::vector<syslog::SyslogTransition>& syslog,
+    const TransitionTimeIndex& is_index,
+    const std::vector<isis::IsisTransition>& ip_reach,
+    const MatchOptions& options) {
+  const TransitionTimeIndex ip_index(ip_reach);
 
   std::size_t counts[2][2] = {};       // [class][dir] message totals
   std::size_t match_is[2][2] = {};     // matched by IS reach
@@ -161,41 +162,56 @@ ReachabilityMatchTable match_reachability(
 FailureMatchResult match_failures(const std::vector<Failure>& isis,
                                   const std::vector<Failure>& syslog,
                                   const MatchOptions& options) {
+  return match_failures(isis, LinkDowntime(isis), syslog, options);
+}
+
+FailureMatchResult match_failures(const std::vector<Failure>& isis,
+                                  const LinkDowntime& isis_down,
+                                  const std::vector<Failure>& syslog,
+                                  const MatchOptions& options) {
   FailureMatchResult out;
   out.isis_count = isis.size();
   out.syslog_count = syslog.size();
 
-  // Downtime interval sets drive the hour-level numbers.
-  std::map<LinkId, IntervalSet> isis_down = downtime_by_link(isis);
-  std::map<LinkId, IntervalSet> syslog_down = downtime_by_link(syslog);
-  for (const auto& [link, set] : isis_down) out.isis_downtime += set.total();
-  for (const auto& [link, set] : syslog_down) out.syslog_downtime += set.total();
-  for (const auto& [link, set] : isis_down) {
-    const auto it = syslog_down.find(link);
-    if (it != syslog_down.end()) {
-      out.overlap_downtime += set.intersect(it->second).total();
+  // Downtime interval sets drive the hour-level numbers; links in LinkId
+  // order, as the per-link maps were summed.
+  const LinkDowntime syslog_down(syslog);
+  const LinkSlots& isis_slots = isis_down.slots();
+  for (std::size_t s = 0; s < isis_slots.size(); ++s) {
+    out.isis_downtime += isis_down.at(s).total();
+  }
+  for (std::size_t s = 0; s < syslog_down.slots().size(); ++s) {
+    out.syslog_downtime += syslog_down.at(s).total();
+  }
+  for (std::size_t s = 0; s < isis_slots.size(); ++s) {
+    const IntervalSet* other = syslog_down.find(isis_slots.link(s));
+    if (other != nullptr && !other->empty() && !isis_down.at(s).empty()) {
+      out.overlap_downtime += isis_down.at(s).intersect(*other).total();
     }
   }
 
-  // Greedy 1-1 failure matching per link, chronological.
-  std::map<LinkId, std::vector<std::size_t>> isis_by_link;
-  for (std::size_t i = 0; i < isis.size(); ++i) {
-    std::vector<std::size_t>& v = isis_by_link[isis[i].link];
-    NETFAIL_ASSERT(v.empty() || isis[v.back()].span.begin <= isis[i].span.begin,
-                   "match_failures needs each link's IS-IS failures in "
-                   "chronological order");
-    v.push_back(i);
+  // Greedy 1-1 failure matching per link, chronological: each link's IS-IS
+  // failure indices, in input order.
+  const Buckets<std::size_t> isis_by_link(
+      isis_slots.size(), isis.size(),
+      [&](std::size_t i) { return isis_slots.of(isis[i].link); },
+      [](std::size_t i) { return i; });
+  for (std::size_t s = 0; s < isis_slots.size(); ++s) {
+    const std::span<const std::size_t> v = isis_by_link[s];
+    for (std::size_t k = 1; k < v.size(); ++k) {
+      NETFAIL_ASSERT(isis[v[k - 1]].span.begin <= isis[v[k]].span.begin,
+                     "match_failures needs each link's IS-IS failures in "
+                     "chronological order");
+    }
   }
   std::vector<bool> isis_used(isis.size(), false);
   std::vector<bool> syslog_matched(syslog.size(), false);
 
   for (std::size_t s = 0; s < syslog.size(); ++s) {
     const Failure& sf = syslog[s];
-    const auto it = isis_by_link.find(sf.link);
-    if (it == isis_by_link.end()) continue;
     // The link's list is chronological, so only failures starting inside
     // [begin - window, begin + window] can match: scan just that stretch.
-    const std::vector<std::size_t>& v = it->second;
+    const std::span<const std::size_t> v = isis_by_link[isis_slots.of(sf.link)];
     const auto first = std::lower_bound(
         v.begin(), v.end(), sf.span.begin - options.window,
         [&](std::size_t i, TimePoint t) { return isis[i].span.begin < t; });
@@ -227,13 +243,11 @@ FailureMatchResult match_failures(const std::vector<Failure>& isis,
   // Partial overlaps and pure false-positive downtime among syslog-only.
   for (std::size_t s : out.syslog_only) {
     const Failure& sf = syslog[s];
-    const auto it = isis_down.find(sf.link);
-    const bool intersects =
-        it != isis_down.end() && it->second.overlaps(sf.span);
-    if (intersects) {
+    const IntervalSet* down = isis_down.find(sf.link);
+    if (down != nullptr && down->overlaps(sf.span)) {
       ++out.syslog_partial;
       out.syslog_false_downtime +=
-          sf.span.duration() - it->second.measure_within(sf.span);
+          sf.span.duration() - down->measure_within(sf.span);
     } else {
       out.syslog_false_downtime += sf.span.duration();
     }

@@ -10,13 +10,15 @@
 //
 // Every windowed probe starts at a binary-searched position in a sorted
 // per-link list, so a join costs O((n + m) log n) per link rather than
-// O(n * m).
+// O(n * m). The per-link lists are dense tables (dense_links.hpp), grouped
+// in one counting pass.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "src/analysis/dense_links.hpp"
 #include "src/analysis/failure.hpp"
 #include "src/common/interval_set.hpp"
 #include "src/isis/extract.hpp"
@@ -28,13 +30,21 @@ struct MatchOptions {
   Duration window = Duration::seconds(10);
 };
 
-/// Sorted transition times per (link, direction): the probe behind the
-/// transition-level joins of Tables 2 and 6. Callers choose which
-/// transitions go in; add() them all, then finalize() once before probing.
+/// IS-IS transitions the comparison can place on one link: a census link,
+/// not a multi-link pair (the extractor gives a multi-link transition no
+/// link, so this is the transition's link being valid).
+inline bool link_resolved(const isis::IsisTransition& tr) {
+  return tr.link.valid() && !tr.multilink;
+}
+
+/// Sorted transition times per (link, direction) of the link-resolved
+/// transitions of one stream: the probe behind the transition-level joins
+/// of Tables 2 and 6. Dense: one bucket per (link, direction) slot.
 class TransitionTimeIndex {
  public:
-  void add(LinkId link, LinkDirection dir, TimePoint t);
-  void finalize();
+  TransitionTimeIndex() = default;
+  explicit TransitionTimeIndex(
+      const std::vector<isis::IsisTransition>& transitions);
 
   /// Is any time of (link, dir) in [t - window, t + window]?
   bool any_within(LinkId link, LinkDirection dir, TimePoint t,
@@ -44,9 +54,8 @@ class TransitionTimeIndex {
                    TimePoint b) const;
 
  private:
-  const std::vector<TimePoint>* times(LinkId link, LinkDirection dir) const;
-
-  std::map<std::uint64_t, std::vector<TimePoint>> map_;
+  LinkSlots slots_;
+  Buckets<TimePoint> times_;
 };
 
 // ---- Table 3: IS-IS transitions vs per-router syslog messages ---------------
@@ -89,6 +98,12 @@ ReachabilityMatchTable match_reachability(
     const std::vector<isis::IsisTransition>& is_reach,
     const std::vector<isis::IsisTransition>& ip_reach,
     const MatchOptions& options);
+/// The same, with the IS-reach stream already indexed.
+ReachabilityMatchTable match_reachability(
+    const std::vector<syslog::SyslogTransition>& syslog,
+    const TransitionTimeIndex& is_reach,
+    const std::vector<isis::IsisTransition>& ip_reach,
+    const MatchOptions& options);
 
 // ---- Table 4: failure-level matching ----------------------------------------
 
@@ -119,6 +134,11 @@ struct FailureMatchResult {
 /// chronological (non-decreasing begin) order, as reconstruct emits them.
 /// The probe binary-searches that order; a violation aborts.
 FailureMatchResult match_failures(const std::vector<Failure>& isis,
+                                  const std::vector<Failure>& syslog,
+                                  const MatchOptions& options);
+/// The same, with `isis`'s downtime already built.
+FailureMatchResult match_failures(const std::vector<Failure>& isis,
+                                  const LinkDowntime& isis_down,
                                   const std::vector<Failure>& syslog,
                                   const MatchOptions& options);
 

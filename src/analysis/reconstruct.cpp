@@ -1,31 +1,44 @@
 #include "src/analysis/reconstruct.hpp"
 
 #include <algorithm>
+#include <span>
 
+#include "src/analysis/dense_links.hpp"
 #include "src/analysis/link_walker.hpp"
 
 namespace netfail::analysis {
 
 Reconstruction reconstruct(std::vector<RawTransition> transitions,
                            const ReconstructOptions& options) {
-  std::stable_sort(transitions.begin(), transitions.end(),
-                   [](const RawTransition& a, const RawTransition& b) {
-                     if (a.link != b.link) return a.link < b.link;
-                     return a.time < b.time;
-                   });
+  // Ordered by (link, time), stably: a counting sort groups the links in
+  // LinkId order keeping input order within each, and a link's range is
+  // sorted by time only when it is not in time order already (a listener's
+  // stream nearly always is).
+  const LinkSlots slots = LinkSlots::covering(
+      transitions.size(), [&](std::size_t i) { return transitions[i].link; });
+  Buckets<RawTransition> by_link(
+      slots.size(), transitions.size(),
+      [&](std::size_t i) { return slots.of(transitions[i].link); },
+      [&](std::size_t i) { return transitions[i]; });
+  std::vector<RawTransition>().swap(transitions);  // grouped: free the input
+  const auto by_time = [](const RawTransition& a, const RawTransition& b) {
+    return a.time < b.time;
+  };
 
-  // One walker per contiguous link range of the sorted stream, all writing
-  // into `out`. Links are walked one at a time, so under kDrop the back of
-  // out.failures is always the current link's most recent failure.
+  // One walker per link, all writing into `out`. Links are walked one at a
+  // time, so under kDrop the back of out.failures is always the current
+  // link's most recent failure.
   Reconstruction out;
-  const std::size_t n = transitions.size();
-  for (std::size_t i = 0; i < n;) {
-    const LinkId link = transitions[i].link;
-    LinkWalker::State state;
-    LinkWalker walker(link, options, out, out.failures, out.ambiguous, state);
-    for (; i < n && transitions[i].link == link; ++i) {
-      walker.feed(transitions[i].time, transitions[i].dir);
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const std::span<RawTransition> range = by_link[s];
+    if (range.empty()) continue;
+    if (!std::is_sorted(range.begin(), range.end(), by_time)) {
+      std::stable_sort(range.begin(), range.end(), by_time);
     }
+    LinkWalker::State state;
+    LinkWalker walker(slots.link(s), options, out, out.failures, out.ambiguous,
+                      state);
+    for (const RawTransition& tr : range) walker.feed(tr.time, tr.dir);
     walker.finish();
   }
 

@@ -325,19 +325,31 @@ std::string render_comparison(const AnalysisResult& r,
                               const LinkCensus& census) {
   // The tables read `r` and `census` and nothing else, so Tables 2, 3, 5
   // (with KS) and 6 are computed and rendered on tasks while Table 4 runs
-  // here; the report joins them in the paper's order.
+  // here; the report joins them in the paper's order. What two tables
+  // share is built once, here, before the tasks start: the IS-reach time
+  // index (Tables 2 and 6) and the IS-IS downtime per link (Tables 4 and 6).
+  const TransitionTimeIndex is_index(r.isis.is_reach);
+  const LinkDowntime isis_down(r.isis_recon.failures);
   auto task = [](auto fn) { return std::async(std::launch::async, fn); };
-  std::future<std::string> t2 =
-      task([&] { return render_table2(compute_table2(r)); });
+  std::future<std::string> t2 = task([&] {
+    return render_table2(match_reachability(r.syslog.transitions, is_index,
+                                            r.isis.ip_reach, MatchOptions{}));
+  });
   std::future<std::string> t3 =
       task([&] { return render_table3(compute_table3(r)); });
   std::future<std::string> t5 = task([&] {
     const Table5Data d = compute_table5(r, census);
     return render_table5(d) + "\n" + render_ks(compute_ks(d));
   });
-  std::future<std::string> t6 =
-      task([&] { return render_table6(compute_table6(r)); });
-  const std::string t4 = render_table4(compute_table4(r));
+  std::future<std::string> t6 = task([&] {
+    return render_table6(classify_ambiguous(r.syslog_recon.ambiguous,
+                                            r.isis_recon.failures, is_index,
+                                            isis_down, MatchOptions{}));
+  });
+  Table4Data d4;
+  d4.match = match_failures(r.isis_recon.failures, isis_down,
+                            r.syslog_recon.failures, MatchOptions{});
+  const std::string t4 = render_table4(d4);
 
   std::string out = t2.get() + "\n";
   out += t3.get() + "\n";

@@ -84,7 +84,8 @@ std::string render_table7(const Table7Data& d);
 
 // ---- The comparison report `netfail analyze` prints ------------------------------
 /// Tables 2-4, the long-failure verification line, Table 5, KS and Table 6,
-/// computed on concurrent tasks and joined in that order.
+/// computed on concurrent tasks and joined in that order; equal to
+/// rendering each compute_table*() in turn.
 std::string render_comparison(const AnalysisResult& r,
                               const LinkCensus& census);
 

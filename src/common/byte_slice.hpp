@@ -1,13 +1,13 @@
 // netfail::ByteSlice — an immutable run of bytes that shares its owner.
 //
 // The event records of a bundle (an LSP's PDU, a syslog line's text) are
-// slices of the one buffer their file was read into: the slice holds an
-// aliasing shared_ptr to that buffer plus a length, so loading a file makes
-// one block, not one heap object per record, and the buffer lives exactly
-// as long as the last record that points into it. A record received live (a
-// datagram, a TCP frame, a simulated delivery) is copied into a block of
-// its own, one allocation as before. Copying a slice copies a reference,
-// never the bytes; nothing can write through one.
+// slices of their file's bytes (a read-only mapping, or one buffer for a
+// stream): the slice holds an aliasing shared_ptr to that owner plus a
+// length, so loading a file makes no heap object per record, and the
+// mapping lives exactly as long as the last record that points into it.
+// A record received live (a datagram, a TCP frame, a simulated delivery)
+// is copied into a block of its own, one allocation as before. Copying a
+// slice copies a reference, never the bytes; nothing can write through one.
 #pragma once
 
 #include <cstddef>

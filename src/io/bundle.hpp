@@ -26,10 +26,11 @@
 // returns, so the census is the one mine_archive gives over it. No config
 // archive is ever built, and no thread beyond the two tasks is started.
 // The syslog chain spreads over lanes of its own (read_syslog_file). Only
-// what lives as long as the Bundle (each event file's bytes in one buffer,
-// and the collector's lines and the LSP records, which are slices of those
-// buffers) and the small per-file parses come from the tasks; the config
-// read buffers are freed as each thread finishes draining. On a bad bundle
+// what lives as long as the Bundle (each event file's bytes, mapped
+// read-only, and the collector's lines and the LSP records, which are
+// slices of those mappings) and the small per-file parses come from the
+// tasks; the config read buffers are freed as each thread finishes
+// draining. On a bad bundle
 // the error reported is the first failure in the order META, configs/,
 // messages.log, listener.nfc, tickets.tsv, listener_gaps.tsv, whichever
 // thread finishes first.

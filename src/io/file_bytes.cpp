@@ -1,12 +1,11 @@
 #include "src/io/file_bytes.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
-#include <future>
 #include <istream>
 #include <memory>
 #include <system_error>
@@ -31,27 +30,15 @@ ByteSlice whole(const std::shared_ptr<char[]>& block, std::size_t size) {
   return ByteSlice(std::shared_ptr<const char>(block, block.get()), 0, size);
 }
 
-/// Fill `out[0, size)` from the open file `fd`, in `kReadLanes` equal
-/// slices read concurrently. False if any slice comes back short.
-bool read_slices(int fd, char* out, std::size_t size) {
-  auto read_slice = [fd, out, size](std::size_t i) {
-    std::size_t at = size * i / kReadLanes;
-    const std::size_t end = size * (i + 1) / kReadLanes;
-    while (at < end) {
-      const ssize_t n = ::pread(fd, out + at, end - at, static_cast<off_t>(at));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      at += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
-  std::array<std::future<bool>, kReadLanes> tasks;
-  for (std::size_t i = 1; i < kReadLanes; ++i) {
-    tasks[i] = std::async(std::launch::async, read_slice, i);
-  }
-  bool ok = read_slice(0);
-  for (std::size_t i = 1; i < kReadLanes; ++i) ok = tasks[i].get() && ok;
-  return ok;
+/// The `size` bytes of the open regular file `fd`, mapped read-only, under
+/// an owner that unmaps them; empty when the kernel refuses the mapping.
+ByteSlice map_file(int fd, std::size_t size) {
+  void* const at = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  if (at == MAP_FAILED) return {};
+  const std::shared_ptr<const char> owner(
+      static_cast<const char*>(at),
+      [size](const char* p) { ::munmap(const_cast<char*>(p), size); });
+  return ByteSlice(owner, 0, size);
 }
 
 }  // namespace
@@ -61,15 +48,11 @@ Result<ByteSlice> read_file_bytes(const std::string& path) {
   if (fd < 0) return make_error(ErrorCode::kNotFound, "cannot open " + path);
   const FdCloser closer(fd);
   struct stat st {};
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-    const auto size = static_cast<std::size_t>(st.st_size);
-    const auto block = std::make_shared_for_overwrite<char[]>(size);
-    if (!read_slices(fd, block.get(), size)) {
-      return make_error(ErrorCode::kInternal, "short read of " + path);
-    }
-    return whole(block, size);
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    ByteSlice mapped = map_file(fd, static_cast<std::size_t>(st.st_size));
+    if (mapped.size() != 0) return mapped;
   }
-  // Not a regular file: no size to split by, so read it to its end.
+  // Not mappable (a pipe, an empty file): read it to its end.
   std::string rest;
   char chunk[1 << 16];
   for (;;) {

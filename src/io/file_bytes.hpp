@@ -1,7 +1,7 @@
-// A whole input read into one block, as a ByteSlice: the buffer the
-// bundle's event records are slices of. Internal to src/io — the LSP
-// capture and syslog readers share it, so both read a regular file the same
-// way and a stream (a pipe, an istream) into the same kind of buffer.
+// A whole input as one ByteSlice: the bytes the bundle's event records are
+// slices of. Internal to src/io — the LSP capture and syslog readers share
+// it, so both read a regular file the same way and a stream (a pipe, an
+// istream) into the same kind of buffer.
 #pragma once
 
 #include <cstddef>
@@ -13,15 +13,15 @@
 
 namespace netfail::io {
 
-/// Lanes a regular file is read in (concurrent slices), and a syslog file
-/// is parsed in (read_syslog_file's byte ranges).
+/// Lanes a syslog file is parsed in (read_syslog_file's byte ranges).
 inline constexpr std::size_t kReadLanes = 4;
 
-/// Everything in the file at `path`, in one block that is not zero-filled
-/// first (a fresh buffer is paid for in page faults, and the reads fill
-/// every byte). A regular file is read with one `fstat`-sized buffer in
-/// `kReadLanes` slices read concurrently (the page faults, not the copy,
-/// dominate a serial read); anything else (a pipe, say) is read to its end.
+/// Everything in the file at `path`. A non-empty regular file is mapped
+/// read-only, and the slice's owner unmaps it when the last slice cut from
+/// it lets go: no copy, and only the pages a parser touches are faulted
+/// in. The file must not be truncated while it is mapped (a read past its
+/// new end raises SIGBUS). Anything else (a pipe, an empty file, a file
+/// that cannot be mapped) is read to its end into one block.
 Result<ByteSlice> read_file_bytes(const std::string& path);
 
 /// What is left of `in`, read to its end into one block.

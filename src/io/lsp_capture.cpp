@@ -61,8 +61,12 @@ Result<std::vector<isis::LspRecord>> parse_capture(const ByteSlice& file,
   out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       declared, (in.size() - kHeaderBytes) / kMinFrameBytes)));
   for (std::size_t at = kHeaderBytes;;) {
-    // Fewer bytes than an arrival time left: a clean end of file.
-    if (in.size() - at < 8) break;
+    // No bytes left: a clean end of file. Fewer than an arrival time: the
+    // last frame was cut inside its header.
+    if (in.size() - at < 8) {
+      st.truncated_tail = at != in.size();
+      break;
+    }
     const TimePoint arrival = TimePoint::from_unix_millis(
         static_cast<std::int64_t>(get_u64(in.data() + at)));
     at += 8;

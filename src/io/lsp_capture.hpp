@@ -34,18 +34,19 @@ struct LspCaptureStats {
 };
 
 /// Read a capture; returns records in file order. A truncated final frame
-/// is dropped (and flagged), matching how one recovers a capture cut short
-/// by a listener crash. A frame whose arrival time lies outside
-/// kInputTimeRange, precedes the previous frame's (a listener records in
-/// arrival order), or whose length exceeds kMaxLspFrameBytes, fails the
-/// whole read, so every capture read is arrival-ordered. The header's
+/// (cut anywhere after its first byte) is dropped (and flagged), matching
+/// how one recovers a capture cut short by a listener crash. A frame whose
+/// arrival time lies outside kInputTimeRange, precedes the previous
+/// frame's (a listener records in arrival order), or whose length exceeds
+/// kMaxLspFrameBytes, fails the whole read, so every capture read is
+/// arrival-ordered. The header's
 /// record count is a hint: the reader reserves no more records than the
 /// rest of the input can hold.
 ///
-/// Both overloads read the input once, into one buffer (a regular file in
-/// concurrent slices, see file_bytes.hpp), and walk its frames with the
-/// one parser: every record's bytes are a slice of that buffer, which
-/// lives as long as the last record that points into it.
+/// Both overloads take the input as one buffer (a regular file mapped
+/// read-only, a stream read to its end, see file_bytes.hpp) and walk its
+/// frames with the one parser: every record's bytes are a slice of that
+/// buffer, which lives as long as the last record that points into it.
 Result<std::vector<isis::LspRecord>> read_lsp_capture(
     std::istream& in, LspCaptureStats* stats = nullptr);
 Result<std::vector<isis::LspRecord>> read_lsp_capture(

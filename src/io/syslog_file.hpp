@@ -34,9 +34,9 @@ struct SyslogReadStats {
 /// resolution; arrival times are reconstructed as the (year-resolved)
 /// message timestamps, nudged forward where needed to stay monotonic.
 ///
-/// Both overloads read the input once, into one buffer (a regular file in
-/// four slices read concurrently, see file_bytes.hpp), and cut it into four
-/// byte ranges that start on a line. Each range's lines are parsed
+/// Both overloads take the input as one buffer (a regular file mapped
+/// read-only, a stream read to its end, see file_bytes.hpp) and cut it into
+/// four byte ranges that start on a line. Each range's lines are parsed
 /// (ReceivedLine's one tokenizer call) on its own thread; then the calling
 /// thread stamps every line's arrival in file order with one ArrivalCursor,
 /// the same algorithm a UDP receiver runs per datagram, so the result does

@@ -1,5 +1,8 @@
 #include "src/isis/checksum.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace netfail {
 namespace {
 
@@ -12,26 +15,42 @@ namespace {
 // overflow-safe. LSPs are a few hundred bytes; a whole PDU is one block.
 constexpr std::size_t kBlock = std::size_t{1} << 22;
 
-/// Add `data` into the running accumulators. Chunks of eight bytes keep the
-/// loop-carried dependency to three adds per chunk: the byte sums S and the
-/// position-weighted sums W have no cross-chunk dependency, so the compiler
-/// is free to vectorize them.
+// Eight bytes at a time, SWAR: one 64-bit load is split into its even and
+// odd bytes, each in a 16-bit lane, and one multiply per half sums its lanes
+// with per-byte weights into the top lane. Appending bytes b0..b7 (in
+// memory order) to (c0, c1) gives
+//   c1' = c1 + 8*c0 + (8*b0 + 7*b1 + ... + 1*b7),   c0' = c0 + b0 + ... + b7.
+// A lane never exceeds 255 * (8 + 6 + 4 + 2) + 255 * (7 + 5 + 3 + 1) = 9180,
+// so no product carries between lanes. Which byte lands in which lane
+// depends on the load's byte order, so the weights do too.
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "mixed-endian targets are not supported");
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+constexpr std::uint64_t kLowBytes = 0x00ff00ff00ff00ffull;
+constexpr std::uint64_t kLaneSum = 0x0001000100010001ull;
+// Lane 3 of (x * w) is the sum over i of x's lane i times w's lane 3 - i.
+// Little endian: x & kLowBytes holds b0, b2, b4, b6 in lanes 0..3, and the
+// odd half b1, b3, b5, b7; big endian the reverse, b7, b5, b3, b1 and
+// b6, b4, b2, b0.
+constexpr std::uint64_t kLowWeights =
+    kLittleEndian ? 0x0008000600040002ull : 0x0001000300050007ull;
+constexpr std::uint64_t kHighWeights =
+    kLittleEndian ? 0x0007000500030001ull : 0x0002000400060008ull;
+
+/// Add `data` into the running accumulators.
 void accumulate_span(const std::uint8_t* p, std::size_t n, std::uint64_t& c0,
                      std::uint64_t& c1) {
   while (n > 0) {
     const std::size_t block = n < kBlock ? n : kBlock;
     std::size_t i = 0;
     for (; i + 8 <= block; i += 8) {
-      // For bytes b0..b7 appended to (c0, c1):
-      //   c1' = c1 + 8*c0 + 8*b0 + 7*b1 + ... + 1*b7
-      //   c0' = c0 + b0 + ... + b7
-      const std::uint8_t* b = p + i;
-      const std::uint64_t s = std::uint64_t{b[0]} + b[1] + b[2] + b[3] +
-                              std::uint64_t{b[4]} + b[5] + b[6] + b[7];
-      const std::uint64_t w = 8 * std::uint64_t{b[0]} + 7 * std::uint64_t{b[1]} +
-                              6 * std::uint64_t{b[2]} + 5 * std::uint64_t{b[3]} +
-                              4 * std::uint64_t{b[4]} + 3 * std::uint64_t{b[5]} +
-                              2 * std::uint64_t{b[6]} + std::uint64_t{b[7]};
+      std::uint64_t word;
+      std::memcpy(&word, p + i, sizeof word);
+      const std::uint64_t low = word & kLowBytes;
+      const std::uint64_t high = (word >> 8) & kLowBytes;
+      const std::uint64_t s = ((low + high) * kLaneSum) >> 48;
+      const std::uint64_t w = (low * kLowWeights + high * kHighWeights) >> 48;
       c1 += 8 * c0 + w;
       c0 += s;
     }

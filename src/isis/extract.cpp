@@ -45,6 +45,9 @@ void publish(const ExtractionStats& before, const ExtractionStats& now,
 
 std::uint32_t u32(std::size_t n) { return static_cast<std::uint32_t>(n); }
 
+/// Neighbor resolutions a source's memo holds at most.
+constexpr std::size_t kMaxResolved = 64;
+
 /// Normalized lexicographically on the underlying hostnames (NOT symbol
 /// ids), so emitted (host_a, host_b) ordering matches the string era.
 HostPair resolve_pair(const LinkCensus& census, Symbol a, Symbol b) {
@@ -54,10 +57,23 @@ HostPair resolve_pair(const LinkCensus& census, Symbol a, Symbol b) {
                       sym::ordered_pair_key(first, second))};
 }
 
-NeighborChange make_change(const LinkCensus& census, Symbol source_host,
-                           const OsiSystemId& neighbor, int count) {
+/// `neighbor`'s change to `count` in an LSP from `source_host`, resolved
+/// through that source's `memo` of earlier resolutions.
+NeighborChange make_change(const LinkCensus& census,
+                           std::vector<NeighborChange>& memo,
+                           Symbol source_host, const OsiSystemId& neighbor,
+                           int count) {
+  for (const NeighborChange& m : memo) {
+    if (m.neighbor == neighbor) {
+      return NeighborChange{neighbor, m.host, count, m.pair};
+    }
+  }
   NeighborChange c{neighbor, census.hostname_of(neighbor), count, {}};
   if (c.host.valid()) c.pair = resolve_pair(census, source_host, c.host);
+  // A router has a few dozen neighbors; a source that names more (a hostile
+  // stream, say) starts the memo over rather than growing it without bound.
+  if (memo.size() == kMaxResolved) memo.clear();
+  memo.push_back(c);
   return c;
 }
 
@@ -66,14 +82,15 @@ NeighborChange make_change(const LinkCensus& census, Symbol source_host,
 /// sorted by neighbor without duplicates, so each walk is a linear merge.
 void append_count_changes(const std::vector<std::pair<OsiSystemId, int>>& before,
                           const std::vector<std::pair<OsiSystemId, int>>& after,
-                          const LinkCensus& census, Symbol source_host,
+                          const LinkCensus& census,
+                          std::vector<NeighborChange>& memo, Symbol source_host,
                           std::vector<NeighborChange>& out) {
   auto it = after.begin();
   for (const auto& [neighbor, old_count] : before) {
     while (it != after.end() && it->first < neighbor) ++it;
     const int now = (it != after.end() && it->first == neighbor) ? it->second : 0;
     if (now < old_count) {
-      out.push_back(make_change(census, source_host, neighbor, now));
+      out.push_back(make_change(census, memo, source_host, neighbor, now));
     }
   }
   it = before.begin();
@@ -82,7 +99,7 @@ void append_count_changes(const std::vector<std::pair<OsiSystemId, int>>& before
     const int old_count =
         (it != before.end() && it->first == neighbor) ? it->second : 0;
     if (now > old_count) {
-      out.push_back(make_change(census, source_host, neighbor, now));
+      out.push_back(make_change(census, memo, source_host, neighbor, now));
     }
   }
 }
@@ -117,16 +134,15 @@ ExtractionStats& ExtractionStats::operator+=(const ExtractionStats& o) {
 
 void LspDiffer::diff(const LspRecord& rec, std::size_t index,
                      DeltaBuffer& out, ExtractionStats& stats) {
-  if (Status decoded = Lsp::decode_into(rec.bytes.span(), scratch_lsp_);
-      !decoded) {
-    if (decoded.error().code == ErrorCode::kChecksumMismatch) {
+  if (Status read = LspReach::read(rec.bytes.span(), scratch_); !read) {
+    if (read.error().code == ErrorCode::kChecksumMismatch) {
       ++stats.checksum_failures;
     } else {
       ++stats.parse_failures;
     }
     return;
   }
-  const Lsp& lsp = scratch_lsp_;
+  LspReach& lsp = scratch_;
   ++stats.lsps_processed;
 
   SourceState& src = sources_[lsp.source];
@@ -138,8 +154,11 @@ void LspDiffer::diff(const LspRecord& rec, std::size_t index,
 
   // A purge (remaining lifetime zero) withdraws everything the source
   // advertised: process it as an LSP with empty reachability.
-  const bool purged = lsp.remaining_lifetime == 0;
-  if (purged) ++stats.purges;
+  if (lsp.remaining_lifetime == 0) {
+    ++stats.purges;
+    lsp.neighbors.clear();
+    lsp.p2p_prefixes.clear();
+  }
 
   // Hostname resolution: prefer the dynamic-hostname TLV, fall back to the
   // config-mined mapping. Refreshes re-advertise the same hostname, so the
@@ -166,55 +185,31 @@ void LspDiffer::diff(const LspRecord& rec, std::size_t index,
   // The fold's reported-host set only ever grows; re-inserting the same
   // symbol on every refresh is a wasted hash probe.
   d.note_host = first_lsp || !(src.hostname == hostname);
+  // Resolved pairs are named after the source's host.
+  if (!(src.hostname == hostname)) src.resolved.clear();
   src.hostname = hostname;
 
   // ---- Diff IS reachability. ---------------------------------------------
-  // (neighbor, count) sorted by neighbor, built in reused scratch storage.
-  scratch_counts_.clear();
-  if (!purged) {
-    for (const IsReachEntry& e : lsp.is_reach) {
-      scratch_counts_.emplace_back(e.neighbor, 1);
-    }
-    std::sort(scratch_counts_.begin(), scratch_counts_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < scratch_counts_.size(); ++r) {
-      if (w > 0 && scratch_counts_[w - 1].first == scratch_counts_[r].first) {
-        ++scratch_counts_[w - 1].second;
-      } else {
-        scratch_counts_[w++] = scratch_counts_[r];
-      }
-    }
-    scratch_counts_.resize(w);
-  }
-
   d.neighbors_begin = u32(out.neighbors.size());
   // Refresh fast path: most LSPs re-advertise an unchanged adjacency set
   // (the protocol refreshes every ~15 min), so an O(n) equality check skips
   // both diff walks and the copy-back in the steady state.
-  if (scratch_counts_ != src.adjacency_count) {
-    append_count_changes(src.adjacency_count, scratch_counts_, *census_,
-                         hostname, out.neighbors);
-    src.adjacency_count = scratch_counts_;  // copy; reuses src's capacity
+  if (lsp.neighbors != src.adjacency_count) {
+    append_count_changes(src.adjacency_count, lsp.neighbors, *census_,
+                         src.resolved, hostname, out.neighbors);
+    src.adjacency_count = lsp.neighbors;  // copy; reuses src's capacity
   }
   d.neighbors_end = u32(out.neighbors.size());
 
   // ---- Diff IP reachability. ---------------------------------------------
-  scratch_prefixes_.clear();
-  if (!purged) {
-    for (const IpReachEntry& e : lsp.ip_reach) {
-      if (e.prefix.length() == 31) scratch_prefixes_.push_back(e.prefix);
-    }
-    std::sort(scratch_prefixes_.begin(), scratch_prefixes_.end());
-  }
   d.withdrawn_begin = u32(out.prefixes.size());
   d.added_begin = d.withdrawn_begin;
   // Same refresh fast path as the adjacency diff.
-  if (scratch_prefixes_ != src.prefixes) {
-    append_missing(src.prefixes, scratch_prefixes_, out.prefixes);
+  if (lsp.p2p_prefixes != src.prefixes) {
+    append_missing(src.prefixes, lsp.p2p_prefixes, out.prefixes);
     d.added_begin = u32(out.prefixes.size());
-    append_missing(scratch_prefixes_, src.prefixes, out.prefixes);
-    src.prefixes = scratch_prefixes_;  // copy; reuses src's capacity
+    append_missing(lsp.p2p_prefixes, src.prefixes, out.prefixes);
+    src.prefixes = lsp.p2p_prefixes;  // copy; reuses src's capacity
   }
   d.added_end = u32(out.prefixes.size());
   src.initialized = true;

@@ -238,15 +238,19 @@ class LspDiffer {
     std::vector<std::pair<OsiSystemId, int>> adjacency_count;
     std::vector<Ipv4Prefix> prefixes;            // sorted
     bool initialized = false;                    // first LSP sets the baseline
+    /// Each neighbor this source's changes have resolved under `hostname`
+    /// (its `host` and `pair`; `count` unused), in the order first seen: a
+    /// cache of census lookups, cleared when the hostname changes and never
+    /// saved in a snapshot.
+    std::vector<NeighborChange> resolved;
   };
 
   const LinkCensus* census_ = nullptr;
   // Lookup-only (never iterated), so unordered is safe.
   std::unordered_map<OsiSystemId, SourceState> sources_;
-  // Per-record scratch (reused so steady-state diffs allocate nothing).
-  Lsp scratch_lsp_;
-  std::vector<std::pair<OsiSystemId, int>> scratch_counts_;
-  std::vector<Ipv4Prefix> scratch_prefixes_;
+  // The current record, read by the one LSP walk into reused storage, so
+  // steady-state diffs allocate nothing.
+  LspReach scratch_;
 };
 
 /// Step 2: applies deltas in record order to the state that spans sources.

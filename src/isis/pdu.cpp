@@ -1,6 +1,8 @@
 #include "src/isis/pdu.hpp"
 
 #include <algorithm>
+#include <array>
+#include <string_view>
 
 #include "src/common/strfmt.hpp"
 #include "src/isis/bytes.hpp"
@@ -162,18 +164,18 @@ Result<Lsp> Lsp::decode(std::span<const std::uint8_t> data) {
   return lsp;
 }
 
-Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
-  // Reset the output while keeping its heap storage for reuse.
-  lsp.source = OsiSystemId{};
-  lsp.pseudonode = 0;
-  lsp.fragment = 0;
-  lsp.sequence = 1;
-  lsp.remaining_lifetime = 1199;
-  lsp.hostname.clear();
-  lsp.is_reach.clear();
-  lsp.ip_reach.clear();
+namespace {
 
-  // Checksum first: a corrupted LSP must never reach the analysis.
+/// The one validating walk over an L2 LSP's bytes: checksum first (a
+/// corrupted LSP must never reach the analysis), then the fixed header,
+/// then every TLV, with every check, error code and message in this order.
+/// What it reads goes to `sink`: `header(source, pseudonode, fragment,
+/// sequence, lifetime)`, then per TLV `hostname(text)`, `is_reach(neighbor,
+/// pseudonode, metric)` and `ip_reach(metric, network, length)`. A sink
+/// sees a malformed PDU's leading fields before the walk fails on a later
+/// one; callers discard what it collected on error.
+template <typename Sink>
+Status walk_lsp(std::span<const std::uint8_t> data, Sink& sink) {
   if (data.size() < kLspChecksumOffset + 2) {
     return make_error(ErrorCode::kTruncated, "LSP shorter than fixed header");
   }
@@ -182,11 +184,10 @@ Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
     return make_error(ErrorCode::kChecksumMismatch, "LSP checksum invalid");
   }
 
-  // The decode below runs once per received LSP — tens of millions of times
-  // in a long capture — so it reads through a raw cursor with one bounds
-  // check per fixed-size field group instead of a Result per octet. Errors
-  // are constructed only on the (cold) malformed-input paths, with the same
-  // codes the ByteReader-based decoder produced.
+  // The walk runs once per received LSP — tens of millions of times in a
+  // long capture — so it reads through a raw cursor with one bounds check
+  // per fixed-size field group instead of a Result per octet. Errors are
+  // constructed only on the (cold) malformed-input paths.
   const std::uint8_t* p = data.data();
   const std::uint8_t* const end = p + data.size();
 
@@ -211,15 +212,12 @@ Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
   if (pdu_len != data.size()) {
     return make_error(ErrorCode::kParseError, "PDU length field mismatch");
   }
-  lsp.remaining_lifetime =
-      static_cast<std::uint16_t>((std::uint16_t{p[10]} << 8) | p[11]);
   std::array<std::uint8_t, 6> src{};
   std::copy(p + 12, p + 18, src.begin());
-  lsp.source = OsiSystemId{src};
-  lsp.pseudonode = p[18];
-  lsp.fragment = p[19];
-  lsp.sequence = (std::uint32_t{p[20]} << 24) | (std::uint32_t{p[21]} << 16) |
-                 (std::uint32_t{p[22]} << 8) | p[23];
+  sink.header(OsiSystemId{src}, p[18], p[19],
+              (std::uint32_t{p[20]} << 24) | (std::uint32_t{p[21]} << 16) |
+                  (std::uint32_t{p[22]} << 8) | p[23],
+              static_cast<std::uint16_t>((std::uint16_t{p[10]} << 8) | p[11]));
   // p[24..25] checksum (verified above), p[26] flags.
   if (data.size() < 27) {
     return make_error(ErrorCode::kTruncated, "need 1 bytes, have 0");
@@ -245,44 +243,40 @@ Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
 
     switch (tlv_type) {
       case kTlvDynamicHostname:
-        lsp.hostname.assign(reinterpret_cast<const char*>(b),
-                            static_cast<std::size_t>(tlv_len));
+        sink.hostname(std::string_view(reinterpret_cast<const char*>(b),
+                                       static_cast<std::size_t>(tlv_len)));
         break;
       case kTlvExtendedIsReach: {
-        lsp.is_reach.reserve(lsp.is_reach.size() + tlv_len / 11);
         while (b < bend) {
           // Fixed part: 6-byte neighbor, pseudonode, 24-bit metric, sub-TLV
           // length — 11 bytes checked at once.
           if (bend - b < 11) {
             return make_error(ErrorCode::kTruncated, "truncated IS-reach entry");
           }
-          IsReachEntry e;
           std::array<std::uint8_t, 6> nbr{};
           std::copy(b, b + 6, nbr.begin());
-          e.neighbor = OsiSystemId{nbr};
-          e.pseudonode = b[6];
-          e.metric = (std::uint32_t{b[7]} << 16) | (std::uint32_t{b[8]} << 8) |
-                     b[9];
+          const std::uint8_t pseudonode = b[6];
+          const std::uint32_t metric =
+              (std::uint32_t{b[7]} << 16) | (std::uint32_t{b[8]} << 8) | b[9];
           const std::uint8_t sub_len = b[10];
           b += 11;
           if (bend - b < sub_len) {
             return make_error(ErrorCode::kTruncated, "truncated IS-reach sub-TLVs");
           }
           b += sub_len;
-          lsp.is_reach.push_back(e);
+          sink.is_reach(OsiSystemId{nbr}, pseudonode, metric);
         }
         break;
       }
       case kTlvExtendedIpReach: {
-        lsp.ip_reach.reserve(lsp.ip_reach.size() + tlv_len / 5);
         while (b < bend) {
           // Fixed part: 32-bit metric + control byte.
           if (bend - b < 5) {
             return make_error(ErrorCode::kTruncated, "truncated IP-reach entry");
           }
-          IpReachEntry e;
-          e.metric = (std::uint32_t{b[0]} << 24) | (std::uint32_t{b[1]} << 16) |
-                     (std::uint32_t{b[2]} << 8) | b[3];
+          const std::uint32_t metric =
+              (std::uint32_t{b[0]} << 24) | (std::uint32_t{b[1]} << 16) |
+              (std::uint32_t{b[2]} << 8) | b[3];
           const std::uint8_t control = b[4];
           b += 5;
           const int plen = control & 0x3f;
@@ -298,7 +292,6 @@ Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
             net |= std::uint32_t{b[i]} << (24 - 8 * i);
           }
           b += nbytes;
-          e.prefix = Ipv4Prefix{Ipv4Address{net}, plen};
           if (control & 0x40) {  // sub-TLVs present
             if (bend - b < 1) {
               return make_error(ErrorCode::kTruncated, "truncated IP-reach sub-TLVs");
@@ -310,7 +303,7 @@ Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
             }
             b += sub_len;
           }
-          lsp.ip_reach.push_back(e);
+          sink.ip_reach(metric, net, plen);
         }
         break;
       }
@@ -318,6 +311,95 @@ Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
         break;  // unknown TLVs are skipped, as the standard requires
     }
   }
+  return Status::ok_status();
+}
+
+/// decode_into's sink: every field into an Lsp.
+struct LspSink {
+  Lsp& lsp;
+
+  void header(const OsiSystemId& source, std::uint8_t pseudonode,
+              std::uint8_t fragment, std::uint32_t sequence,
+              std::uint16_t lifetime) {
+    lsp.source = source;
+    lsp.pseudonode = pseudonode;
+    lsp.fragment = fragment;
+    lsp.sequence = sequence;
+    lsp.remaining_lifetime = lifetime;
+  }
+  void hostname(std::string_view text) { lsp.hostname.assign(text); }
+  void is_reach(const OsiSystemId& neighbor, std::uint8_t pseudonode,
+                std::uint32_t metric) {
+    lsp.is_reach.push_back(IsReachEntry{neighbor, pseudonode, metric});
+  }
+  void ip_reach(std::uint32_t metric, std::uint32_t net, int length) {
+    lsp.ip_reach.push_back(
+        IpReachEntry{metric, Ipv4Prefix{Ipv4Address{net}, length}});
+  }
+};
+
+/// LspReach::read's sink: the header fields, the hostname's bytes, each
+/// neighbor once per entry, and the /31s only.
+struct ReachSink {
+  LspReach& out;
+
+  void header(const OsiSystemId& source, std::uint8_t /*pseudonode*/,
+              std::uint8_t /*fragment*/, std::uint32_t sequence,
+              std::uint16_t lifetime) {
+    out.source = source;
+    out.sequence = sequence;
+    out.remaining_lifetime = lifetime;
+  }
+  void hostname(std::string_view text) { out.hostname = text; }
+  void is_reach(const OsiSystemId& neighbor, std::uint8_t /*pseudonode*/,
+                std::uint32_t /*metric*/) {
+    out.neighbors.emplace_back(neighbor, 1);
+  }
+  void ip_reach(std::uint32_t /*metric*/, std::uint32_t net, int length) {
+    if (length == 31) {
+      out.p2p_prefixes.push_back(Ipv4Prefix{Ipv4Address{net}, length});
+    }
+  }
+};
+
+}  // namespace
+
+Status Lsp::decode_into(std::span<const std::uint8_t> data, Lsp& lsp) {
+  // Reset the output while keeping its heap storage for reuse.
+  lsp.source = OsiSystemId{};
+  lsp.pseudonode = 0;
+  lsp.fragment = 0;
+  lsp.sequence = 1;
+  lsp.remaining_lifetime = 1199;
+  lsp.hostname.clear();
+  lsp.is_reach.clear();
+  lsp.ip_reach.clear();
+  LspSink sink{lsp};
+  return walk_lsp(data, sink);
+}
+
+Status LspReach::read(std::span<const std::uint8_t> data, LspReach& out) {
+  out.source = OsiSystemId{};
+  out.sequence = 1;
+  out.remaining_lifetime = 1199;
+  out.hostname = {};
+  out.neighbors.clear();
+  out.p2p_prefixes.clear();
+  ReachSink sink{out};
+  if (Status s = walk_lsp(data, sink); !s) return s;
+  // Count repeated neighbors into one entry each, in neighbor order.
+  std::sort(out.neighbors.begin(), out.neighbors.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < out.neighbors.size(); ++r) {
+    if (w > 0 && out.neighbors[w - 1].first == out.neighbors[r].first) {
+      ++out.neighbors[w - 1].second;
+    } else {
+      out.neighbors[w++] = out.neighbors[r];
+    }
+  }
+  out.neighbors.resize(w);
+  std::sort(out.p2p_prefixes.begin(), out.p2p_prefixes.end());
   return Status::ok_status();
 }
 

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.hpp"
@@ -71,6 +73,27 @@ struct Lsp {
   static Status decode_into(std::span<const std::uint8_t> data, Lsp& out);
 
   bool operator==(const Lsp&) const = default;
+};
+
+/// What extraction diffs of an L2 LSP, read by the same validating walk as
+/// Lsp::decode_into (the same checks, in the same order, with the same
+/// error codes and messages), but into the two sorted sets the differ
+/// compares instead of per-entry vectors.
+struct LspReach {
+  OsiSystemId source;
+  std::uint32_t sequence = 1;
+  std::uint16_t remaining_lifetime = 1199;
+  /// The last TLV 137's text, a view into the PDU bytes; empty if none.
+  std::string_view hostname;
+  /// TLV 22's neighbors with how many entries name each, sorted by
+  /// neighbor, one element per neighbor.
+  std::vector<std::pair<OsiSystemId, int>> neighbors;
+  /// TLV 135's /31 prefixes, sorted, repeats kept.
+  std::vector<Ipv4Prefix> p2p_prefixes;
+
+  /// Reads `data` into `out`, reusing its storage; on error `out` holds
+  /// nothing to rely on.
+  static Status read(std::span<const std::uint8_t> data, LspReach& out);
 };
 
 /// RFC 5303 three-way adjacency state, as carried in TLV 240.

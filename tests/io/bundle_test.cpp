@@ -245,8 +245,8 @@ TEST_F(CaptureBundle, RoundTripRendersTheInMemoryComparison) {
 }
 
 TEST_F(CaptureBundle, RecordsAndLinesCopiedOutOutliveTheBundle) {
-  // The bundle's records and lines are slices of their files' buffers;
-  // copies share those buffers, so they stay readable (and clean under
+  // The bundle's records and lines are slices of their files' mappings;
+  // copies share those mappings, so they stay readable (and clean under
   // ASan) once the Bundle that loaded them is gone.
   std::vector<syslog::ReceivedLine> lines;
   std::vector<isis::LspRecord> records;

@@ -1,5 +1,5 @@
-// Reading a reader's input through a FIFO: a file with no size, which the
-// readers read to its end instead of in sized slices.
+// Reading a reader's input through a FIFO: a file that cannot be mapped,
+// which the readers read to its end instead.
 #pragma once
 
 #include <fcntl.h>

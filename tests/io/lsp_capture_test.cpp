@@ -201,8 +201,8 @@ TEST(LspCapture, FrameLongerThanAnIsisPduIsRejected) {
 
 // ---- one parser, whatever the input -------------------------------------
 
-/// `bytes` read as a capture from an istream, from a regular file (sized,
-/// in concurrent slices) and from a FIFO (no size, read to its end). The
+/// `bytes` read as a capture from an istream, from a regular file (mapped)
+/// and from a FIFO (no size, read to its end). The
 /// three must agree: on the records and the stats, or on the error.
 void expect_every_input_agrees(const std::string& bytes) {
   SCOPED_TRACE(testing::Message() << "capture of " << bytes.size() << " bytes");
@@ -276,6 +276,51 @@ TEST(LspCapture, FileFifoAndStreamAgreeOnEveryHostileCase) {
       2, ok_frame + frame_header(kMaxLspFrameBytes + 1) +
              std::string(kMaxLspFrameBytes + 1, 'x')));
   expect_every_input_agrees(capture_bytes(1, frame_header(0)));
+}
+
+TEST(LspCapture, TailIsFlaggedExactlyOffFrameBoundaries) {
+  const std::vector<isis::LspRecord> records{record(1000, 1), record(2000, 2),
+                                             record(3000, 3)};
+  std::stringstream stream;
+  write_lsp_capture(records, stream);
+  const std::string whole = stream.str();
+  // Frame k ends 16-byte header + k frames of 12 header bytes + payload in.
+  std::vector<std::size_t> ends{16};
+  for (const isis::LspRecord& rec : records) {
+    ends.push_back(ends.back() + 12 + rec.bytes.size());
+  }
+  ASSERT_EQ(ends.back(), whole.size());
+
+  TempDir dir;
+  const std::string file = (dir.path() / "listener.nfc").string();
+  for (std::size_t n = 16; n <= whole.size(); ++n) {
+    SCOPED_TRACE(testing::Message() << "cut at byte " << n);
+    const std::string cut = whole.substr(0, n);
+    std::size_t complete = 0;
+    while (complete + 1 < ends.size() && ends[complete + 1] <= n) ++complete;
+    const bool on_boundary = ends[complete] == n;
+
+    std::istringstream in(cut);
+    LspCaptureStats stream_stats;
+    const auto from_stream = read_lsp_capture(in, &stream_stats);
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << cut;
+    LspCaptureStats file_stats;
+    const auto from_file = read_lsp_capture(file, &file_stats);
+    LspCaptureStats fifo_stats;
+    const auto from_fifo = read_through_fifo(
+        dir.path() / "listener.fifo", cut, [&](const std::string& path) {
+          return read_lsp_capture(path, &fifo_stats);
+        });
+    for (const auto* got : {&from_stream, &from_file, &from_fifo}) {
+      ASSERT_TRUE(got->ok());
+      ASSERT_EQ((*got)->size(), complete);
+    }
+    for (const LspCaptureStats* st :
+         {&stream_stats, &file_stats, &fifo_stats}) {
+      EXPECT_EQ(st->frames, complete);
+      EXPECT_EQ(st->truncated_tail, !on_boundary);
+    }
+  }
 }
 
 TEST(LspCapture, RecordsShareTheFileBufferAndOutliveTheirVector) {

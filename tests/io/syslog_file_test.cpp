@@ -135,9 +135,8 @@ Loaded per_line_oracle(const std::string& text, TimePoint start) {
 
 const TimePoint kStart = TimePoint::from_civil(2011, 2, 25);
 
-/// `text` read from a regular file (sized, in concurrent slices) and from
-/// a FIFO (no size, read to its end) gives what the istream gave: the same
-/// lines, arrivals and counts.
+/// `text` read from a regular file (mapped) and from a FIFO (read to its
+/// end) gives what the istream gave: the same lines, arrivals and counts.
 void expect_files_match_stream(const std::string& text, const Loaded& want) {
   TempDir dir;
   const std::string file = (dir.path() / "messages.log").string();

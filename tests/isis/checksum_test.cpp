@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "src/common/rng.hpp"
 
 namespace netfail {
@@ -78,6 +82,99 @@ TEST_P(FletcherProperty, RoundTripAndDetect) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FletcherProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// ---- the word-wise sum against a byte-at-a-time reference -------------------
+
+/// The textbook ISO 8473 loop: both accumulators reduced mod 255 after every
+/// byte, the checksum field read as zero when `zero_field` and it fits.
+void reference_sums(std::span<const std::uint8_t> data, std::size_t offset,
+                    bool zero_field, std::uint32_t& c0, std::uint32_t& c1) {
+  c0 = 0;
+  c1 = 0;
+  const bool skip = zero_field && offset + 2 <= data.size();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const bool in_field = skip && (i == offset || i == offset + 1);
+    const std::uint32_t b = in_field ? 0 : data[i];
+    c0 = (c0 + b) % 255;
+    c1 = (c1 + c0) % 255;
+  }
+}
+
+std::uint16_t reference_checksum(std::span<const std::uint8_t> data,
+                                 std::size_t offset) {
+  std::uint32_t c0 = 0, c1 = 0;
+  reference_sums(data, offset, true, c0, c1);
+  const auto mod = [](std::int64_t v) {
+    const std::int64_t m = v % 255;
+    return static_cast<std::uint32_t>(m < 0 ? m + 255 : m);
+  };
+  const std::int64_t len = static_cast<std::int64_t>(data.size());
+  const std::int64_t p = static_cast<std::int64_t>(offset) + 1;
+  std::uint32_t x = mod((len - p) * c0 - c1);
+  std::uint32_t y = mod(c1 - (len - p + 1) * std::int64_t{c0});
+  if (x == 0) x = 255;
+  if (y == 0) y = 255;
+  return static_cast<std::uint16_t>((x << 8) | y);
+}
+
+bool reference_verify(std::span<const std::uint8_t> data, std::size_t offset) {
+  if (offset + 2 > data.size()) return false;
+  if (data[offset] == 0 && data[offset + 1] == 0) return false;
+  std::uint32_t c0 = 0, c1 = 0;
+  reference_sums(data, offset, false, c0, c1);
+  return c0 == 0 && c1 == 0;
+}
+
+TEST(FletcherReference, EveryLengthUpToAnEthernetFrameAgrees) {
+  Rng rng(0xF1E7);
+  for (std::size_t n = 0; n <= 1500; ++n) {
+    SCOPED_TRACE(testing::Message() << n << " bytes");
+    std::vector<std::uint8_t> data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    // An offset inside the buffer, and one whose field does not fit.
+    const std::size_t inside =
+        n < 2 ? 0
+              : static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(n) - 2));
+    for (const std::size_t offset : {inside, n}) {
+      ASSERT_EQ(fletcher_checksum(data, offset),
+                reference_checksum(data, offset));
+      ASSERT_EQ(fletcher_verify(data, offset), reference_verify(data, offset));
+    }
+    if (n < 2) continue;
+    // Sealed, the buffer verifies both ways; one changed byte fails both.
+    std::vector<std::uint8_t> sealed = with_checksum(data, inside);
+    ASSERT_TRUE(fletcher_verify(sealed, inside));
+    ASSERT_TRUE(reference_verify(sealed, inside));
+    const std::size_t at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    sealed[at] =
+        static_cast<std::uint8_t>(sealed[at] + 1 + rng.uniform_int(0, 253));
+    ASSERT_EQ(fletcher_verify(sealed, inside),
+              reference_verify(sealed, inside));
+  }
+}
+
+TEST(FletcherReference, AllOnesNearTheReductionBlockAgree) {
+  // 0xFF bytes give every word's lanes and both running sums their largest
+  // values. The sums are reduced mod 255 once per 4 MiB block, so cover
+  // lengths either side of one and two blocks.
+  constexpr std::size_t kBlock = std::size_t{1} << 22;
+  for (const std::size_t n :
+       {std::size_t{8}, std::size_t{1500}, kBlock - 9, kBlock - 1, kBlock,
+        kBlock + 1, kBlock + 8, 2 * kBlock + 3}) {
+    SCOPED_TRACE(testing::Message() << n << " bytes");
+    const std::vector<std::uint8_t> data(n, 0xFF);
+    for (const std::size_t offset : {std::size_t{0}, n / 2, n - 2}) {
+      EXPECT_EQ(fletcher_checksum(data, offset),
+                reference_checksum(data, offset));
+      EXPECT_EQ(fletcher_verify(data, offset), reference_verify(data, offset));
+      const std::vector<std::uint8_t> sealed = with_checksum(data, offset);
+      EXPECT_TRUE(fletcher_verify(sealed, offset));
+      EXPECT_TRUE(reference_verify(sealed, offset));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace netfail

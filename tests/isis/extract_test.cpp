@@ -177,6 +177,32 @@ TEST_F(ExtractTest, StaleSequenceIgnored) {
   EXPECT_TRUE(ex.is_reach.empty());
 }
 
+TEST_F(ExtractTest, RenamedSourceResolvesItsNeighborsUnderTheNewName) {
+  flood_all(0);
+  // A failure and recovery of aa--bb: aa's differ resolves (aa, bb) twice.
+  oa_.adjacency_down(id_b_, 10);
+  flood(oa_, 10);
+  ob_.adjacency_down(id_a_, 10);
+  flood(ob_, 11);
+  oa_.adjacency_up(id_b_, 10);
+  flood(oa_, 40);
+  ob_.adjacency_up(id_a_, 10);
+  flood(ob_, 41);
+  // aa renames itself and withdraws bb in the same LSP. The census knows no
+  // "aa-renamed", so the withdrawal names an unknown pair: it must not be
+  // taken for (aa, bb) from before the rename and take the link down.
+  Lsp renamed;
+  renamed.source = id_a_;
+  renamed.sequence = 100;
+  renamed.hostname = "aa-renamed";
+  records_.push_back(LspRecord{at(60), ByteSlice::copy_of(renamed.encode())});
+
+  const IsisExtraction ex = extract();
+  ASSERT_EQ(ex.is_reach.size(), 2u);
+  EXPECT_EQ(ex.is_reach[0].time, at(10));
+  EXPECT_EQ(ex.is_reach[1].time, at(41));
+}
+
 TEST_F(ExtractTest, CorruptLspCounted) {
   flood_all(0);
   auto bytes = oa_.build().encode();
