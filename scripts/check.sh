@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh            # lint, audit, tier1, asan, tsan, e2e
 #   scripts/check.sh lint       # repo linter (+ clang-tidy where installed)
-#   scripts/check.sh audit      # layering/lock-order/alloc/header audit
+#   scripts/check.sh audit      # layering/lock-order/options/alloc/header audit
 #   scripts/check.sh tier1      # just the plain build + ctest
 #   scripts/check.sh asan       # just the ASan+UBSan build + ctest
 #   scripts/check.sh tsan       # just the TSan build + threaded suites
@@ -54,7 +54,7 @@ run_lint() {
 }
 
 run_audit() {
-  echo "== audit: self-tests + layering/lock-order/alloc/header audit =="
+  echo "== audit: self-tests + layering/lock-order/options/alloc/header audit =="
   python3 scripts/test_netfail_audit.py
   # The alloc and header analyzers read the tier-1 tree's objects and
   # compile_commands.json; build it first.
@@ -64,7 +64,7 @@ run_audit() {
   else
     echo "nm/objdump not installed — skipping the binary allocation audit"
     python3 scripts/netfail_audit.py --build-dir build \
-      layering lock-order headers
+      layering lock-order options headers
   fi
 }
 

@@ -44,6 +44,19 @@ cannot eyeball across 15 subsystems:
                       callers are what the allowlist pins). Stale allowlist
                       entries are errors. Rules: `alloc`, `alloc-allowlist`.
 
+  options             Every field of a `struct ...Options` under src/ is
+                      assigned by code outside tests/ (src/, bench/,
+                      examples/, e2ebench/: `x.field = ...`, a compound
+                      assignment, `&x.field`, or a member chain through
+                      it such as `x.field.sub = ...`), or is on
+                      OPTIONS_ALLOWLIST below with a reason. A knob no
+                      caller sets is a constant with extra steps. Fields
+                      are matched by name (the audit does not parse
+                      types), so a name two structs share counts as set
+                      for both. Stale allowlist entries (the field is set
+                      after all, or no longer exists) are errors. Rules:
+                      `options`, `options-allowlist`.
+
   headers             Every public header under src/ compiles as a
                       standalone TU (one generated `#include "<hdr>"` file
                       each, batch-compiled with the project's own flags
@@ -60,7 +73,7 @@ Usage:
   netfail_audit.py [--root DIR] [--build-dir DIR] [--suppressions FILE]
                    [--if-tools-missing {error,skip}] [--list-rules]
                    [analyzer...]
-Analyzers default to all four: layering lock-order alloc headers.
+Analyzers default to all five: layering lock-order options alloc headers.
 `alloc` and `headers` need --build-dir (default: <root>/build) for
 compile_commands.json; `alloc` additionally needs the build's object
 files, nm, and objdump.
@@ -83,7 +96,7 @@ import netfail_checks as checks
 
 Violation = checks.Violation
 
-ANALYZERS = ("layering", "lock-order", "alloc", "headers")
+ANALYZERS = ("layering", "lock-order", "options", "alloc", "headers")
 RULE_NAMES = checks.AUDIT_RULE_NAMES
 
 # ---------------------------------------------------------------------------
@@ -163,9 +176,6 @@ ALLOC_TU_ROSTER = {
         ("netfail::isis::LspDiffer::diff",
          "first sighting of a source creates its state; its sorted "
          "adjacency/prefix vectors and the delta buffer grow amortized"),
-        ("netfail::isis::LspDiffer::adopt",
-         "first sighting of a source on a batch lane creates its state, on "
-         "the calling thread between chunks"),
         ("netfail::isis::(anonymous namespace)::make_change",
          "a neighbor's first resolution under its source's hostname joins "
          "the source's memo, capped at kMaxResolved entries"),
@@ -175,11 +185,8 @@ ALLOC_TU_ROSTER = {
         ("netfail::isis::PairFold::apply",
          "first sighting of a host pair, prefix or reporting host creates "
          "its entry; the output vectors grow amortized"),
-        ("netfail::isis::(anonymous namespace)::ChunkPlanner::index",
-         "first sighting of a source joins the batch's source index; the "
-         "two per-chunk record slots are reused"),
         ("netfail::isis::LaneExtractor::LaneExtractor",
-         "per-capture setup: the lane differs, planner and fold"),
+         "per-capture setup: the lane differs and the fold"),
         ("netfail::isis::LaneExtractor::State::launch",
          "per-chunk lane tasks; the delta buffers are reserved here, on the "
          "caller, and reused"),
@@ -712,6 +719,174 @@ def analyze_alloc(root: str, build_dir: str,
 
 
 # ---------------------------------------------------------------------------
+# Options: every knob is set by some caller.
+
+# Trees whose assignments count as a caller setting a knob: everything that
+# ships or measures, never the unit tests.
+OPTIONS_CALLER_DIRS = ["src", "bench", "examples", "e2ebench"]
+
+# "Struct::field" -> why the field stays settable although no code outside
+# tests/ assigns it.
+OPTIONS_ALLOWLIST = {
+    "GatewayOptions::lsp_queue_capacity":
+        "gateway_test shrinks the LSP queue to drive the backpressure "
+        "watermarks deterministically",
+    "GatewayOptions::consumer_slowdown":
+        "gateway_test's fault injection: a deliberately slow consumer is "
+        "how the backpressure path is exercised on a fast machine",
+    "PipelineOptions::archive":
+        "the simulated capture's config-archive parameters, handed whole to "
+        "run_capture and part of ScenarioCache's key; the simulator's "
+        "parameters stay settable",
+    "PipelineOptions::miner":
+        "the simulated capture's MinerParams, handed whole to run_capture "
+        "and part of ScenarioCache's key, like `archive`",
+}
+
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*\{")
+FIELD_NAME_RE = re.compile(r"(\w+)\s*(?:=|\{|;|\[)")
+# `x.a.b = v`, `p->a += v`, `.a = v` (designated initializer): every name
+# on the member chain counts as set.
+MEMBER_SET_RE = re.compile(
+    r"((?:(?:\.|->)\s*\w+\s*)+)(?:[-+*/%|&^]|<<|>>)?=(?!=)")
+# `&x.a.b` (an out-parameter) and `++x.a` / `x.a--`.
+MEMBER_REF_RE = re.compile(
+    r"(?:&|\+\+|--)\s*\w+((?:\s*(?:\.|->)\s*\w+)+)"
+    r"|\w+((?:\s*(?:\.|->)\s*\w+)+)\s*(?:\+\+|--)")
+CHAIN_NAME_RE = re.compile(r"(?:\.|->)\s*(\w+)")
+
+
+def _strip_template_args(text: str) -> str:
+    out: list[str] = []
+    depth = 0
+    for c in text:
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def scan_options_fields(ft: checks.FileText) -> list[tuple[str, str, int]]:
+    """(struct, field, line) for every data member of every `struct
+    ...Options` in `ft`, in declaration order."""
+    fields: list[tuple[str, str, int]] = []
+    lines = ft.code_lines
+    i = 0
+    while i < len(lines):
+        m = OPTIONS_STRUCT_RE.search(lines[i])
+        if not m:
+            i += 1
+            continue
+        struct = m.group(1)
+        depth = 0
+        stmt, stmt_line = "", 0
+        lineno = i
+        col = m.end() - 1  # the opening brace
+        while lineno < len(lines):
+            text = lines[lineno][col:]
+            col = 0
+            done = False
+            for c in text:
+                if c == "{":
+                    depth += 1
+                    if depth == 1:
+                        continue
+                elif c == "}":
+                    depth -= 1
+                    if depth == 0:
+                        done = True
+                        break
+                if depth >= 1:
+                    if not stmt.strip():
+                        stmt_line = lineno + 1
+                    stmt += c
+                    if c == ";" and depth == 1:
+                        name = _member_name(stmt)
+                        if name:
+                            fields.append((struct, name, stmt_line))
+                        stmt = ""
+            if done:
+                break
+            stmt += " "
+            lineno += 1
+        i = lineno + 1
+    return fields
+
+
+def _member_name(stmt: str) -> str | None:
+    """The data member a statement at struct scope declares, or None for a
+    function, an operator, a type alias or a static."""
+    text = " ".join(_strip_template_args(stmt).split())
+    if re.match(r"(using|static|friend|typedef|enum|struct|class)\b", text) \
+            or re.search(r"\boperator\b", text):
+        return None
+    head = re.split(r"=|\{", text, maxsplit=1)[0]
+    if "(" in head:
+        return None
+    m = FIELD_NAME_RE.search(head + ";")
+    return m.group(1) if m else None
+
+
+def scan_member_sets(ft: checks.FileText) -> set[str]:
+    """Names of members `ft` assigns, takes the address of, or steps."""
+    names: set[str] = set()
+    for line in ft.code_lines:
+        if "=" in line:
+            for m in MEMBER_SET_RE.finditer(line):
+                names.update(CHAIN_NAME_RE.findall(m.group(1)))
+        if "&" in line or "++" in line or "--" in line:
+            for m in MEMBER_REF_RE.finditer(line):
+                names.update(CHAIN_NAME_RE.findall(m.group(1) or m.group(2)))
+    return names
+
+
+def analyze_options(root: str, files: list[str],
+                    allowlist: dict[str, str] | None = None
+                    ) -> list[Violation]:
+    allowlist = OPTIONS_ALLOWLIST if allowlist is None else allowlist
+    declared: list[tuple[str, str, str, int]] = []
+    for rel in files:
+        if rel.startswith("src/"):
+            ft = checks.load_file(root, rel)
+            declared += [(rel, st, fld, ln)
+                         for st, fld, ln in scan_options_fields(ft)]
+    set_names: set[str] = set()
+    for rel in checks.collect_files(root, OPTIONS_CALLER_DIRS):
+        set_names |= scan_member_sets(checks.load_file(root, rel))
+
+    violations: list[Violation] = []
+    seen: set[str] = set()
+    for rel, struct, fld, line in declared:
+        key = f"{struct}::{fld}"
+        seen.add(key)
+        if key in allowlist:
+            if fld in set_names:
+                violations.append(Violation(
+                    rel, line, "options-allowlist",
+                    f"stale options allowlist entry '{key}' "
+                    f"({allowlist[key]}): code outside tests/ sets it — "
+                    "drop the entry"))
+            continue
+        if fld not in set_names:
+            violations.append(Violation(
+                rel, line, "options",
+                f"'{key}' is set by no code outside tests/ (src/, bench/, "
+                "examples/, e2ebench/): make it a named constant next to "
+                "the code that reads it, or allowlist it in "
+                "OPTIONS_ALLOWLIST (scripts/netfail_audit.py) with a "
+                "reason"))
+    for key in sorted(set(allowlist) - seen):
+        violations.append(Violation(
+            "scripts/netfail_audit.py", 1, "options-allowlist",
+            f"stale options allowlist entry '{key}' ({allowlist[key]}): no "
+            "such field of a struct ...Options under src/ — drop the entry"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Header self-sufficiency.
 
 
@@ -879,6 +1054,8 @@ def main(argv: list[str]) -> int:
             violations += analyze_layering(root, files)
         elif analyzer == "lock-order":
             violations += analyze_lock_order(root, files)
+        elif analyzer == "options":
+            violations += analyze_options(root, files)
         elif analyzer == "alloc":
             if tool_missing(["nm", "objdump"], "alloc"):
                 continue

@@ -49,6 +49,8 @@ AUDIT_RULE_NAMES = (
     "include-cycle",
     "lock-order",
     "lock-annotation",
+    "options",
+    "options-allowlist",
     "alloc",
     "alloc-allowlist",
     "header-standalone",

@@ -26,6 +26,7 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "audit", "fixtures")
 LAYERING_ROOT = os.path.join(FIXTURES, "layering")
 LOCK_ROOT = os.path.join(FIXTURES, "lock")
 CLEAN_ROOT = os.path.join(FIXTURES, "clean")
+OPTIONS_ROOT = os.path.join(FIXTURES, "options")
 
 HAVE_CXX = shutil.which("c++") or shutil.which("g++")
 HAVE_BINUTILS = shutil.which("nm") and shutil.which("objdump")
@@ -116,6 +117,54 @@ class LockOrderAnalyzer(unittest.TestCase):
         for expr, want in (("shard.ws.mu", "mu"), ("job->done_mu",
                            "done_mu"), ("this->mu_", "mu_"), ("mu_", "mu_")):
             self.assertEqual(netfail_audit.canon_lock_name(expr), want)
+
+
+def run_options(root, allowlist=None):
+    files = checks.collect_files(root, ["src"])
+    return netfail_audit.analyze_options(root, files, allowlist=allowlist)
+
+
+class OptionsAnalyzer(unittest.TestCase):
+    def test_fixture_tree_exact_hit_set(self):
+        # depth is set only under tests/; height is allowlisted though src/
+        # sets it; ghost is allowlisted but declared nowhere.
+        vs = run_options(OPTIONS_ROOT, allowlist={
+            "WidgetOptions::height": "fixture",
+            "WidgetOptions::ghost": "fixture"})
+        got = {(v.path, v.line, v.rule) for v in vs}
+        self.assertEqual(got, {
+            ("src/common/knobs.hpp", 16, "options"),
+            ("src/common/knobs.hpp", 18, "options-allowlist"),
+            ("scripts/netfail_audit.py", 1, "options-allowlist")})
+        messages = " ".join(v.message for v in vs)
+        self.assertIn("WidgetOptions::depth", messages)
+        self.assertIn("WidgetOptions::height", messages)
+        self.assertIn("WidgetOptions::ghost", messages)
+
+    def test_fields_skip_functions_operators_and_statics(self):
+        ft = checks.load_file(OPTIONS_ROOT, "src/common/knobs.hpp")
+        self.assertEqual(
+            [f for _, f, _ in netfail_audit.scan_options_fields(ft)],
+            ["width", "shape", "ratio", "retries", "depth", "height",
+             "on_change"])
+
+    def test_reads_are_not_sets(self):
+        ft = checks.load_file(OPTIONS_ROOT, "src/common/caller.cpp")
+        self.assertEqual(netfail_audit.scan_member_sets(ft),
+                         {"width", "height", "shape", "sides", "on_change"})
+
+    def test_allowlisting_the_unset_knob_clears_it(self):
+        self.assertEqual(
+            run_options(OPTIONS_ROOT,
+                        allowlist={"WidgetOptions::depth": "fixture"}), [])
+
+    def test_clean_tree_is_clean(self):
+        self.assertEqual(run_options(CLEAN_ROOT, allowlist={}), [])
+
+    def test_real_allowlist_has_reasons(self):
+        for key, reason in netfail_audit.OPTIONS_ALLOWLIST.items():
+            self.assertRegex(key, r"^\w+Options::\w+$")
+            self.assertTrue(reason.strip(), key)
 
 
 class DemangledOwnership(unittest.TestCase):
@@ -277,6 +326,12 @@ class MainEntry(unittest.TestCase):
         self.assertIn("lock acquisition cycle", out)
         self.assertIn("stale ordering annotation", out)
 
+    def test_options_fixture_exits_1_with_diagnostics(self):
+        code, out, _ = self.run_main(["--root", OPTIONS_ROOT, "options"])
+        self.assertEqual(code, 1)
+        self.assertIn("src/common/knobs.hpp:16: options:", out)
+        self.assertIn("'WidgetOptions::depth' is set by no code", out)
+
     def test_missing_src_exits_2(self):
         with tempfile.TemporaryDirectory() as td:
             code, _, err = self.run_main(["--root", td])
@@ -288,12 +343,12 @@ class MainEntry(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertEqual(tuple(out.split()), checks.AUDIT_RULE_NAMES)
 
-    def test_real_repo_layering_and_lock_order_are_clean(self):
+    def test_real_repo_layering_lock_order_and_options_are_clean(self):
         # The acceptance gate: the actual repo passes its own audit (the
         # build-dependent analyzers are exercised by the AuditTree ctest
         # entry and scripts/check.sh audit).
         code, out, err = self.run_main(
-            ["--root", REPO_ROOT, "layering", "lock-order"])
+            ["--root", REPO_ROOT, "layering", "lock-order", "options"])
         self.assertEqual(code, 0, (out, err))
 
 

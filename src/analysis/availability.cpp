@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/analysis/dense_links.hpp"
+
 namespace netfail::analysis {
 
 double LinkAvailability::availability() const {
@@ -32,17 +34,14 @@ double LinkAvailability::nines() const {
 
 AvailabilityReport compute_availability(const std::vector<Failure>& failures,
                                         const LinkCensus& census,
-                                        TimeRange period,
-                                        bool exclude_multilink) {
+                                        TimeRange period) {
   AvailabilityReport report;
-  const std::map<LinkId, IntervalSet> downtime = downtime_by_link(failures);
-  std::map<LinkId, std::size_t> counts;
-  for (const Failure& f : failures) ++counts[f.link];
+  const LinkDowntime downtime(failures);
 
   double lifetime_total = 0;
   double downtime_total = 0;
   for (const CensusLink& link : census.links()) {
-    if (exclude_multilink && link.multilink) continue;
+    if (link.multilink) continue;
     const TimeRange life{std::max(link.lifetime.begin, period.begin),
                          std::min(link.lifetime.end, period.end)};
     if (life.empty()) continue;
@@ -52,12 +51,11 @@ AvailabilityReport compute_availability(const std::vector<Failure>& failures,
     a.name = link.name;
     a.cls = link.cls;
     a.lifetime = life.duration();
-    const auto down = downtime.find(link.id);
-    if (down != downtime.end()) {
-      a.downtime = down->second.measure_within(life);
+    const std::size_t slot = downtime.slots().of(link.id);
+    if (slot < downtime.slots().size()) {
+      a.downtime = downtime.at(slot).measure_within(life);
+      a.failure_count = downtime.failures(slot);
     }
-    const auto count = counts.find(link.id);
-    a.failure_count = count == counts.end() ? 0 : count->second;
     lifetime_total += a.lifetime.seconds_f();
     downtime_total += a.downtime.seconds_f();
     report.links.push_back(std::move(a));

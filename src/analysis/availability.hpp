@@ -41,9 +41,9 @@ struct AvailabilityReport {
   Duration total_downtime;
 };
 
+/// Multi-link members are left out, as everywhere in the paper (sect. 3.4).
 AvailabilityReport compute_availability(const std::vector<Failure>& failures,
                                         const LinkCensus& census,
-                                        TimeRange period,
-                                        bool exclude_multilink = true);
+                                        TimeRange period);
 
 }  // namespace netfail::analysis

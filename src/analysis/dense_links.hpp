@@ -111,21 +111,30 @@ class Buckets {
   std::vector<T> items_;
 };
 
-/// Per-link downtime of some failures, dense: the table that Tables 4 and 6
-/// read, built once (downtime_by_link's sets, one slot per link).
+/// Per-link downtime of some failures, dense: the one per-link downtime
+/// table (Tables 4, 6 and 7, availability, total downtime), one slot per
+/// link. A slot also counts its failures, so a link whose failures all have
+/// zero length (no downtime) is still told apart from a link with none.
 class LinkDowntime {
  public:
   LinkDowntime() = default;
   explicit LinkDowntime(const std::vector<Failure>& failures)
       : slots_(LinkSlots::covering(
             failures.size(), [&](std::size_t i) { return failures[i].link; })),
-        sets_(slots_.size()) {
-    for (const Failure& f : failures) sets_[slots_.of(f.link)].add(f.span);
+        sets_(slots_.size()),
+        failures_(slots_.size(), 0) {
+    for (const Failure& f : failures) {
+      const std::size_t s = slots_.of(f.link);
+      sets_[s].add(f.span);
+      ++failures_[s];
+    }
   }
 
   const LinkSlots& slots() const { return slots_; }
   /// Slot `slot`'s downtime (empty for a link without failures).
   const IntervalSet& at(std::size_t slot) const { return sets_[slot]; }
+  /// Slot `slot`'s number of failures.
+  std::size_t failures(std::size_t slot) const { return failures_[slot]; }
   /// `link`'s downtime; null when the table does not cover `link`.
   const IntervalSet* find(LinkId link) const {
     const std::size_t s = slots_.of(link);
@@ -135,6 +144,7 @@ class LinkDowntime {
  private:
   LinkSlots slots_;
   std::vector<IntervalSet> sets_;
+  std::vector<std::uint32_t> failures_;
 };
 
 }  // namespace netfail::analysis

@@ -1,16 +1,15 @@
 #include "src/analysis/failure.hpp"
 
+#include "src/analysis/dense_links.hpp"
+
 namespace netfail::analysis {
 
-std::map<LinkId, IntervalSet> downtime_by_link(const std::vector<Failure>& fs) {
-  std::map<LinkId, IntervalSet> out;
-  for (const Failure& f : fs) out[f.link].add(f.span);
-  return out;
-}
-
 Duration total_downtime(const std::vector<Failure>& fs) {
+  const LinkDowntime downtime(fs);
   Duration total;
-  for (const auto& [link, set] : downtime_by_link(fs)) total += set.total();
+  for (std::size_t s = 0; s < downtime.slots().size(); ++s) {
+    total += downtime.at(s).total();
+  }
   return total;
 }
 

@@ -1,7 +1,6 @@
 // Failure: the central analysis object — one DOWN..UP episode on one link.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,10 +28,6 @@ struct Failure {
 
   Duration duration() const { return span.duration(); }
 };
-
-/// Per-link downtime as interval sets; the common currency of Table 4 and
-/// the isolation analysis.
-std::map<LinkId, IntervalSet> downtime_by_link(const std::vector<Failure>& fs);
 
 /// Total downtime across links.
 Duration total_downtime(const std::vector<Failure>& fs);

@@ -5,14 +5,13 @@ namespace netfail::analysis {
 FalsePositiveBreakdown analyze_false_positives(
     const std::vector<Failure>& syslog_failures,
     const FailureMatchResult& match,
-    const std::map<LinkId, IntervalSet>& flap_ranges,
-    const FalsePositiveOptions& options) {
+    const std::map<LinkId, IntervalSet>& flap_ranges) {
   FalsePositiveBreakdown out;
   for (const std::size_t index : match.syslog_only) {
     const Failure& f = syslog_failures[index];
     ++out.total;
     out.total_downtime += f.duration();
-    if (f.duration() <= options.short_threshold) {
+    if (f.duration() <= kShortFalsePositive) {
       ++out.short_count;
       out.short_downtime += f.duration();
       continue;

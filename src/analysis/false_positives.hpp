@@ -19,7 +19,7 @@ struct FalsePositiveBreakdown {
   std::size_t total = 0;
   Duration total_downtime;
 
-  std::size_t short_count = 0;  // duration <= threshold
+  std::size_t short_count = 0;  // duration <= kShortFalsePositive
   Duration short_downtime;
   std::size_t long_count = 0;
   Duration long_downtime;
@@ -40,9 +40,8 @@ struct FalsePositiveBreakdown {
   }
 };
 
-struct FalsePositiveOptions {
-  Duration short_threshold = Duration::seconds(10);
-};
+/// A false positive this long or shorter is short (the paper's 10 s).
+inline constexpr Duration kShortFalsePositive = Duration::seconds(10);
 
 /// `syslog_failures` is the full syslog reconstruction; `match` supplies the
 /// syslog_only indices; `flap_ranges` the per-link flapping episodes (from
@@ -50,7 +49,6 @@ struct FalsePositiveOptions {
 FalsePositiveBreakdown analyze_false_positives(
     const std::vector<Failure>& syslog_failures,
     const FailureMatchResult& match,
-    const std::map<LinkId, IntervalSet>& flap_ranges,
-    const FalsePositiveOptions& options = {});
+    const std::map<LinkId, IntervalSet>& flap_ranges);
 
 }  // namespace netfail::analysis

@@ -7,8 +7,7 @@
 
 namespace netfail::analysis {
 
-FlapAnalysis detect_flaps(std::vector<Failure>& failures,
-                          const FlapOptions& options) {
+FlapAnalysis detect_flaps(std::vector<Failure>& failures) {
   FlapAnalysis out;
   out.total_failures = failures.size();
 
@@ -43,7 +42,7 @@ FlapAnalysis detect_flaps(std::vector<Failure>& failures,
     std::size_t run_start = 0;
     auto close_run = [&](std::size_t run_end) {  // [run_start, run_end)
       const std::size_t n = run_end - run_start;
-      if (n >= options.min_failures) {
+      if (n >= kFlapMinFailures) {
         FlapEpisode ep;
         ep.link = link;
         ep.failure_count = n;
@@ -62,7 +61,7 @@ FlapAnalysis detect_flaps(std::vector<Failure>& failures,
     for (std::size_t k = 1; k < idx.size(); ++k) {
       const Duration gap =
           failures[idx[k]].span.begin - failures[idx[k - 1]].span.end;
-      if (gap > options.max_gap) close_run(k);
+      if (gap > kFlapMaxGap) close_run(k);
     }
     close_run(idx.size());
   }

@@ -11,12 +11,11 @@
 
 namespace netfail::analysis {
 
-struct FlapOptions {
-  Duration max_gap = Duration::minutes(10);
-  std::size_t min_failures = 2;
-
-  bool operator==(const FlapOptions&) const = default;
-};
+/// The flap rule, shared by the batch `detect_flaps` and the stream
+/// tracker: a run of at least kFlapMinFailures failures on one link, each
+/// starting at most kFlapMaxGap after the previous one ended.
+inline constexpr Duration kFlapMaxGap = Duration::minutes(10);
+inline constexpr std::size_t kFlapMinFailures = 2;
 
 struct FlapEpisode {
   LinkId link;
@@ -33,7 +32,6 @@ struct FlapAnalysis {
 };
 
 /// Detects episodes and sets `in_flap_episode` on the input failures.
-FlapAnalysis detect_flaps(std::vector<Failure>& failures,
-                          const FlapOptions& options = {});
+FlapAnalysis detect_flaps(std::vector<Failure>& failures);
 
 }  // namespace netfail::analysis

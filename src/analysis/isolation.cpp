@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "src/analysis/dense_links.hpp"
 #include "src/common/assert.hpp"
 
 namespace netfail::analysis {
@@ -12,7 +13,7 @@ std::uint64_t host_pair_key(Symbol a, Symbol b) { return sym::pair_key(a, b); }
 PairDowntime pair_downtime_from_failures(const LinkCensus& census,
                                          const std::vector<Failure>& failures) {
   // Member downtime per link, then intersect across each pair's members.
-  std::map<LinkId, IntervalSet> member = downtime_by_link(failures);
+  const LinkDowntime member(failures);
 
   // Group census links by host pair.
   std::unordered_map<std::uint64_t, std::vector<LinkId>> pairs;
@@ -25,9 +26,8 @@ PairDowntime pair_downtime_from_failures(const LinkCensus& census,
     IntervalSet down;
     bool first = true;
     for (LinkId id : links) {
-      const auto it = member.find(id);
-      const IntervalSet link_down =
-          it == member.end() ? IntervalSet{} : it->second;
+      const IntervalSet* found = member.find(id);
+      const IntervalSet link_down = found == nullptr ? IntervalSet{} : *found;
       if (first) {
         down = link_down;
         first = false;
@@ -46,12 +46,16 @@ PairDowntime pair_downtime_from_isis(
     const std::vector<isis::IsisTransition>& is_reach, TimeRange period) {
   PairDowntime out;
 
-  // Single-link pairs: straight from the reconstructed failures.
-  for (const auto& [link, down] : downtime_by_link(failures)) {
-    const CensusLink& l = census.link(link);
+  // Single-link pairs: straight from the reconstructed failures, in link
+  // order. A link whose failures are all empty still gets its pair's entry;
+  // the last slot, the invalid id, names no census link.
+  const LinkDowntime down(failures);
+  for (std::size_t s = 0; s + 1 < down.slots().size(); ++s) {
+    if (down.failures(s) == 0) continue;
+    const CensusLink& l = census.link(down.slots().link(s));
     if (l.multilink) continue;  // handled below from pair counts
     IntervalSet& set = out[host_pair_key(l.a.host, l.b.host)];
-    set = set.unite(down);
+    set = set.unite(down.at(s));
   }
 
   // Multi-link pairs: the adjacency is down while pair_count_after == 0.
@@ -82,8 +86,7 @@ PairDowntime pair_downtime_from_isis(
 
 IsolationResult compute_isolation(const LinkCensus& census,
                                   const PairDowntime& pair_downtime,
-                                  TimeRange period,
-                                  const IsolationOptions& options) {
+                                  TimeRange period) {
   // ---- build the hostname graph ----------------------------------------------
   std::unordered_map<Symbol, int> node_of;
   std::vector<Symbol> hostnames;
@@ -122,13 +125,11 @@ IsolationResult compute_isolation(const LinkCensus& census,
   std::map<std::string, std::vector<int>> customer_nodes;
   for (int v = 0; v < n; ++v) {
     const std::string_view host = hostnames[static_cast<std::size_t>(v)].view();
-    const std::size_t tok = host.find(options.cpe_host_token);
+    const std::size_t tok = host.find(kCpeHostToken);
     if (tok == std::string_view::npos) {
       is_root[static_cast<std::size_t>(v)] = true;
     } else {
-      customer_nodes[std::string(
-                         host.substr(0, host.find(options.customer_separator)))]
-          .push_back(v);
+      customer_nodes[std::string(host.substr(0, tok))].push_back(v);
     }
   }
 

@@ -42,13 +42,6 @@ PairDowntime pair_downtime_from_isis(
     const LinkCensus& census, const std::vector<Failure>& failures,
     const std::vector<isis::IsisTransition>& is_reach, TimeRange period);
 
-struct IsolationOptions {
-  /// Token marking CPE hostnames; everything else is backbone.
-  std::string cpe_host_token = "-gw-";
-  /// Customer name = hostname prefix before this separator.
-  std::string customer_separator = "-gw-";
-};
-
 struct IsolationEvent {
   std::string customer;
   TimeRange span;
@@ -62,10 +55,11 @@ struct IsolationResult {
   std::map<std::string, IntervalSet> by_customer;
 };
 
+/// A host whose name contains kCpeHostToken is a CPE router of the customer
+/// named by the prefix before the token; every other host is backbone.
 IsolationResult compute_isolation(const LinkCensus& census,
                                   const PairDowntime& pair_downtime,
-                                  TimeRange period,
-                                  const IsolationOptions& options = {});
+                                  TimeRange period);
 
 /// Per-customer intersection of two isolation results (Table 7 last row).
 IsolationResult intersect_isolation(const IsolationResult& a,

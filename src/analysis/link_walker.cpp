@@ -5,7 +5,7 @@ namespace netfail::analysis {
 void LinkWalker::feed(TimePoint t, LinkDirection dir) {
   // Merge same-direction reports from the two ends of the link.
   if (s_.has_last_kept && s_.last_kept_dir == dir &&
-      t - s_.last_kept_time <= options_.merge_window) {
+      t - s_.last_kept_time <= kMergeWindow) {
     ++counters_.merged_duplicates;
     return;
   }

@@ -14,8 +14,7 @@ constexpr double kHoursPerYear = 365.25 * 24.0;
 
 LinkStatistics compute_link_statistics(const std::vector<Failure>& failures,
                                        const LinkCensus& census,
-                                       TimeRange period,
-                                       const LinkStatsOptions& options) {
+                                       TimeRange period) {
   LinkStatistics out;
   // Each link's failures, sorted by begin.
   const LinkSlots slots = LinkSlots::covering(
@@ -32,7 +31,7 @@ LinkStatistics compute_link_statistics(const std::vector<Failure>& failures,
   }
 
   for (const CensusLink& link : census.links()) {
-    if (options.exclude_multilink && link.multilink) continue;
+    if (link.multilink) continue;
     MetricSamples& samples =
         link.cls == RouterClass::kCore ? out.core : out.cpe;
 
@@ -45,10 +44,8 @@ LinkStatistics compute_link_statistics(const std::vector<Failure>& failures,
 
     const std::span<const Failure> fs = by_link[slots.of(link.id)];
     if (fs.empty()) {
-      if (options.include_zero_failure_links) {
-        samples.failures_per_year.push_back(0);
-        samples.downtime_hours_per_year.push_back(0);
-      }
+      samples.failures_per_year.push_back(0);
+      samples.downtime_hours_per_year.push_back(0);
       continue;
     }
 

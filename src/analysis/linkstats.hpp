@@ -35,17 +35,11 @@ struct LinkStatistics {
   MetricSummaries cpe_summary;
 };
 
-struct LinkStatsOptions {
-  /// Include links that never failed (they contribute zeros to the per-link
-  /// metrics). The paper normalizes per link lifetime, implying all links.
-  bool include_zero_failure_links = true;
-  /// Multi-link members are excluded, as the paper does (sect. 3.4).
-  bool exclude_multilink = true;
-};
-
+/// Multi-link members are excluded, as the paper does (sect. 3.4). Links
+/// that never failed contribute zeros to the per-link metrics: the paper
+/// normalizes per link lifetime, implying all links.
 LinkStatistics compute_link_statistics(const std::vector<Failure>& failures,
                                        const LinkCensus& census,
-                                       TimeRange period,
-                                       const LinkStatsOptions& options = {});
+                                       TimeRange period);
 
 }  // namespace netfail::analysis

@@ -59,11 +59,11 @@ AnalysisResult run_analysis(const CaptureView& capture,
       remove_listener_gap_failures(out.syslog_recon.failures, gaps);
   out.syslog_long_report =
       verify_long_failures(out.syslog_recon.failures, capture.census,
-                           capture.tickets, options.sanitize);
+                           capture.tickets);
 
   // 6. Flap detection (marks failures in place).
-  out.isis_flaps = detect_flaps(out.isis_recon.failures, options.flaps);
-  out.syslog_flaps = detect_flaps(out.syslog_recon.failures, options.flaps);
+  out.isis_flaps = detect_flaps(out.isis_recon.failures);
+  out.syslog_flaps = detect_flaps(out.syslog_recon.failures);
 
   return out;
 }

@@ -33,8 +33,6 @@ struct PipelineOptions {
   ArchiveParams archive;
   MinerParams miner;
   ReconstructOptions reconstruct;  // period is filled from the capture
-  SanitizeOptions sanitize;
-  FlapOptions flaps;
 
   bool operator==(const PipelineOptions&) const = default;
 };
@@ -74,8 +72,7 @@ struct AnalysisResult : Reconstructed {
   FlapAnalysis syslog_flaps;
 };
 
-/// Reads options.reconstruct/sanitize/flaps; scenario/archive/miner are
-/// for run_pipeline.
+/// Reads options.reconstruct; scenario/archive/miner are for run_pipeline.
 AnalysisResult run_analysis(const CaptureView& capture,
                             const PipelineOptions& options = {});
 
@@ -116,7 +113,7 @@ PipelineResult run_pipeline(PipelineCapture capture,
                             const PipelineOptions& options = {});
 
 /// Stages 4-5 for syslog again under another ambiguity policy, reusing r's
-/// extraction (default SanitizeOptions). Table 7 uses hold-state.
+/// extraction. Table 7 uses hold-state.
 Reconstruction sanitized_syslog(const PipelineResult& r,
                                 AmbiguityPolicy policy);
 

@@ -43,10 +43,11 @@ struct AmbiguousSegment {
   TimePoint second_message;  // the repeated message
 };
 
+/// Same-direction reports from the two ends of a link within this window
+/// are one event, not a double message (both routers log each transition).
+inline constexpr Duration kMergeWindow = Duration::seconds(3);
+
 struct ReconstructOptions {
-  /// Same-direction reports from the two ends of a link within this window
-  /// are one event, not a double message (both routers log each transition).
-  Duration merge_window = Duration::seconds(3);
   /// Default matches the paper's *baseline* (sect. 3.4): the period between
   /// repeated messages is ambiguous, so it contributes no downtime — which
   /// for failure accounting behaves like assume-up. Sect. 4.3 then finds

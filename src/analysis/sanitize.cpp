@@ -19,14 +19,13 @@ SanitizationReport remove_listener_gap_failures(
 
 SanitizationReport verify_long_failures(std::vector<Failure>& failures,
                                         const LinkCensus& census,
-                                        const TicketStore& tickets,
-                                        const SanitizeOptions& options) {
+                                        const TicketStore& tickets) {
   SanitizationReport report;
   std::erase_if(failures, [&](const Failure& f) {
-    if (f.duration() < options.long_failure_threshold) return false;
+    if (f.duration() < kLongFailure) return false;
     ++report.long_failures_checked;
     const std::string& name = census.link(f.link).name;
-    if (tickets.corroborates(name, f.span, options.ticket_overlap_fraction)) {
+    if (tickets.corroborates(name, f.span, kTicketOverlapFraction)) {
       ++report.long_failures_confirmed;
       return false;
     }

@@ -18,13 +18,11 @@
 
 namespace netfail::analysis {
 
-struct SanitizeOptions {
-  Duration long_failure_threshold = Duration::hours(24);
-  /// Minimum ticket/failure overlap fraction to accept a long failure.
-  double ticket_overlap_fraction = 0.5;
-
-  bool operator==(const SanitizeOptions&) const = default;
-};
+/// Syslog failures at least this long are checked against the tickets.
+inline constexpr Duration kLongFailure = Duration::hours(24);
+/// A ticket must overlap at least this fraction of a long failure to
+/// confirm it.
+inline constexpr double kTicketOverlapFraction = 0.5;
 
 struct SanitizationReport {
   std::size_t removed_listener_gap = 0;
@@ -41,7 +39,6 @@ SanitizationReport remove_listener_gap_failures(
 /// The >24 h manual-verification step; syslog failures only.
 SanitizationReport verify_long_failures(std::vector<Failure>& failures,
                                         const LinkCensus& census,
-                                        const TicketStore& tickets,
-                                        const SanitizeOptions& options = {});
+                                        const TicketStore& tickets);
 
 }  // namespace netfail::analysis

@@ -26,6 +26,7 @@
 #include "src/common/result.hpp"
 #include "src/config/archive.hpp"
 #include "src/config/census.hpp"
+#include "src/topology/topology.hpp"
 
 namespace netfail {
 
@@ -60,7 +61,7 @@ struct MinerParams {
   /// before its first and after its last snapshot), then clamped to `period`.
   Duration lifetime_slack = Duration::days(10);
   /// Classifier: hosts whose name contains this token are CPE routers.
-  std::string cpe_host_token = "-gw-";
+  std::string cpe_host_token = std::string(kCpeHostToken);
 
   bool operator==(const MinerParams&) const = default;
 };

@@ -32,9 +32,9 @@ int dir_index(LinkDirection d) { return d == LinkDirection::kDown ? 0 : 1; }
 /// Decay windows with no observations: the EWMA sees `gap` zero-count
 /// windows between updates. Beyond a handful the baseline is effectively
 /// cold again, so skip the loop entirely.
-double decay_baseline(double ewma, std::int64_t gap, double alpha) {
+double decay_baseline(double ewma, std::int64_t gap) {
   if (gap >= 16) return 0.0;
-  for (std::int64_t i = 0; i < gap; ++i) ewma *= (1.0 - alpha);
+  for (std::int64_t i = 0; i < gap; ++i) ewma *= (1.0 - kDriftAlpha);
   return ewma;
 }
 
@@ -60,7 +60,7 @@ void LinkDetector::observe_syslog(const syslog::SyslogTransition& tr,
 
   // ---- template-frequency drift ---------------------------------------------
   const std::int64_t idx =
-      arrival.unix_millis() / options_.drift_window.total_millis();
+      arrival.unix_millis() / kDriftWindow.total_millis();
   if (idx != window_idx_) roll_window_to(idx);
   const std::uint64_t key =
       cell_key(tr.link, templates_[type_index(tr.type)][dir_index(tr.dir)]);
@@ -84,26 +84,24 @@ void LinkDetector::observe_adjacency_down(LinkId link, TimePoint time) {
     // inverted timestamps.
     const double gap_s = std::max(0.0, (time - st.last_down).seconds_f());
     if (st.mean_gap_s <= 0.0) {
-      st.mean_gap_s =
-          std::max(options_.baseline_floor.seconds_f(),
-                   std::min(gap_s, options_.gap_cap.seconds_f()));
+      st.mean_gap_s = std::max(kBaselineFloor.seconds_f(),
+                               std::min(gap_s, kGapCap.seconds_f()));
     } else {
-      const double surprise =
-          1.0 - gap_s / st.mean_gap_s - options_.cusum_drift;
+      const double surprise = 1.0 - gap_s / st.mean_gap_s - kCusumDrift;
       st.cusum = std::max(0.0, st.cusum + surprise);
-      if (st.cusum >= options_.cusum_threshold &&
+      if (st.cusum >= kCusumThreshold &&
           (!st.has_cusum_alert ||
-           time - st.last_cusum_alert >= options_.alert_cooldown)) {
+           time - st.last_cusum_alert >= kAlertCooldown)) {
         sink_.emit({link, time, AlertKind::kFlapCusum, st.cusum, Symbol()});
         st.has_cusum_alert = true;
         st.last_cusum_alert = time;
         st.cusum = 0.0;  // re-arm
       }
-      const double capped = std::min(gap_s, options_.gap_cap.seconds_f());
+      const double capped = std::min(gap_s, kGapCap.seconds_f());
       st.mean_gap_s =
-          std::max(options_.baseline_floor.seconds_f(),
-                   (1.0 - options_.ewma_alpha) * st.mean_gap_s +
-                       options_.ewma_alpha * capped);
+          std::max(kBaselineFloor.seconds_f(),
+                   (1.0 - kEwmaAlpha) * st.mean_gap_s +
+                       kEwmaAlpha * capped);
     }
   }
   st.has_last_down = true;
@@ -112,12 +110,12 @@ void LinkDetector::observe_adjacency_down(LinkId link, TimePoint time) {
 
 void LinkDetector::observe_isis(LinkId link, TimePoint time,
                                 LinkDirection dir) {
-  if (!options_.enabled || !options_.alert_on_isis_down) return;
+  if (!options_.enabled) return;
   NETFAIL_ASSERT(!finished_, "observe_isis after finish()");
   ++counters_.isis_observed;
   if (dir != LinkDirection::kDown) return;
   LinkState& st = links_[link];
-  if (st.has_hard_alert && time - st.last_hard_alert < options_.alert_cooldown) {
+  if (st.has_hard_alert && time - st.last_hard_alert < kAlertCooldown) {
     return;
   }
   sink_.emit({link, time, AlertKind::kHardDown, 0.0, Symbol()});
@@ -139,17 +137,16 @@ void LinkDetector::close_window() {
     // Lazily account for the zero-count windows since this key last fired.
     const std::int64_t gap = window_idx_ - cell.ewma_window - 1;
     if (gap > 0) {
-      cell.ewma = decay_baseline(cell.ewma, gap, options_.drift_alpha);
+      cell.ewma = decay_baseline(cell.ewma, gap);
     }
     const double ratio = static_cast<double>(cell.count) / (cell.ewma + 1.0);
-    if (cell.count >= options_.drift_min_count &&
-        ratio >= options_.drift_ratio) {
+    if (cell.count >= kDriftMinCount && ratio >= kDriftRatio) {
       scratch_.push_back({LinkId(static_cast<std::uint32_t>(key >> 32)),
                           Symbol::from_id(static_cast<std::uint32_t>(key)),
                           cell.last_event, ratio});
     }
-    cell.ewma = (1.0 - options_.drift_alpha) * cell.ewma +
-                options_.drift_alpha * static_cast<double>(cell.count);
+    cell.ewma = (1.0 - kDriftAlpha) * cell.ewma +
+                kDriftAlpha * static_cast<double>(cell.count);
     cell.ewma_window = window_idx_;
     cell.count = 0;
   }

@@ -8,18 +8,18 @@
 //
 //   hard-down     An IS-IS adjacency DOWN transition is near-unambiguous
 //                 evidence of a real failure (the paper's premise); alert
-//                 immediately, rate-limited per link by `alert_cooldown`.
+//                 immediately, rate-limited per link by `kAlertCooldown`.
 //
 //   flap-cusum    A one-sided CUSUM over syslog adjacency-DOWN inter-
 //                 arrival gaps: each gap contributes 1 - gap/mean - k
 //                 (positive when gaps run shorter than the EWMA mean), the
 //                 statistic clamps at zero and alerts on crossing
-//                 `cusum_threshold`. Catches anomalous failure clustering —
+//                 `kCusumThreshold`. Catches anomalous failure clustering —
 //                 including during listener gaps, when the IS-IS stream is
 //                 blind.
 //
 //   template-drift  Per-(link, template) message counts over tumbling
-//                 `drift_window`s of arrival time, where a template is the
+//                 `kDriftWindow`s of arrival time, where a template is the
 //                 shape of the tokenized syslog message (type x direction),
 //                 interned once via netfail::sym at construction. A window
 //                 count far above its EWMA baseline flags message-pattern
@@ -49,38 +49,39 @@ class EngineCodec;  // durable snapshot serializer (src/svc)
 
 namespace netfail::detect {
 
+// The detectors' parameters: fixed, like the paper's own windows.
+
+// -- hard-down (IS-IS) ---------------------------------------------------------
+/// Minimum spacing between same-kind alerts on one link.
+inline constexpr Duration kAlertCooldown = Duration::minutes(5);
+
+// -- flap-cusum (syslog adjacency DOWNs) ---------------------------------------
+/// EWMA weight for the per-link mean inter-DOWN gap.
+inline constexpr double kEwmaAlpha = 0.3;
+/// Alert when the CUSUM statistic reaches this value.
+inline constexpr double kCusumThreshold = 3.0;
+/// Per-observation slack (the classic CUSUM drift term k): gaps must be at
+/// least this fraction shorter than the mean to accumulate.
+inline constexpr double kCusumDrift = 0.25;
+/// The EWMA mean gap never falls below this (a burst must still beat a sane
+/// floor) and single huge gaps feed in capped at kGapCap.
+inline constexpr Duration kBaselineFloor = Duration::seconds(30);
+inline constexpr Duration kGapCap = Duration::hours(6);
+
+// -- template-frequency drift (all tracked syslog templates) -------------------
+/// Tumbling window length, on arrival time.
+inline constexpr Duration kDriftWindow = Duration::minutes(10);
+/// A window fires when count >= kDriftMinCount and
+/// count >= kDriftRatio * (baseline + 1).
+inline constexpr double kDriftRatio = 4.0;
+inline constexpr std::uint32_t kDriftMinCount = 6;
+/// EWMA weight for the per-(link, template) baseline window count.
+inline constexpr double kDriftAlpha = 0.2;
+
 struct DetectorOptions {
   /// Off by default: the engine constructs the detector unconditionally and
   /// every observe_*() is a single branch when disabled.
   bool enabled = false;
-
-  // -- hard-down (IS-IS) -------------------------------------------------------
-  bool alert_on_isis_down = true;
-  /// Minimum spacing between same-kind alerts on one link.
-  Duration alert_cooldown = Duration::minutes(5);
-
-  // -- flap-cusum (syslog adjacency DOWNs) -------------------------------------
-  /// EWMA weight for the per-link mean inter-DOWN gap.
-  double ewma_alpha = 0.3;
-  /// Alert when the CUSUM statistic reaches this value.
-  double cusum_threshold = 3.0;
-  /// Per-observation slack (the classic CUSUM drift term k): gaps must be
-  /// at least this fraction shorter than the mean to accumulate.
-  double cusum_drift = 0.25;
-  /// The EWMA mean gap never falls below this (a burst must still beat a
-  /// sane floor) and single huge gaps feed in capped at `gap_cap`.
-  Duration baseline_floor = Duration::seconds(30);
-  Duration gap_cap = Duration::hours(6);
-
-  // -- template-frequency drift (all tracked syslog templates) -----------------
-  /// Tumbling window length, on arrival time.
-  Duration drift_window = Duration::minutes(10);
-  /// A window fires when count >= drift_min_count and
-  /// count >= drift_ratio * (baseline + 1).
-  double drift_ratio = 4.0;
-  std::uint32_t drift_min_count = 6;
-  /// EWMA weight for the per-(link, template) baseline window count.
-  double drift_alpha = 0.2;
 };
 
 struct DetectorCounters {
@@ -96,7 +97,6 @@ class LinkDetector {
   // Copyable by design: a stream Checkpoint is a copy of the detector.
 
   bool enabled() const { return options_.enabled; }
-  const DetectorOptions& options() const { return options_; }
 
   /// Every syslog transition the extractor resolves (adjacency AND media
   /// classes — the drift detector counts all tracked templates; the CUSUM

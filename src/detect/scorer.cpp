@@ -19,8 +19,7 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 ScoreReport score_alerts(const std::vector<LinkAlert>& alerts,
                          const sim::GroundTruth& truth,
-                         const LinkCensus& census, const TicketStore& tickets,
-                         ScorerOptions options) {
+                         const LinkCensus& census, const TicketStore& tickets) {
   ScoreReport r;
   r.alerts_total = alerts.size();
 
@@ -81,16 +80,14 @@ ScoreReport score_alerts(const std::vector<LinkAlert>& alerts,
       continue;
     }
     std::size_t first = kNone;
-    match_window(*link, span.begin - options.lead_window,
-                 span.end + options.grace, first);
+    match_window(*link, span.begin - kLeadWindow, span.end + kGrace, first);
 
     // Recall side: hard failures only.
     const bool hard = (f.cls == sim::FailureClass::kMediaFailure ||
                        f.cls == sim::FailureClass::kProtocolFailure) &&
                       !f.adjacency_down.empty();
     if (!hard) continue;
-    if (options.exclude_unobservable &&
-        truth.listener_gaps().overlaps(f.adjacency_down)) {
+    if (truth.listener_gaps().overlaps(f.adjacency_down)) {
       ++r.failures_excluded;
       continue;
     }

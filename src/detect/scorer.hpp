@@ -5,7 +5,7 @@
 //
 //   - An alert is MATCHED when any injected incident on its link (any
 //     class, pseudo-failures and media blips included — the wire event did
-//     happen) has a window [onset - lead_window, recovery + grace]
+//     happen) has a window [onset - kLeadWindow, recovery + kGrace]
 //     containing the alert time. Precision = matched / total alerts.
 //
 //   - The recall denominator is the HARD failures only (media + protocol,
@@ -13,8 +13,8 @@
 //     on its link falls in its window; the lead time of a detection is
 //     recovery - first alert (how far ahead of the batch pipeline, which
 //     confirms a failure only at the closing UP). Failures whose adjacency
-//     outage overlaps a listener gap are excluded from the denominator when
-//     `exclude_unobservable` is set, mirroring the batch sanitizer's
+//     outage overlaps a listener gap are excluded from the denominator
+//     (the IS-IS stream is blind there), mirroring the batch sanitizer's
 //     remove_listener_gap_failures step.
 //
 //   - Ground truth names links by topology id; alerts carry census link
@@ -36,17 +36,12 @@
 
 namespace netfail::detect {
 
-struct ScorerOptions {
-  /// An alert may precede the failure onset by up to this much and still
-  /// count (early warning from flap/drift detectors).
-  Duration lead_window = Duration::minutes(15);
-  /// An alert may trail the recovery by up to this much (post-recovery
-  /// resets, window-close drift alerts).
-  Duration grace = Duration::seconds(60);
-  /// Drop hard failures whose adjacency outage overlaps a listener gap
-  /// from the recall denominator (the IS-IS stream is blind there).
-  bool exclude_unobservable = true;
-};
+/// An alert may precede the failure onset by up to this much and still
+/// count (early warning from flap/drift detectors).
+inline constexpr Duration kLeadWindow = Duration::minutes(15);
+/// An alert may trail the recovery by up to this much (post-recovery
+/// resets, window-close drift alerts).
+inline constexpr Duration kGrace = Duration::seconds(60);
 
 /// considered/detected pair for one slice of the failure population.
 struct SliceScore {
@@ -103,7 +98,6 @@ struct ScoreReport {
 
 ScoreReport score_alerts(const std::vector<LinkAlert>& alerts,
                          const sim::GroundTruth& truth,
-                         const LinkCensus& census, const TicketStore& tickets,
-                         ScorerOptions options = {});
+                         const LinkCensus& census, const TicketStore& tickets);
 
 }  // namespace netfail::detect

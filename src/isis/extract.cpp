@@ -329,16 +329,6 @@ void PairFold::apply(const DeltaBuffer& buf, const LspDelta& d, TimePoint t,
   if (d.note_host) initialized_hosts_.insert(d.host);
 }
 
-void LspDiffer::adopt(const OsiSystemId& id, LspDiffer* from) {
-  auto node = from != nullptr ? from->sources_.extract(id)
-                              : decltype(sources_)::node_type{};
-  if (node.empty()) {
-    sources_.try_emplace(id);
-  } else {
-    sources_.insert(std::move(node));
-  }
-}
-
 // ---- StreamingExtractor -----------------------------------------------------
 
 void StreamingExtractor::feed(const LspRecord& rec,
@@ -357,15 +347,18 @@ void StreamingExtractor::feed(const LspRecord& rec,
 
 namespace {
 
-/// The source id in an LSP's bytes (the LSP ID's system id, bytes 12..18):
-/// the key of the differ's per-source state. A record too short to carry
-/// one fails decoding on whichever lane diffs it.
-OsiSystemId record_source(const LspRecord& rec) {
-  std::array<std::uint8_t, 6> id{};
-  if (rec.bytes.size() >= 18) {
-    std::copy_n(rec.bytes.span().begin() + 12, id.size(), id.begin());
-  }
-  return OsiSystemId(id);
+/// The lane that diffs record `rec`: a multiplicative hash of its source's
+/// system id (the LSP ID's first six bytes, PDU bytes 12..17), so every
+/// record of a source, and with them the source's differ state, stays on
+/// one lane for the whole capture. A record too short to carry an id fails
+/// decoding on lane 0.
+std::uint8_t lane_of(const LspRecord& rec) {
+  if (rec.bytes.size() < 18) return 0;
+  const std::span<const std::uint8_t> bytes = rec.bytes.span();
+  std::uint64_t id = 0;
+  for (std::size_t i = 12; i < 18; ++i) id = (id << 8) | bytes[i];
+  return static_cast<std::uint8_t>(((id * 0x9e3779b97f4a7c15ULL) >> 32) %
+                                   kExtractLanes);
 }
 
 /// One differ lane. Chunk k's deltas and counts go to buffers[k % 2] and
@@ -375,90 +368,18 @@ struct Lane {
   LspDiffer differ;
   std::array<DeltaBuffer, 2> buffers;
   std::array<ExtractionStats, 2> stats;
-  std::size_t records = 0;  // records of the current chunk on this lane
 };
 
-/// Sentinel lane of a source with no differ state yet.
-constexpr std::uint8_t kNoLane = 0xff;
-
-/// Decides which lane diffs each record, one chunk at a time. Two slots
-/// alternate like the lanes' buffers: the caller indexes chunk k + 1 into
-/// one while the lanes read chunk k's from the other.
-class ChunkPlanner {
- public:
-  /// Give each record of [begin, end) a dense source index, into `slot`.
-  /// Touches nothing the lanes read, so it may run while they diff.
-  void index(const std::vector<LspRecord>& records, std::size_t begin,
-             std::size_t end, std::size_t slot) {
-    std::vector<std::uint32_t>& of_record = of_record_[slot];
-    of_record.resize(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto [it, fresh] =
-          dense_.try_emplace(record_source(records[i]), u32(ids_.size()));
-      if (fresh) ids_.push_back(it->first);
-      of_record[i - begin] = it->second;
-    }
-  }
-
-  /// Balance the chunk indexed in `slot` over the lanes: its sources go
-  /// largest first to the least-loaded lane, ties broken on the system id,
-  /// so the plan is a pure function of the capture. A source's differ
-  /// state moves with it (it is created on first sighting). Runs on the
-  /// caller while no lane is diffing.
-  void plan(std::size_t slot, std::array<Lane, kExtractLanes>& lanes) {
-    lane_of_.resize(ids_.size(), kNoLane);
-    count_.resize(ids_.size(), 0);
-    active_.clear();
-    for (const std::uint32_t s : of_record_[slot]) {
-      if (count_[s]++ == 0) active_.push_back(s);
-    }
-    std::sort(active_.begin(), active_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (count_[a] != count_[b]) return count_[a] > count_[b];
-                return ids_[a] < ids_[b];
-              });
-    for (Lane& lane : lanes) lane.records = 0;
-    for (const std::uint32_t s : active_) {
-      const auto lightest =
-          std::min_element(lanes.begin(), lanes.end(),
-                           [](const Lane& a, const Lane& b) {
-                             return a.records < b.records;
-                           });
-      const auto to = static_cast<std::uint8_t>(lightest - lanes.begin());
-      if (lane_of_[s] != to) {
-        lightest->differ.adopt(
-            ids_[s],
-            lane_of_[s] == kNoLane ? nullptr : &lanes[lane_of_[s]].differ);
-        lane_of_[s] = to;
-      }
-      lightest->records += count_[s];
-      count_[s] = 0;
-    }
-  }
-
-  /// Lane of the chunk's `offset`-th record, for the chunk in `slot`.
-  std::size_t lane(std::size_t slot, std::size_t offset) const {
-    return lane_of_[of_record_[slot][offset]];
-  }
-
- private:
-  std::unordered_map<OsiSystemId, std::uint32_t> dense_;
-  std::vector<OsiSystemId> ids_;                      // per source
-  std::array<std::vector<std::uint32_t>, 2> of_record_;  // per chunk record
-  std::vector<std::uint8_t> lane_of_;  // per source
-  std::vector<std::uint32_t> count_;   // per source, this chunk (scratch)
-  std::vector<std::uint32_t> active_;  // sources with records in the chunk
-};
-
-void diff_chunk(Lane& lane, std::size_t id, const ChunkPlanner& planner,
-                std::size_t slot, const std::vector<LspRecord>& records,
-                std::size_t begin, std::size_t end) {
+/// Diffs the records of [begin, end) that `lanes` (one entry per record)
+/// gives to lane `id`, in record order.
+void diff_chunk(Lane& lane, std::size_t id, std::size_t slot,
+                const std::vector<std::uint8_t>& lanes,
+                const std::vector<LspRecord>& records, std::size_t begin,
+                std::size_t end) {
   DeltaBuffer& out = lane.buffers[slot];
   ExtractionStats& stats = lane.stats[slot];
   for (std::size_t i = begin; i < end; ++i) {
-    if (planner.lane(slot, i - begin) == id) {
-      lane.differ.diff(records[i], i, out, stats);
-    }
+    if (lanes[i - begin] == id) lane.differ.diff(records[i], i, out, stats);
   }
   publish(ExtractionStats{}, stats, 0);
 }
@@ -521,30 +442,40 @@ struct LaneExtractor::State {
     return std::min(records.size(), (k + 1) * kExtractChunk);
   }
 
+  /// Give each record of chunk k its lane, and count each lane's records.
+  /// Touches nothing the lanes read, so it may run while they diff.
   void index(std::size_t k) {
-    planner.index(records, chunk_begin(k), chunk_end(k), k % 2);
+    const std::size_t slot = k % 2;
+    std::vector<std::uint8_t>& of_record = lane_of_record[slot];
+    of_record.resize(chunk_end(k) - chunk_begin(k));
+    lane_records[slot].fill(0);
+    for (std::size_t i = chunk_begin(k); i < chunk_end(k); ++i) {
+      const std::uint8_t lane = lane_of(records[i]);
+      of_record[i - chunk_begin(k)] = lane;
+      ++lane_records[slot][lane];
+    }
   }
 
-  /// Plan chunk k (indexed already) and start the lanes diffing it. Runs
-  /// while no lane is diffing.
+  /// Start the lanes diffing chunk k (indexed already). Runs while no lane
+  /// is diffing.
   void launch(std::size_t k) {
     const std::size_t slot = k % 2;
-    planner.plan(slot, lanes);
     for (std::size_t l = 0; l < kExtractLanes; ++l) {
       Lane& lane = lanes[l];
       DeltaBuffer& buf = lane.buffers[slot];
       buf.clear();
       lane.stats[slot] = ExtractionStats{};
-      if (lane.records == 0) continue;
+      const std::size_t n = lane_records[slot][l];
+      if (n == 0) continue;
       // Sized here, on the caller: nearly every record yields a delta
       // with a change or two, and a buffer grown on a lane thread would
       // stay in that thread's malloc arena after the extraction.
-      buf.deltas.reserve(lane.records);
-      buf.neighbors.reserve(lane.records);
-      buf.prefixes.reserve(lane.records);
+      buf.deltas.reserve(n);
+      buf.neighbors.reserve(n);
+      buf.prefixes.reserve(n);
       diffs[l] = std::async(std::launch::async, [this, l, slot, k] {
-        diff_chunk(lanes[l], l, planner, slot, records, chunk_begin(k),
-                   chunk_end(k));
+        diff_chunk(lanes[l], l, slot, lane_of_record[slot], records,
+                   chunk_begin(k), chunk_end(k));
       });
     }
   }
@@ -556,11 +487,13 @@ struct LaneExtractor::State {
   }
 
   const std::vector<LspRecord>& records;
-  ChunkPlanner planner;
   std::array<Lane, kExtractLanes> lanes;
   PairFold fold;
   const std::size_t chunks;
   std::size_t next = 0;  // the next chunk `next_chunk` returns
+  /// Per chunk slot: each record's lane, and each lane's record count.
+  std::array<std::vector<std::uint8_t>, 2> lane_of_record;
+  std::array<std::array<std::size_t, kExtractLanes>, 2> lane_records{};
   std::array<std::future<void>, kExtractLanes> diffs;  // the chunk in flight
 };
 

@@ -20,9 +20,10 @@
 //      pair counts and the per-prefix advertiser counts and emits
 //      `IsisTransition`s.
 // `StreamingExtractor` runs the two back to back per record: the one-lane
-// schedule. `LaneExtractor` spreads each chunk's sources over
-// `kExtractLanes` lanes, diffs the lanes concurrently and folds their
-// deltas in record order, handing out one folded chunk at a time;
+// schedule. `LaneExtractor` gives each source a fixed lane of
+// `kExtractLanes` by a hash of its system id, diffs each chunk on the lanes
+// concurrently and folds their deltas in record order, handing out one
+// folded chunk at a time;
 // `extract_transitions` drains it. Each source's records are diffed in file
 // order and the fold sees record order on either schedule, so both produce
 // the same transitions and stats.
@@ -132,11 +133,11 @@ struct ExtractedChunk {
   }
 };
 
-/// Batch extraction as a chunk iterator. Chunk k is `kExtractChunk` records
-/// whose sources are spread over the lanes; while the lanes diff chunk k,
-/// the caller folds chunk k - 1 (in `next_chunk`) and indexes chunk k + 1,
-/// and the lanes keep diffing between calls. Not thread-safe: one thread
-/// calls `next_chunk`.
+/// Batch extraction as a chunk iterator. Chunk k is `kExtractChunk` records,
+/// each diffed on its source's lane; while the lanes diff chunk k, the
+/// caller folds chunk k - 1 (in `next_chunk`) and indexes chunk k + 1 (each
+/// record's lane, each lane's count), and the lanes keep diffing between
+/// calls. Not thread-safe: one thread calls `next_chunk`.
 class LaneExtractor {
  public:
   /// `records` (time-ordered) and `census` must outlive the extractor.
@@ -215,11 +216,6 @@ class LspDiffer {
   /// steady-state refresh has none); counts into `stats`.
   void diff(const LspRecord& rec, std::size_t index, DeltaBuffer& out,
             ExtractionStats& stats);
-
-  /// Take over source `id`'s state from `from`, or start it empty when
-  /// `from` is null. A batch extraction moves sources between lanes this
-  /// way between chunks.
-  void adopt(const OsiSystemId& id, LspDiffer* from);
 
   /// Number of LSP sources (routers) tracked — O(sources), independent of
   /// records fed.

@@ -113,9 +113,9 @@ void LinkTracker::release(LinkId link, PerLink& pl, std::size_t keep) {
     tracker_metrics().failures.inc();
 
     // Sliding-window flap detection: extend the current run while gaps stay
-    // within max_gap (released failures arrive begin-ordered per link).
+    // within kFlapMaxGap (released failures arrive begin-ordered per link).
     if (pl.run_count > 0 &&
-        f.span.begin - pl.run_last_end <= options_.flaps.max_gap) {
+        f.span.begin - pl.run_last_end <= analysis::kFlapMaxGap) {
       ++pl.run_count;
       pl.run_last_end = f.span.end;
     } else {
@@ -130,7 +130,7 @@ void LinkTracker::release(LinkId link, PerLink& pl, std::size_t keep) {
 }
 
 void LinkTracker::close_run(LinkId link, PerLink& pl) {
-  if (pl.run_count >= options_.flaps.min_failures) {
+  if (pl.run_count >= analysis::kFlapMinFailures) {
     analysis::FlapEpisode ep;
     ep.link = link;
     ep.failure_count = pl.run_count;

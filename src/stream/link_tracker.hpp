@@ -36,10 +36,9 @@ class EngineCodec;  // durable snapshot serializer (src/svc)
 namespace netfail::stream {
 
 struct TrackerOptions {
-  /// Policy, merge window and study period for the FSM (must match the
-  /// batch run to be comparable).
+  /// Policy and study period for the FSM (must match the batch run to be
+  /// comparable). Merge window and flap rule are the batch path's constants.
   analysis::ReconstructOptions reconstruct;
-  analysis::FlapOptions flaps;
   /// Tag released failures with this source.
   analysis::Source source = analysis::Source::kIsis;
   /// Transitions are held back until the high-water arrival time is this
@@ -82,7 +81,8 @@ class LinkTracker {
   /// Released failures, per link in chronological order. A failure is
   /// released only once no later event can retract it.
   std::function<void(const analysis::Failure&)> on_failure;
-  /// Closed flap episodes (>= min_failures failures, gaps <= max_gap).
+  /// Closed flap episodes (>= kFlapMinFailures failures, gaps <=
+  /// kFlapMaxGap).
   std::function<void(const analysis::FlapEpisode&)> on_flap_episode;
   /// Ambiguous (double DOWN / double UP) segments, as the FSM sees them.
   std::function<void(const analysis::AmbiguousSegment&)> on_ambiguous;

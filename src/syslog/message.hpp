@@ -53,7 +53,7 @@ struct Message {
   std::string reason;        // adjacency messages: free-text reason
 
   /// Render the full RFC 3164 line, e.g.
-  /// "<189>Oct 20 04:11:17 edu042-gw-1 ...: %CLNS-5-ADJCHANGE: ISIS: ...".
+  /// "<189>Oct 20 04:11:17 lax-core-1 ...: %CLNS-5-ADJCHANGE: ISIS: ...".
   std::string render(unsigned sequence_number) const;
 
   /// Allocation-lean render: clears `out` and writes the same bytes as

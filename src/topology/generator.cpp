@@ -175,7 +175,7 @@ Topology generate_topology(const TopologyParams& params) {
   for (int r = 0; r < params.cpe_routers; ++r) {
     const int c = r % params.customers;
     const int n = ++routers_of_customer[static_cast<std::size_t>(c)];
-    const std::string name = strformat("edu%03d-gw-%d", c, n);
+    const std::string name = strformat("edu%03d%s%d", c, kCpeHostToken.data(), n);
     cpe.push_back(topo.add_router(name, RouterClass::kCpe, RouterOs::kIos,
                                   customers[static_cast<std::size_t>(c)]));
   }

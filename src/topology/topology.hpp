@@ -27,6 +27,12 @@ inline const char* router_class_name(RouterClass c) {
   return c == RouterClass::kCore ? "Core" : "CPE";
 }
 
+/// The one CPE naming rule: a CPE router's hostname is its customer's name,
+/// this token, then a number; no core hostname contains it.
+/// The generator names CPE routers with it, the config miner classifies
+/// links by it, and the isolation analysis splits off customers at it.
+inline constexpr std::string_view kCpeHostToken = "-gw-";
+
 /// Operating-system family of the router; determines which syslog dialect it
 /// emits (classic IOS "%CLNS-5-ADJCHANGE" vs IOS-XR
 /// "%ROUTING-ISIS-4-ADJCHANGE" — both appear in the paper's Table 1).

@@ -70,14 +70,15 @@ TEST(FalsePositives, EmptyInput) {
 }
 
 TEST(FalsePositives, CustomThreshold) {
-  const std::vector<Failure> syslog{failure(0, 30)};
+  // The split sits at kShortFalsePositive (10 s): one second more is long.
+  const std::int64_t cut = kShortFalsePositive.total_seconds();
+  const std::vector<Failure> syslog{failure(0, cut), failure(100, 101 + cut)};
   FailureMatchResult match;
-  match.syslog_only = {0};
-  FalsePositiveOptions opts;
-  opts.short_threshold = Duration::seconds(60);
-  const FalsePositiveBreakdown b =
-      analyze_false_positives(syslog, match, {}, opts);
+  match.syslog_only = {0, 1};
+  const FalsePositiveBreakdown b = analyze_false_positives(syslog, match, {});
   EXPECT_EQ(b.short_count, 1u);
+  EXPECT_EQ(b.short_downtime, kShortFalsePositive);
+  EXPECT_EQ(b.long_count, 1u);
 }
 
 }  // namespace

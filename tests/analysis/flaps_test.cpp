@@ -72,13 +72,19 @@ TEST(Flaps, FlapRangesUsable) {
 }
 
 TEST(Flaps, CustomOptions) {
-  FlapOptions opts;
-  opts.max_gap = Duration::seconds(30);
-  opts.min_failures = 3;
-  std::vector<Failure> fs{failure(0, 5), failure(20, 25), failure(40, 45)};
-  EXPECT_EQ(detect_flaps(fs, opts).episodes.size(), 1u);
-  std::vector<Failure> fs2{failure(0, 5), failure(20, 25)};
-  EXPECT_TRUE(detect_flaps(fs2, opts).episodes.empty());
+  // The rule's two constants at their edges: kFlapMinFailures (2) failures
+  // kFlapMaxGap (10 min) apart flap; one more second apart, or one failure
+  // alone, does not.
+  static_assert(kFlapMinFailures == 2);
+  const std::int64_t gap = kFlapMaxGap.total_seconds();
+  std::vector<Failure> fs{failure(0, 5), failure(5 + gap, 10 + gap)};
+  const FlapAnalysis a = detect_flaps(fs);
+  ASSERT_EQ(a.episodes.size(), 1u);
+  EXPECT_EQ(a.episodes[0].failure_count, 2u);
+  std::vector<Failure> fs2{failure(0, 5), failure(6 + gap, 10 + gap)};
+  EXPECT_TRUE(detect_flaps(fs2).episodes.empty());
+  std::vector<Failure> one{failure(0, 5)};
+  EXPECT_TRUE(detect_flaps(one).episodes.empty());
 }
 
 TEST(Flaps, UnsortedInputHandled) {

@@ -87,28 +87,12 @@ TEST_F(LinkStatsTest, MultilinkExcluded) {
   EXPECT_EQ(s.cpe.failures_per_year.size(), 1u);
 }
 
-TEST_F(LinkStatsTest, MultilinkIncludedWhenAsked) {
-  LinkStatsOptions opts;
-  opts.exclude_multilink = false;
-  std::vector<Failure> fs{make_failure(ml1_, 0, 60)};
-  const LinkStatistics s = compute_link_statistics(fs, census_, kYear, opts);
-  EXPECT_EQ(s.cpe.duration_s.size(), 1u);
-  EXPECT_EQ(s.cpe.failures_per_year.size(), 3u);  // cpe_, ml1_, ml2_
-}
-
 TEST_F(LinkStatsTest, ZeroFailureLinksIncluded) {
   const LinkStatistics s = compute_link_statistics({}, census_, kYear);
   ASSERT_EQ(s.core.failures_per_year.size(), 1u);
   EXPECT_EQ(s.core.failures_per_year[0], 0.0);
   EXPECT_EQ(s.core.downtime_hours_per_year[0], 0.0);
   EXPECT_TRUE(s.core.duration_s.empty());
-}
-
-TEST_F(LinkStatsTest, ZeroFailureLinksExcludable) {
-  LinkStatsOptions opts;
-  opts.include_zero_failure_links = false;
-  const LinkStatistics s = compute_link_statistics({}, census_, kYear, opts);
-  EXPECT_TRUE(s.core.failures_per_year.empty());
 }
 
 TEST_F(LinkStatsTest, ClassSplit) {

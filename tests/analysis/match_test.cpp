@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "src/analysis/dense_links.hpp"
 #include "src/common/rng.hpp"
 
 namespace netfail::analysis {
@@ -287,24 +288,28 @@ FailureMatchResult full_scan_match(const std::vector<Failure>& isis,
     if (!matched[s]) out.syslog_only.push_back(s);
   }
 
-  const std::map<LinkId, IntervalSet> isis_down = downtime_by_link(isis);
-  const std::map<LinkId, IntervalSet> syslog_down = downtime_by_link(syslog);
-  for (const auto& [link, set] : isis_down) {
+  const LinkDowntime isis_down(isis);
+  const LinkDowntime syslog_down(syslog);
+  for (std::size_t slot = 0; slot < isis_down.slots().size(); ++slot) {
+    const IntervalSet& set = isis_down.at(slot);
     for (const TimeRange& x : set.ranges()) out.isis_downtime += x.duration();
-    const auto other = syslog_down.find(link);
-    if (other == syslog_down.end()) continue;
+    const IntervalSet* other =
+        syslog_down.find(isis_down.slots().link(slot));
+    if (other == nullptr) continue;
     for (const TimeRange& x : set.ranges()) {
-      out.overlap_downtime += linear_measure(other->second, x);
+      out.overlap_downtime += linear_measure(*other, x);
     }
   }
-  for (const auto& [link, set] : syslog_down) {
-    for (const TimeRange& x : set.ranges()) out.syslog_downtime += x.duration();
+  for (std::size_t slot = 0; slot < syslog_down.slots().size(); ++slot) {
+    for (const TimeRange& x : syslog_down.at(slot).ranges()) {
+      out.syslog_downtime += x.duration();
+    }
   }
   for (std::size_t s : out.syslog_only) {
     const Failure& sf = syslog[s];
-    const auto it = isis_down.find(sf.link);
+    const IntervalSet* down = isis_down.find(sf.link);
     const Duration covered =
-        it == isis_down.end() ? Duration{} : linear_measure(it->second, sf.span);
+        down == nullptr ? Duration{} : linear_measure(*down, sf.span);
     if (covered > Duration{}) ++out.syslog_partial;
     out.syslog_false_downtime += sf.span.duration() - covered;
   }

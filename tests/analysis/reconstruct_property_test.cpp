@@ -119,12 +119,18 @@ TEST_P(ReconstructProperty, AmbiguityBookkeepingIsPolicyInvariant) {
 }
 
 TEST_P(ReconstructProperty, WiderMergeWindowNeverAddsFailures) {
+  // The merge window is the constant kMergeWindow (3 s), so the stream is
+  // stretched instead: on the stream stretched threefold it acts as a 1 s
+  // window on the original, which must merge no more than 3 s does.
   const auto stream = random_stream(GetParam() + 400, 8, 60);
+  std::vector<RawTransition> stretched = stream;
+  for (RawTransition& tr : stretched) {
+    tr.time = TimePoint::from_unix_millis(3 * tr.time.unix_millis());
+  }
   ReconstructOptions narrow = options(AmbiguityPolicy::kHoldState);
-  narrow.merge_window = Duration::seconds(1);
-  ReconstructOptions wide = narrow;
-  wide.merge_window = Duration::seconds(10);
-  const Reconstruction rn = reconstruct(stream, narrow);
+  narrow.period = TimeRange{at(0), at(3'000'000)};
+  const ReconstructOptions wide = options(AmbiguityPolicy::kHoldState);
+  const Reconstruction rn = reconstruct(stretched, narrow);
   const Reconstruction rw = reconstruct(stream, wide);
   EXPECT_GE(rw.merged_duplicates, rn.merged_duplicates);
 }

@@ -13,7 +13,6 @@ ReconstructOptions options(AmbiguityPolicy policy = AmbiguityPolicy::kHoldState)
   ReconstructOptions o;
   o.policy = policy;
   o.period = TimeRange{at(0), at(1'000'000)};
-  o.merge_window = Duration::seconds(3);
   return o;
 }
 

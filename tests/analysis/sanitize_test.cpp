@@ -88,15 +88,19 @@ TEST(VerifyLongFailures, TicketOnOtherLinkDoesNotCount) {
 }
 
 TEST(VerifyLongFailures, CustomThreshold) {
+  // The threshold is kLongFailure (24 h), inclusive: a failure of exactly
+  // 24 h is checked, one of 25 h too, and one just under is not.
   const LinkCensus census = one_link_census();
   TicketStore tickets;
-  SanitizeOptions opts;
-  opts.long_failure_threshold = Duration::hours(2);
-  std::vector<Failure> fs{failure(0, 3)};
-  const SanitizationReport rep =
-      verify_long_failures(fs, census, tickets, opts);
-  EXPECT_EQ(rep.long_failures_checked, 1u);
-  EXPECT_TRUE(fs.empty());
+  static_assert(kLongFailure == Duration::hours(24));
+  Failure just_under = failure(100, 124);
+  just_under.span.end = just_under.span.end - Duration::millis(1);
+  std::vector<Failure> fs{failure(0, 24), failure(30, 55), just_under};
+  const SanitizationReport rep = verify_long_failures(fs, census, tickets);
+  EXPECT_EQ(rep.long_failures_checked, 2u);
+  EXPECT_EQ(rep.long_failures_removed, 2u);
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].span.begin, at(100));
 }
 
 }  // namespace

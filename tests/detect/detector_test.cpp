@@ -127,22 +127,24 @@ TEST(LinkDetector, CusumSilentOnSteadyCadence) {
 }
 
 TEST(LinkDetector, CusumRearmsAfterFiring) {
-  DetectorOptions o = enabled_options();
-  o.alert_cooldown = Duration::seconds(1);  // don't rate-limit the re-fire
-  LinkDetector d(o);
+  LinkDetector d(enabled_options());
   const LinkId link(3);
   TimePoint t = at_minute(0);
   for (int i = 0; i < 4; ++i) {
     d.observe_syslog(adj_down(link, t), t);
     t = t + Duration::minutes(10);
   }
-  // Two bursts separated by enough short gaps to trip the CUSUM twice.
-  for (int i = 0; i < 40; ++i) {
+  // A burst of short gaps that outlasts the alert cooldown: the CUSUM
+  // fires, re-arms, and fires again once kAlertCooldown has passed.
+  const TimePoint burst_end = t + kAlertCooldown + Duration::minutes(1);
+  while (t < burst_end) {
     d.observe_syslog(adj_down(link, t), t);
     t = t + Duration::seconds(2);
   }
   d.finish();
-  EXPECT_GE(alerts_of_kind(d, AlertKind::kFlapCusum).size(), 2u);
+  const std::vector<LinkAlert> cusum = alerts_of_kind(d, AlertKind::kFlapCusum);
+  ASSERT_GE(cusum.size(), 2u);
+  EXPECT_GE(cusum[1].time - cusum[0].time, kAlertCooldown);
 }
 
 TEST(LinkDetector, DriftFiresOnWindowBurst) {
@@ -188,7 +190,7 @@ TEST(LinkDetector, DriftBaselineAbsorbsRecurringLoad) {
 }
 
 TEST(LinkDetector, DriftBelowMinCountNeverFires) {
-  LinkDetector d(enabled_options());  // drift_min_count = 6
+  LinkDetector d(enabled_options());  // kDriftMinCount = 6
   const LinkId link(5);
   for (int i = 0; i < 5; ++i) {
     const TimePoint t = at_minute(0) + Duration::seconds(10 * i);

@@ -104,14 +104,13 @@ TEST_F(ScorerTest, AlertOnQuietLinkIsFalsePositive) {
 TEST_F(ScorerTest, LeadWindowAndGraceBoundTheMatch) {
   sim::GroundTruth truth;
   truth.add_failure(hard_failure(ab_name_, 60, 120));
-  ScorerOptions opts;
-  opts.lead_window = Duration::minutes(15);
-  opts.grace = Duration::seconds(60);
+  static_assert(kLeadWindow == Duration::minutes(15));
+  static_assert(kGrace == Duration::seconds(60));
   // 50 min: 10 min before onset, inside the lead window. 44 min: outside.
   // 121 min: inside grace. 130 min: outside.
   const ScoreReport r = score_alerts(
       {alert(ab_, 44), alert(ab_, 50), alert(ab_, 121), alert(ab_, 130)},
-      truth, census_, tickets_, opts);
+      truth, census_, tickets_);
   EXPECT_EQ(r.alerts_matched, 2u);
   EXPECT_EQ(r.failures_detected, 1u);
   // First matching alert (t=50) sets the lead: 120 - 50 = 70 min.
@@ -148,12 +147,6 @@ TEST_F(ScorerTest, ListenerGapFailuresAreExcluded) {
   const ScoreReport r = score_alerts({}, truth, census_, tickets_);
   EXPECT_EQ(r.failures_considered, 1u);
   EXPECT_EQ(r.failures_excluded, 1u);
-
-  ScorerOptions keep;
-  keep.exclude_unobservable = false;
-  const ScoreReport all = score_alerts({}, truth, census_, tickets_, keep);
-  EXPECT_EQ(all.failures_considered, 2u);
-  EXPECT_EQ(all.failures_excluded, 0u);
 }
 
 TEST_F(ScorerTest, UnresolvableLinkNamesAreCountedNotScored) {

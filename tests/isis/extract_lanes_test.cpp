@@ -170,7 +170,7 @@ TEST(ExtractLanes, HostileSeedsMatchStreaming) {
 }
 
 TEST(ExtractLanes, SingleSourceCaptureUsesOneLane) {
-  // One router: every record lands on one lane, across chunks.
+  // One router: every record lands on its lane, across chunks.
   const HostileCapture cap =
       make_hostile({.seed = 5, .routers = 1, .records = kExtractChunk + 777});
   const IsisExtraction ex = expect_schedules_agree(cap.records, cap.census);
@@ -179,9 +179,10 @@ TEST(ExtractLanes, SingleSourceCaptureUsesOneLane) {
 }
 
 TEST(ExtractLanes, LanesFallIdleWhenSourcesGoQuiet) {
-  // Every lane has work in the first chunk. The next two hear from one
-  // source, so three lanes sit idle while their other buffer still holds
-  // the first chunk's deltas; in the last chunk every source is back.
+  // In the first chunk nine sources spread over the lanes by the hash of
+  // their ids. The next two hear from one source, so only its lane diffs
+  // while the others' second buffer still holds the first chunk's deltas;
+  // in the last chunk every source is back, on the lane it had before.
   const HostileCapture cap = make_hostile({.seed = 3,
                                            .routers = 9,
                                            .records = 4 * kExtractChunk,
