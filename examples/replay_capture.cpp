@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const TimeRange period = options.scenario.period;
   if (Status s = io::write_bundle(
           dir, period, live.sim.collector, live.sim.listener.records(),
-          generate_archive(live.sim.topology, period, options.archive),
+          generate_archive(live.sim.topology, period),
           live.sim.tickets, live.sim.truth.listener_gaps());
       !s) {
     std::fprintf(stderr, "error: %s\n", s.error().to_string().c_str());

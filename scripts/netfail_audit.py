@@ -734,13 +734,6 @@ OPTIONS_ALLOWLIST = {
     "GatewayOptions::consumer_slowdown":
         "gateway_test's fault injection: a deliberately slow consumer is "
         "how the backpressure path is exercised on a fast machine",
-    "PipelineOptions::archive":
-        "the simulated capture's config-archive parameters, handed whole to "
-        "run_capture and part of ScenarioCache's key; the simulator's "
-        "parameters stay settable",
-    "PipelineOptions::miner":
-        "the simulated capture's MinerParams, handed whole to run_capture "
-        "and part of ScenarioCache's key, like `archive`",
 }
 
 OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*\{")

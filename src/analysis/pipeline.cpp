@@ -4,9 +4,7 @@
 
 namespace netfail::analysis {
 
-PipelineCapture run_capture(const sim::ScenarioParams& scenario,
-                            const ArchiveParams& archive_params,
-                            const MinerParams& miner) {
+PipelineCapture run_capture(const sim::ScenarioParams& scenario) {
   PipelineCapture out;
   out.period = scenario.period;
 
@@ -16,10 +14,10 @@ PipelineCapture run_capture(const sim::ScenarioParams& scenario,
   // 2. Mine the configuration archive into the link census (the common
   //    naming layer; paper sect. 3.4).
   const ConfigArchive archive =
-      generate_archive(out.sim.topology, scenario.period, archive_params);
+      generate_archive(out.sim.topology, scenario.period);
   out.archive_files = archive.size();
   out.census =
-      mine_archive(archive, scenario.period, miner, &out.mining);
+      mine_archive(archive, scenario.period, {}, &out.mining);
   return out;
 }
 
@@ -69,8 +67,7 @@ AnalysisResult run_analysis(const CaptureView& capture,
 }
 
 PipelineResult run_pipeline(const PipelineOptions& options) {
-  return run_pipeline(
-      run_capture(options.scenario, options.archive, options.miner), options);
+  return run_pipeline(run_capture(options.scenario), options);
 }
 
 PipelineResult run_pipeline(PipelineCapture capture,

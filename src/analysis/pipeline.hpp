@@ -30,8 +30,6 @@ namespace netfail::analysis {
 
 struct PipelineOptions {
   sim::ScenarioParams scenario = sim::cenic_scenario();
-  ArchiveParams archive;
-  MinerParams miner;
   ReconstructOptions reconstruct;  // period is filled from the capture
 
   bool operator==(const PipelineOptions&) const = default;
@@ -72,7 +70,7 @@ struct AnalysisResult : Reconstructed {
   FlapAnalysis syslog_flaps;
 };
 
-/// Reads options.reconstruct; scenario/archive/miner are for run_pipeline.
+/// Reads options.reconstruct; scenario is for run_pipeline.
 AnalysisResult run_analysis(const CaptureView& capture,
                             const PipelineOptions& options = {});
 
@@ -91,10 +89,9 @@ struct PipelineCapture {
   }
 };
 
-/// `archive`/`miner` default to the same parameters run_pipeline() uses.
-PipelineCapture run_capture(const sim::ScenarioParams& scenario,
-                            const ArchiveParams& archive = {},
-                            const MinerParams& miner = {});
+/// The config archive is generated and mined with the default
+/// ArchiveParams and MinerParams.
+PipelineCapture run_capture(const sim::ScenarioParams& scenario);
 
 /// The analysis of a simulated capture, kept together with the simulation
 /// and census it ran on (Tables 1 and 7 read the topology and ground truth).

@@ -40,19 +40,15 @@ std::shared_ptr<const T> ScenarioCache::lookup(
 }
 
 std::shared_ptr<const PipelineCapture> ScenarioCache::capture(
-    const sim::ScenarioParams& params, const ArchiveParams& archive,
-    const MinerParams& miner) {
-  return lookup(captures_, CaptureKey{params, archive, miner},
-                [&] { return run_capture(params, archive, miner); });
+    const sim::ScenarioParams& params) {
+  return lookup(captures_, params, [&] { return run_capture(params); });
 }
 
 std::shared_ptr<const PipelineResult> ScenarioCache::pipeline(
     const PipelineOptions& options) {
   return lookup(pipelines_, options, [&] {
     // Copy the shared capture: the result keeps its own simulation.
-    return run_pipeline(*capture(options.scenario, options.archive,
-                                 options.miner),
-                        options);
+    return run_pipeline(*capture(options.scenario), options);
   });
 }
 

@@ -30,8 +30,7 @@ class ScenarioCache {
 
   /// Simulation + census for these parameters, computed at most once.
   std::shared_ptr<const PipelineCapture> capture(
-      const sim::ScenarioParams& params, const ArchiveParams& archive = {},
-      const MinerParams& miner = {});
+      const sim::ScenarioParams& params);
 
   /// Full pipeline result, computed at most once per distinct options
   /// value; the underlying capture is shared with capture() callers.
@@ -54,13 +53,6 @@ class ScenarioCache {
     std::shared_ptr<Slot<T>> slot;
   };
 
-  struct CaptureKey {
-    sim::ScenarioParams scenario;
-    ArchiveParams archive;
-    MinerParams miner;
-    bool operator==(const CaptureKey&) const = default;
-  };
-
   template <typename Key, typename T, typename ComputeFn>
   std::shared_ptr<const T> lookup(std::vector<Entry<Key, T>>& table,
                                   const Key& key, const ComputeFn& compute);
@@ -68,7 +60,7 @@ class ScenarioCache {
   // Lock order: mu_ (table lookup) strictly before any Slot::mu (compute);
   // mu_ is never held across a compute, so distinct keys never serialize.
   sync::Mutex mu_;
-  std::vector<Entry<CaptureKey, PipelineCapture>> captures_
+  std::vector<Entry<sim::ScenarioParams, PipelineCapture>> captures_
       NETFAIL_GUARDED_BY(mu_);
   std::vector<Entry<PipelineOptions, PipelineResult>> pipelines_
       NETFAIL_GUARDED_BY(mu_);

@@ -141,6 +141,8 @@ class StreamEngine {
   std::uint64_t syslog_events() const { return syslog_events_; }
   std::uint64_t lsp_events() const { return lsp_events_; }
   TimePoint high_water() const { return high_water_; }
+  /// True once finish() ran; a finished engine takes no more events.
+  bool finished() const { return finished_; }
 
   /// True when this engine analyzes `link`. Always true unpartitioned;
   /// invalid links carry no per-link state, so every shard "owns" them.

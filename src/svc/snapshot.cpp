@@ -5,63 +5,433 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <concepts>
 #include <cstdio>
 #include <cstring>
-#include <tuple>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <optional>
+#include <type_traits>
+#include <unordered_map>
 
+#include "src/common/strfmt.hpp"
 #include "src/common/sync.hpp"
 #include "src/stream/sharded.hpp"
+#include "src/svc/binio.hpp"
 
 namespace netfail::svc {
 namespace {
 
-Error truncated_error() {
-  return make_error(ErrorCode::kTruncated, "snapshot section truncated");
-}
+/// File-local id of the invalid symbol.
+constexpr std::uint32_t kInvalidLocal = 0xffffffffu;
+/// Every signed 64-bit field (times and durations in ms, window indices)
+/// stays within ±2^52, about 140,000 years of milliseconds, so the sums and
+/// differences the engine takes of them cannot overflow.
+constexpr std::int64_t kMaxSigned = std::int64_t{1} << 52;
+/// Every int field is an LSP count (adjacencies to a neighbor, a pair's
+/// adjacencies, advertisers of a /31): never negative, and capped far above
+/// what a capture reaches so that PairFold, which replays a count change
+/// one step at a time, stays cheap.
+constexpr int kMaxCount = 65535;
 
-void put_time(ByteWriter& w, TimePoint t) { w.i64(t.unix_millis()); }
-TimePoint get_time(ByteReader& r) {
-  return TimePoint::from_unix_millis(r.i64());
-}
+template <typename T>
+concept Wide = std::unsigned_integral<T> && sizeof(T) == 8;
 
-void put_dir(ByteWriter& w, LinkDirection d) {
-  w.u8(d == LinkDirection::kUp ? 1 : 0);
-}
-LinkDirection get_dir(ByteReader& r) {
-  return r.u8() != 0 ? LinkDirection::kUp : LinkDirection::kDown;
-}
-
-void put_failure(ByteWriter& w, const analysis::Failure& f) {
-  w.u32(f.link.value());
-  put_time(w, f.span.begin);
-  put_time(w, f.span.end);
-  w.u8(f.source == analysis::Source::kIsis ? 1 : 0);
-  w.u8(f.in_flap_episode ? 1 : 0);
-}
-analysis::Failure get_failure(ByteReader& r) {
-  analysis::Failure f;
-  f.link = LinkId(r.u32());
-  f.span.begin = get_time(r);
-  f.span.end = get_time(r);
-  f.source = r.u8() != 0 ? analysis::Source::kIsis : analysis::Source::kSyslog;
-  f.in_flap_episode = r.u8() != 0;
-  return f;
-}
-
-/// File-local symbol id -> process symbol. Sets `*bad` on an id the table
-/// does not cover (a corrupt section that still passed the checksum is
-/// practically impossible, but decode stays total anyway).
-Symbol get_sym(ByteReader& r, const std::vector<Symbol>& syms, bool* bad) {
-  const std::uint32_t id = r.u32();
-  if (id == SymbolSink::kInvalidLocal) return Symbol::invalid();
-  if (id >= syms.size()) {
-    *bad = true;
-    return Symbol::invalid();
+/// One half of a packed (high << 32 | low) u64 key.
+template <typename T>
+T half(std::uint64_t bits) {
+  const auto v = static_cast<std::uint32_t>(bits);
+  if constexpr (std::is_same_v<T, LinkId>) {
+    return LinkId(v);
+  } else {
+    return Symbol::from_id(v);
   }
-  return syms[id];
 }
+
+/// The writer sink: the walks hand it `const` engine state, and the C++
+/// type of each field fixes its wire width here, once. Symbols become dense
+/// file-local ids in first-use order, shared by every section of a file.
+class Writer {
+ public:
+  template <typename... T>
+  void operator()(const T&... fields) {
+    (field(fields), ...);
+  }
+
+  void shard(std::uint32_t v) { w_.u32(v); }
+
+  /// u32 count, then each element.
+  template <typename Vec, typename Walk>
+  void seq(const Vec& v, Walk&& walk) {
+    w_.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) walk(e);
+  }
+
+  /// u32 count, then each (key, value) in the order of `by(key)`, so the
+  /// bytes are a pure function of state, not of hash seeds or intern order.
+  template <typename Map, typename By, typename Walk>
+  void map(const Map& m, By by, Walk&& walk) {
+    std::vector<const typename Map::value_type*> sorted;
+    for (const auto& e : m) sorted.push_back(&e);
+    std::sort(sorted.begin(), sorted.end(), [&by](auto* a, auto* b) {
+      return by(a->first) < by(b->first);
+    });
+    seq(sorted, [&walk](const auto* e) { walk(e->first, e->second); });
+  }
+
+  /// u32 count, then each key in the order of `by(key)`.
+  template <typename Set, typename By>
+  void set(const Set& s, By by) {
+    std::vector<typename Set::value_type> sorted(s.begin(), s.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [&by](auto a, auto b) { return by(a) < by(b); });
+    seq(sorted, [this](const auto& e) { field(e); });
+  }
+
+  std::string take_section() { return w_.take(); }
+  const std::vector<std::uint32_t>& symbol_order() const { return order_; }
+
+ private:
+  void field(bool v) { w_.u8(v ? 1 : 0); }
+  void field(LinkDirection d) { w_.u8(static_cast<std::uint8_t>(d)); }
+  void field(analysis::Source s) { w_.u8(static_cast<std::uint8_t>(s)); }
+  void field(detect::AlertKind k) { w_.u8(static_cast<std::uint8_t>(k)); }
+  void field(TimePoint t) { w_.i64(t.unix_millis()); }
+  void field(Duration d) { w_.i64(d.total_millis()); }
+  void field(LinkId link) { w_.u32(link.value()); }
+  void field(std::uint32_t v) { w_.u32(v); }
+  void field(Symbol s) {
+    if (!s.valid()) return w_.u32(kInvalidLocal);
+    const auto [it, added] = local_.try_emplace(
+        s.value(), static_cast<std::uint32_t>(order_.size()));
+    if (added) order_.push_back(s.value());
+    w_.u32(it->second);
+  }
+  template <Wide T>
+  void field(T v) {
+    w_.u64(v);
+  }
+  void field(std::int64_t v) { w_.i64(v); }
+  void field(int v) { w_.i64(v); }
+  void field(double v) { w_.f64(v); }
+  void field(const OsiSystemId& id) { w_.raw(id.bytes().data(), 6); }
+  void field(const Ipv4Prefix& p) {
+    w_.u32(p.network().value());
+    w_.u8(static_cast<std::uint8_t>(p.length()));
+  }
+
+  ByteWriter w_;
+  std::unordered_map<std::uint32_t, std::uint32_t> local_;  // global -> local
+  std::vector<std::uint32_t> order_;  // global ids, local order
+};
+
+/// The reader sink: the walks hand it the scratch engine restore_shard
+/// decodes into, and it checks each field by its type as it reads it. The
+/// first failure is kept; after it, or once the section runs short, reads
+/// go on harmlessly (counts read as zero) and the scratch is discarded.
+class Reader {
+ public:
+  Reader(std::string_view section, const std::vector<Symbol>& symbols,
+         std::size_t census_links)
+      : r_(section), symbols_(symbols), census_links_(census_links) {}
+
+  template <typename... T>
+  void operator()(T&... fields) {
+    (field(fields), ...);
+  }
+
+  /// The engine's own shard, which the section must name.
+  void shard(std::uint32_t engine_shard) {
+    const std::uint32_t v = r_.u32();
+    if (r_.ok() && !error_ && v != engine_shard) {
+      error_ = make_error(ErrorCode::kInvalidArgument,
+                          strformat("snapshot section is for shard %u, engine "
+                                    "is shard %u", v, engine_shard));
+    }
+  }
+
+  template <typename Vec, typename Walk>
+  void seq(Vec& v, Walk&& walk) {
+    v.assign(count(), typename Vec::value_type{});
+    for (auto& e : v) walk(e);
+  }
+
+  template <typename Map, typename By, typename Walk>
+  void map(Map& m, By /*by*/, Walk&& walk) {
+    m.clear();
+    for (std::uint32_t n = count(); n > 0; --n) {
+      std::pair<typename Map::key_type, typename Map::mapped_type> e{};
+      walk(e.first, e.second);
+      bad(!m.emplace(std::move(e)).second, "a repeated key");
+    }
+  }
+
+  template <typename Set, typename By>
+  void set(Set& s, By /*by*/) {
+    s.clear();
+    for (std::uint32_t n = count(); n > 0; --n) {
+      typename Set::value_type e{};
+      field(e);
+      bad(!s.insert(e).second, "a repeated key");
+    }
+  }
+
+  /// Records `what` as the error when `failed`; returns `failed`.
+  bool bad(bool failed, const char* what) {
+    if (failed && r_.ok() && !error_) {
+      error_ = make_error(ErrorCode::kParseError,
+                          std::string("snapshot section holds ") + what);
+    }
+    return failed;
+  }
+
+  Status status() const {
+    if (error_) return *error_;
+    if (!r_.ok()) {
+      return make_error(ErrorCode::kTruncated, "snapshot section truncated");
+    }
+    if (!r_.exhausted()) {
+      return make_error(ErrorCode::kParseError,
+                        "snapshot section has trailing bytes");
+    }
+    return Status::ok_status();
+  }
+
+ private:
+  /// `v` when `ok`; otherwise a zero value, with `what` recorded.
+  template <typename T>
+  T check(T v, bool ok, const char* what) {
+    return bad(!ok, what) ? T{} : v;
+  }
+
+  void field(bool& v) { v = code(std::uint8_t{1}) != 0; }
+  void field(LinkDirection& d) { d = code(LinkDirection::kUp); }
+  void field(analysis::Source& s) { s = code(analysis::Source::kIsis); }
+  void field(detect::AlertKind& k) {
+    k = code(detect::AlertKind::kTemplateDrift);
+  }
+  void field(TimePoint& t) { t = TimePoint::from_unix_millis(i64()); }
+  void field(Duration& d) { d = Duration::millis(i64()); }
+  void field(LinkId& link) {
+    const std::uint32_t v = r_.u32();
+    link = LinkId(check(v, v < census_links_, "a link id outside the census"));
+  }
+  void field(std::uint32_t& v) { v = r_.u32(); }
+  void field(Symbol& s) {
+    const std::uint32_t id = r_.u32();
+    const bool known =
+        id != kInvalidLocal &&
+        !bad(id >= symbols_.size(), "a symbol id outside its table");
+    s = known ? symbols_[id] : Symbol();
+  }
+  template <Wide T>
+  void field(T& v) {
+    v = r_.u64();
+  }
+  void field(std::int64_t& v) { v = i64(); }
+  void field(int& v) {
+    const std::int64_t n = r_.i64();
+    v = static_cast<int>(
+        check(n, n >= 0 && n <= kMaxCount, "a count out of range"));
+  }
+  void field(double& v) { v = r_.f64(); }
+  void field(OsiSystemId& id) {
+    std::array<std::uint8_t, 6> b{};
+    r_.raw(b.data(), b.size());
+    id = OsiSystemId(b);
+  }
+  void field(Ipv4Prefix& p) {
+    const Ipv4Address network(r_.u32());
+    const std::uint8_t length = r_.u8();
+    p = Ipv4Prefix(network,
+                   check(length, length <= 32, "a prefix length above 32"));
+  }
+
+  /// A one-byte flag or enum, at most `last`.
+  template <typename E>
+  E code(E last) {
+    const std::uint8_t b = r_.u8();
+    return static_cast<E>(check(b, b <= static_cast<std::uint8_t>(last),
+                                "a flag or enum byte out of range"));
+  }
+
+  std::int64_t i64() {
+    const std::int64_t v = r_.i64();
+    return check(v, v >= -kMaxSigned && v <= kMaxSigned,
+                 "a 64-bit value out of range");
+  }
+
+  /// A container's element count: zero once anything failed, and never
+  /// more than the bytes left (every element takes at least one).
+  std::uint32_t count() {
+    const std::uint32_t n = r_.u32();
+    if (error_ || !r_.ok()) return 0;
+    return check(n, n <= r_.remaining(), "a count past its end");
+  }
+
+  ByteReader r_;
+  const std::vector<Symbol>& symbols_;
+  std::size_t census_links_;
+  std::optional<Error> error_;
+};
+
+/// Sort keys: pair keys by their two hosts' text, cell keys by link and
+/// then template text (symbol ids follow intern order, not text).
+auto by_pair_text(std::uint64_t key) {
+  return std::pair(half<Symbol>(key >> 32).view(), half<Symbol>(key).view());
+}
+auto by_link_then_text(std::uint64_t key) {
+  return std::pair(key >> 32, half<Symbol>(key).view());
+}
+std::string_view by_text(Symbol s) { return s.view(); }
 
 }  // namespace
+
+/// The section layout: one walk per engine part, run by the Writer over
+/// `const` state and by the Reader over a scratch engine, so each field is
+/// named once and both directions agree by construction. The only code
+/// granted friend access to engine internals.
+class EngineCodec {
+ public:
+  template <typename Sink, typename Engine>
+  static void walk(Sink& s, Engine& e) {
+    s.shard(e.options_.shard);
+    s(e.events_, e.syslog_events_, e.lsp_events_, e.high_water_, e.finished_);
+    auto& ss = e.syslog_stats_;
+    s(ss.lines_seen, ss.parse_failures, ss.irrelevant_lines,
+      ss.unresolved_links);
+    walk_extractor(s, e.isis_extractor_);
+    walk_tracker(s, e.isis_tracker_);
+    walk_tracker(s, e.syslog_tracker_);
+    walk_detector(s, e.detector_);
+  }
+
+  static Status restore(std::string_view section,
+                        const std::vector<Symbol>& symbols,
+                        stream::StreamEngine& e) {
+    Reader r(section, symbols, e.census_->size());
+    walk(r, e);
+    if (Status s = r.status(); !s.ok()) return s;
+    // Relations between fields that the engine's code relies on.
+    for (const auto* t : {&e.isis_tracker_, &e.syslog_tracker_}) {
+      for (const auto& [link, pl] : t->links_) {
+        r.bad(!std::is_heap(pl.pending.begin(), pl.pending.end(),
+                            [](auto& a, auto& b) { return b < a; }),
+              "a pending buffer that is not a min-heap on (time, seq)");
+      }
+    }
+    r.bad(!active_names_counted_cells(e.detector_),
+          "active drift keys other than its counted cells");
+    r.bad(e.isis_tracker_.finished_ != e.finished_ ||
+              e.syslog_tracker_.finished_ != e.finished_ ||
+              e.detector_.finished_ != e.finished_,
+          "parts that disagree on whether the stream finished");
+    return r.status();
+  }
+
+ private:
+  template <typename Sink, typename Tracker>
+  static void walk_tracker(Sink& s, Tracker& t) {
+    s.map(t.links_, std::identity(), [&s](auto& link, auto& pl) {
+      auto& w = pl.walker;
+      s(link, w.state, w.failure_start, w.last_up, w.has_last_up,
+        w.dropped_episode, w.has_last_kept, w.last_kept_time, w.last_kept_dir);
+      // A binary min-heap stored in a vector: raw order is the heap.
+      s.seq(pl.pending, [&s](auto& p) { s(p.time, p.seq, p.dir); });
+      s.seq(pl.held, [&s](auto& f) {
+        s(f.link, f.span.begin, f.span.end, f.source, f.in_flap_episode);
+      });
+      auto& st = pl.stats;
+      s(st.link, st.failures, st.downtime, st.state, st.last_transition,
+        st.flap_episodes, st.failures_in_episodes, pl.run_count, pl.run_start,
+        pl.run_last_end);
+    });
+    auto& c = t.counters_;
+    s(c.transitions_ingested, c.failures_released, c.flap_episodes,
+      c.pending_peak, c.double_downs, c.double_ups, c.merged_duplicates,
+      c.unterminated);
+    auto& wc = t.walker_counters_;
+    s(wc.double_downs, wc.double_ups, wc.merged_duplicates, wc.unterminated);
+    s(t.total_downtime_, t.high_water_, t.has_high_water_, t.next_seq_,
+      t.pending_total_, t.finished_);
+  }
+
+  template <typename Sink, typename Extractor>
+  static void walk_extractor(Sink& s, Extractor& x) {
+    auto& st = x.stats_;
+    s(st.lsps_processed, st.checksum_failures, st.parse_failures,
+      st.stale_lsps, st.purges, st.unknown_host_pairs, st.unknown_prefixes,
+      st.multilink_transitions);
+    s.map(x.differ_.sources_, std::identity(), [&s](auto& id, auto& src) {
+      s(id, src.sequence, src.hostname);
+      s.seq(src.adjacency_count, [&s](auto& n) { s(n.first, n.second); });
+      s.seq(src.prefixes, [&s](auto& p) { s(p); });
+      s(src.initialized);
+    });
+    // A pair key packs two process-local symbol ids, lexicographically
+    // first host first: it travels as the two symbols.
+    s.map(x.fold_.pairs_, by_pair_text, [&s](auto& key, auto& p) {
+      packed<Symbol>(s, key, sym::pair_key);
+      s(p.count_ab, p.count_ba, p.active, p.last_min);
+    });
+    s.set(x.fold_.initialized_hosts_, by_text);
+    s.map(x.fold_.prefix_advertisers_, std::identity(),
+          [&s](auto& prefix, auto& advertisers) { s(prefix, advertisers); });
+  }
+
+  template <typename Sink, typename Detector>
+  static void walk_detector(Sink& s, Detector& d) {
+    s(d.counters_.syslog_observed, d.counters_.isis_observed,
+      d.counters_.windows_closed);
+    {
+      sync::MutexLock lock(d.sink_.mu_);
+      s.seq(d.sink_.alerts_, [&s](auto& a) {
+        s(a.link, a.time, a.kind, a.score, a.template_id);
+      });
+    }
+    s.map(d.links_, std::identity(), [&s](auto& link, auto& st) {
+      s(link, st.has_last_down, st.last_down, st.mean_gap_s, st.cusum,
+        st.has_hard_alert, st.last_hard_alert, st.has_cusum_alert,
+        st.last_cusum_alert);
+    });
+    // A cell key packs (link, process-local template symbol).
+    s.map(d.cells_, by_link_then_text, [&s](auto& key, auto& cell) {
+      packed<LinkId>(s, key, detect::LinkDetector::cell_key);
+      s(cell.count, cell.last_event, cell.ewma, cell.ewma_window);
+    });
+    // Insertion order, which close_window() follows: verbatim.
+    s.seq(d.active_, [&s](auto& key) {
+      packed<LinkId>(s, key, detect::LinkDetector::cell_key);
+    });
+    s(d.window_idx_, d.finished_);
+  }
+
+  /// A packed (high << 32 | low symbol) key travels as its two halves; the
+  /// reader packs them again with `pack`.
+  template <typename Hi, typename Sink, typename Key, typename Pack>
+  static void packed(Sink& s, Key& key, Pack pack) {
+    Hi hi = half<Hi>(key >> 32);
+    Symbol lo = half<Symbol>(key);
+    s(hi, lo);
+    if constexpr (!std::is_const_v<Key>) key = pack(hi, lo);
+  }
+
+  /// close_window() looks up each active key's cell and resets its count:
+  /// the active keys must be the cells with a nonzero count, once each.
+  static bool active_names_counted_cells(const detect::LinkDetector& d) {
+    std::vector<std::uint64_t> keys = d.active_;
+    std::sort(keys.begin(), keys.end());
+    const auto counted = [](const auto& kv) { return kv.second.count != 0; };
+    return std::adjacent_find(keys.begin(), keys.end()) == keys.end() &&
+           static_cast<std::size_t>(std::count_if(
+               d.cells_.begin(), d.cells_.end(), counted)) == keys.size() &&
+           std::all_of(keys.begin(), keys.end(), [&](std::uint64_t key) {
+             const auto it = d.cells_.find(key);
+             return it != d.cells_.end() && counted(*it);
+           });
+  }
+};
 
 std::uint64_t census_fingerprint(const LinkCensus& census) {
   std::uint64_t h = stream::kFnv64OffsetBasis;
@@ -80,516 +450,24 @@ std::uint64_t census_fingerprint(const LinkCensus& census) {
   return h;
 }
 
-std::uint32_t SymbolSink::local_id(Symbol s) {
-  if (!s.valid()) return kInvalidLocal;
-  if (s.value() >= local_by_global_.size()) {
-    local_by_global_.resize(s.value() + 1, kInvalidLocal);
-  }
-  std::uint32_t& slot = local_by_global_[s.value()];
-  if (slot == kInvalidLocal) {
-    slot = static_cast<std::uint32_t>(order_.size());
-    order_.push_back(s.value());
-  }
-  return slot;
-}
-
-// ---- LinkTracker ------------------------------------------------------------
-
-void EngineCodec::encode_tracker(const stream::LinkTracker& t, ByteWriter& w) {
-  w.u32(static_cast<std::uint32_t>(t.links_.size()));
-  for (const auto& [link, pl] : t.links_) {  // std::map: LinkId order
-    w.u32(link.value());
-    put_dir(w, pl.walker.state);
-    put_time(w, pl.walker.failure_start);
-    put_time(w, pl.walker.last_up);
-    w.u8(pl.walker.has_last_up ? 1 : 0);
-    w.u8(pl.walker.dropped_episode ? 1 : 0);
-    w.u8(pl.walker.has_last_kept ? 1 : 0);
-    put_time(w, pl.walker.last_kept_time);
-    put_dir(w, pl.walker.last_kept_dir);
-    // The pending buffer is a binary min-heap stored in a vector; raw
-    // vector order round-trips the heap property exactly.
-    w.u32(static_cast<std::uint32_t>(pl.pending.size()));
-    for (const auto& p : pl.pending) {
-      put_time(w, p.time);
-      w.u64(p.seq);
-      put_dir(w, p.dir);
-    }
-    w.u32(static_cast<std::uint32_t>(pl.held.size()));
-    for (const auto& f : pl.held) put_failure(w, f);
-    w.u32(pl.stats.link.value());
-    w.u64(pl.stats.failures);
-    w.i64(pl.stats.downtime.total_millis());
-    put_dir(w, pl.stats.state);
-    put_time(w, pl.stats.last_transition);
-    w.u64(pl.stats.flap_episodes);
-    w.u64(pl.stats.failures_in_episodes);
-    w.u64(pl.run_count);
-    put_time(w, pl.run_start);
-    put_time(w, pl.run_last_end);
-  }
-  w.u64(t.counters_.transitions_ingested);
-  w.u64(t.counters_.failures_released);
-  w.u64(t.counters_.flap_episodes);
-  w.u64(t.counters_.pending_peak);
-  w.u64(t.counters_.double_downs);
-  w.u64(t.counters_.double_ups);
-  w.u64(t.counters_.merged_duplicates);
-  w.u64(t.counters_.unterminated);
-  w.u64(t.walker_counters_.double_downs);
-  w.u64(t.walker_counters_.double_ups);
-  w.u64(t.walker_counters_.merged_duplicates);
-  w.u64(t.walker_counters_.unterminated);
-  w.i64(t.total_downtime_.total_millis());
-  put_time(w, t.high_water_);
-  w.u8(t.has_high_water_ ? 1 : 0);
-  w.u64(t.next_seq_);
-  w.u64(t.pending_total_);
-  w.u8(t.finished_ ? 1 : 0);
-}
-
-Status EngineCodec::decode_tracker(ByteReader& r, stream::LinkTracker& t) {
-  t.links_.clear();
-  const std::uint32_t link_count = r.u32();
-  for (std::uint32_t i = 0; i < link_count && r.ok(); ++i) {
-    const LinkId link(r.u32());
-    auto& pl = t.links_[link];
-    pl.walker.state = get_dir(r);
-    pl.walker.failure_start = get_time(r);
-    pl.walker.last_up = get_time(r);
-    pl.walker.has_last_up = r.u8() != 0;
-    pl.walker.dropped_episode = r.u8() != 0;
-    pl.walker.has_last_kept = r.u8() != 0;
-    pl.walker.last_kept_time = get_time(r);
-    pl.walker.last_kept_dir = get_dir(r);
-    const std::uint32_t pending = r.u32();
-    pl.pending.clear();
-    for (std::uint32_t j = 0; j < pending && r.ok(); ++j) {
-      stream::LinkTracker::PendingTransition p;
-      p.time = get_time(r);
-      p.seq = r.u64();
-      p.dir = get_dir(r);
-      pl.pending.push_back(p);
-    }
-    const std::uint32_t held = r.u32();
-    pl.held.clear();
-    for (std::uint32_t j = 0; j < held && r.ok(); ++j) {
-      pl.held.push_back(get_failure(r));
-    }
-    pl.stats.link = LinkId(r.u32());
-    pl.stats.failures = static_cast<std::size_t>(r.u64());
-    pl.stats.downtime = Duration::millis(r.i64());
-    pl.stats.state = get_dir(r);
-    pl.stats.last_transition = get_time(r);
-    pl.stats.flap_episodes = static_cast<std::size_t>(r.u64());
-    pl.stats.failures_in_episodes = static_cast<std::size_t>(r.u64());
-    pl.run_count = static_cast<std::size_t>(r.u64());
-    pl.run_start = get_time(r);
-    pl.run_last_end = get_time(r);
-  }
-  t.counters_.transitions_ingested = r.u64();
-  t.counters_.failures_released = r.u64();
-  t.counters_.flap_episodes = r.u64();
-  t.counters_.pending_peak = r.u64();
-  t.counters_.double_downs = r.u64();
-  t.counters_.double_ups = r.u64();
-  t.counters_.merged_duplicates = r.u64();
-  t.counters_.unterminated = r.u64();
-  t.walker_counters_.failures.clear();
-  t.walker_counters_.ambiguous.clear();
-  t.walker_counters_.double_downs = static_cast<std::size_t>(r.u64());
-  t.walker_counters_.double_ups = static_cast<std::size_t>(r.u64());
-  t.walker_counters_.merged_duplicates = static_cast<std::size_t>(r.u64());
-  t.walker_counters_.unterminated = static_cast<std::size_t>(r.u64());
-  t.ambiguous_scratch_.clear();
-  t.total_downtime_ = Duration::millis(r.i64());
-  t.high_water_ = get_time(r);
-  t.has_high_water_ = r.u8() != 0;
-  t.next_seq_ = r.u64();
-  t.pending_total_ = static_cast<std::size_t>(r.u64());
-  t.finished_ = r.u8() != 0;
-  if (!r.ok()) return truncated_error();
-  return Status::ok_status();
-}
-
-// ---- isis::StreamingExtractor -----------------------------------------------
-
-void EngineCodec::encode_extractor(const isis::StreamingExtractor& x,
-                                   SymbolSink& syms, ByteWriter& w) {
-  w.u64(x.stats_.lsps_processed);
-  w.u64(x.stats_.checksum_failures);
-  w.u64(x.stats_.parse_failures);
-  w.u64(x.stats_.stale_lsps);
-  w.u64(x.stats_.purges);
-  w.u64(x.stats_.unknown_host_pairs);
-  w.u64(x.stats_.unknown_prefixes);
-  w.u64(x.stats_.multilink_transitions);
-
-  // Unordered containers are written in sorted order so the section bytes
-  // are a pure function of state (intern order and hash seeds are not).
-  std::vector<const std::pair<const OsiSystemId,
-                              isis::LspDiffer::SourceState>*>
-      sources;
-  sources.reserve(x.differ_.sources_.size());
-  for (const auto& kv : x.differ_.sources_) sources.push_back(&kv);
-  std::sort(sources.begin(), sources.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  w.u32(static_cast<std::uint32_t>(sources.size()));
-  for (const auto* kv : sources) {
-    w.raw(kv->first.bytes().data(), 6);
-    const auto& src = kv->second;
-    w.u32(src.sequence);
-    w.u32(syms.local_id(src.hostname));
-    w.u32(static_cast<std::uint32_t>(src.adjacency_count.size()));
-    for (const auto& [neighbor, count] : src.adjacency_count) {
-      w.raw(neighbor.bytes().data(), 6);
-      w.i64(count);
-    }
-    w.u32(static_cast<std::uint32_t>(src.prefixes.size()));
-    for (const auto& p : src.prefixes) {
-      w.u32(p.network().value());
-      w.u8(static_cast<std::uint8_t>(p.length()));
-    }
-    w.u8(src.initialized ? 1 : 0);
-  }
-
-  // Pair keys pack process-local symbol ids; store the symbols themselves
-  // (lexicographically-first host first, matching sym::pair_key) and let
-  // restore recompute the key from re-interned symbols.
-  std::vector<std::tuple<Symbol, Symbol, const isis::PairFold::PairState*>>
-      pairs;
-  pairs.reserve(x.fold_.pairs_.size());
-  for (const auto& [key, st] : x.fold_.pairs_) {
-    pairs.emplace_back(Symbol::from_id(static_cast<std::uint32_t>(key >> 32)),
-                       Symbol::from_id(static_cast<std::uint32_t>(key)), &st);
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
-    if (std::get<0>(a) == std::get<0>(b)) {
-      return sym::lex_less(std::get<1>(a), std::get<1>(b));
-    }
-    return sym::lex_less(std::get<0>(a), std::get<0>(b));
-  });
-  w.u32(static_cast<std::uint32_t>(pairs.size()));
-  for (const auto& [lo, hi, st] : pairs) {
-    w.u32(syms.local_id(lo));
-    w.u32(syms.local_id(hi));
-    w.i64(st->count_ab);
-    w.i64(st->count_ba);
-    w.u8(st->active ? 1 : 0);
-    w.i64(st->last_min);
-  }
-
-  std::vector<Symbol> hosts(x.fold_.initialized_hosts_.begin(),
-                            x.fold_.initialized_hosts_.end());
-  std::sort(hosts.begin(), hosts.end(), sym::lex_less);
-  w.u32(static_cast<std::uint32_t>(hosts.size()));
-  for (const Symbol h : hosts) w.u32(syms.local_id(h));
-
-  std::vector<std::pair<Ipv4Prefix, int>> advertisers(
-      x.fold_.prefix_advertisers_.begin(), x.fold_.prefix_advertisers_.end());
-  std::sort(advertisers.begin(), advertisers.end());
-  w.u32(static_cast<std::uint32_t>(advertisers.size()));
-  for (const auto& [prefix, count] : advertisers) {
-    w.u32(prefix.network().value());
-    w.u8(static_cast<std::uint8_t>(prefix.length()));
-    w.i64(count);
-  }
-}
-
-Status EngineCodec::decode_extractor(ByteReader& r,
-                                     const std::vector<Symbol>& syms,
-                                     isis::StreamingExtractor& x) {
-  bool bad_sym = false;
-  x.stats_.lsps_processed = static_cast<std::size_t>(r.u64());
-  x.stats_.checksum_failures = static_cast<std::size_t>(r.u64());
-  x.stats_.parse_failures = static_cast<std::size_t>(r.u64());
-  x.stats_.stale_lsps = static_cast<std::size_t>(r.u64());
-  x.stats_.purges = static_cast<std::size_t>(r.u64());
-  x.stats_.unknown_host_pairs = static_cast<std::size_t>(r.u64());
-  x.stats_.unknown_prefixes = static_cast<std::size_t>(r.u64());
-  x.stats_.multilink_transitions = static_cast<std::size_t>(r.u64());
-
-  x.differ_.sources_.clear();
-  const std::uint32_t source_count = r.u32();
-  for (std::uint32_t i = 0; i < source_count && r.ok(); ++i) {
-    std::array<std::uint8_t, 6> id{};
-    r.raw(id.data(), id.size());
-    auto& src = x.differ_.sources_[OsiSystemId(id)];
-    src.sequence = r.u32();
-    src.hostname = get_sym(r, syms, &bad_sym);
-    const std::uint32_t adjacencies = r.u32();
-    src.adjacency_count.clear();
-    for (std::uint32_t j = 0; j < adjacencies && r.ok(); ++j) {
-      std::array<std::uint8_t, 6> nb{};
-      r.raw(nb.data(), nb.size());
-      src.adjacency_count.emplace_back(OsiSystemId(nb),
-                                       static_cast<int>(r.i64()));
-    }
-    const std::uint32_t prefixes = r.u32();
-    src.prefixes.clear();
-    for (std::uint32_t j = 0; j < prefixes && r.ok(); ++j) {
-      const Ipv4Address network(r.u32());
-      src.prefixes.emplace_back(network, static_cast<int>(r.u8()));
-    }
-    src.initialized = r.u8() != 0;
-  }
-
-  x.fold_.pairs_.clear();
-  const std::uint32_t pair_count = r.u32();
-  for (std::uint32_t i = 0; i < pair_count && r.ok(); ++i) {
-    const Symbol lo = get_sym(r, syms, &bad_sym);
-    const Symbol hi = get_sym(r, syms, &bad_sym);
-    auto& st = x.fold_.pairs_[sym::pair_key(lo, hi)];
-    st.count_ab = static_cast<int>(r.i64());
-    st.count_ba = static_cast<int>(r.i64());
-    st.active = r.u8() != 0;
-    st.last_min = static_cast<int>(r.i64());
-  }
-
-  x.fold_.initialized_hosts_.clear();
-  const std::uint32_t host_count = r.u32();
-  for (std::uint32_t i = 0; i < host_count && r.ok(); ++i) {
-    x.fold_.initialized_hosts_.insert(get_sym(r, syms, &bad_sym));
-  }
-
-  x.fold_.prefix_advertisers_.clear();
-  const std::uint32_t advertiser_count = r.u32();
-  for (std::uint32_t i = 0; i < advertiser_count && r.ok(); ++i) {
-    const Ipv4Address network(r.u32());
-    const int length = static_cast<int>(r.u8());
-    x.fold_.prefix_advertisers_[Ipv4Prefix(network, length)] =
-        static_cast<int>(r.i64());
-  }
-
-  if (!r.ok()) return truncated_error();
-  if (bad_sym) {
-    return make_error(ErrorCode::kParseError,
-                      "snapshot references a symbol id outside its table");
-  }
-  return Status::ok_status();
-}
-
-// ---- detect::LinkDetector ---------------------------------------------------
-
-void EngineCodec::encode_detector(const detect::LinkDetector& d,
-                                  SymbolSink& syms, ByteWriter& w) {
-  w.u64(d.counters_.syslog_observed);
-  w.u64(d.counters_.isis_observed);
-  w.u64(d.counters_.windows_closed);
-
-  const std::vector<detect::LinkAlert> alerts = d.sink_.snapshot();
-  w.u32(static_cast<std::uint32_t>(alerts.size()));
-  for (const auto& a : alerts) {
-    w.u32(a.link.value());
-    put_time(w, a.time);
-    w.u8(static_cast<std::uint8_t>(a.kind));
-    w.f64(a.score);
-    w.u32(syms.local_id(a.template_id));
-  }
-
-  std::vector<std::pair<LinkId, const detect::LinkDetector::LinkState*>> links;
-  links.reserve(d.links_.size());
-  for (const auto& [link, st] : d.links_) links.emplace_back(link, &st);
-  std::sort(links.begin(), links.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u32(static_cast<std::uint32_t>(links.size()));
-  for (const auto& [link, st] : links) {
-    w.u32(link.value());
-    w.u8(st->has_last_down ? 1 : 0);
-    put_time(w, st->last_down);
-    w.f64(st->mean_gap_s);
-    w.f64(st->cusum);
-    w.u8(st->has_hard_alert ? 1 : 0);
-    put_time(w, st->last_hard_alert);
-    w.u8(st->has_cusum_alert ? 1 : 0);
-    put_time(w, st->last_cusum_alert);
-  }
-
-  // Cell keys pack (link id, process symbol id); store (link, symbol) and
-  // recompute keys on restore, sorted by (link, lexicographic template).
-  std::vector<std::tuple<LinkId, Symbol, const detect::LinkDetector::DriftCell*>>
-      cells;
-  cells.reserve(d.cells_.size());
-  for (const auto& [key, cell] : d.cells_) {
-    cells.emplace_back(LinkId(static_cast<std::uint32_t>(key >> 32)),
-                       Symbol::from_id(static_cast<std::uint32_t>(key)),
-                       &cell);
-  }
-  std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
-    if (std::get<0>(a) != std::get<0>(b)) {
-      return std::get<0>(a) < std::get<0>(b);
-    }
-    return sym::lex_less(std::get<1>(a), std::get<1>(b));
-  });
-  w.u32(static_cast<std::uint32_t>(cells.size()));
-  for (const auto& [link, tmpl, cell] : cells) {
-    w.u32(link.value());
-    w.u32(syms.local_id(tmpl));
-    w.u32(cell->count);
-    put_time(w, cell->last_event);
-    w.f64(cell->ewma);
-    w.i64(cell->ewma_window);
-  }
-
-  // active_ is insertion-ordered and close_window() depends on that order;
-  // serialize it verbatim.
-  w.u32(static_cast<std::uint32_t>(d.active_.size()));
-  for (const std::uint64_t key : d.active_) {
-    w.u32(static_cast<std::uint32_t>(key >> 32));
-    w.u32(syms.local_id(Symbol::from_id(static_cast<std::uint32_t>(key))));
-  }
-  w.i64(d.window_idx_);
-  w.u8(d.finished_ ? 1 : 0);
-}
-
-Status EngineCodec::decode_detector(ByteReader& r,
-                                    const std::vector<Symbol>& syms,
-                                    detect::LinkDetector& d) {
-  bool bad_sym = false;
-  d.counters_.syslog_observed = r.u64();
-  d.counters_.isis_observed = r.u64();
-  d.counters_.windows_closed = r.u64();
-
-  std::vector<detect::LinkAlert> alerts;
-  const std::uint32_t alert_count = r.u32();
-  alerts.reserve(std::min<std::uint32_t>(alert_count, 4096));
-  for (std::uint32_t i = 0; i < alert_count && r.ok(); ++i) {
-    detect::LinkAlert a;
-    a.link = LinkId(r.u32());
-    a.time = get_time(r);
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(detect::AlertKind::kTemplateDrift)) {
-      return make_error(ErrorCode::kParseError,
-                        "snapshot alert kind out of range");
-    }
-    a.kind = static_cast<detect::AlertKind>(kind);
-    a.score = r.f64();
-    a.template_id = get_sym(r, syms, &bad_sym);
-    alerts.push_back(a);
-  }
-  {
-    sync::MutexLock lock(d.sink_.mu_);
-    d.sink_.alerts_ = std::move(alerts);
-  }
-
-  d.links_.clear();
-  const std::uint32_t link_count = r.u32();
-  for (std::uint32_t i = 0; i < link_count && r.ok(); ++i) {
-    auto& st = d.links_[LinkId(r.u32())];
-    st.has_last_down = r.u8() != 0;
-    st.last_down = get_time(r);
-    st.mean_gap_s = r.f64();
-    st.cusum = r.f64();
-    st.has_hard_alert = r.u8() != 0;
-    st.last_hard_alert = get_time(r);
-    st.has_cusum_alert = r.u8() != 0;
-    st.last_cusum_alert = get_time(r);
-  }
-
-  d.cells_.clear();
-  const std::uint32_t cell_count = r.u32();
-  for (std::uint32_t i = 0; i < cell_count && r.ok(); ++i) {
-    const LinkId link(r.u32());
-    const Symbol tmpl = get_sym(r, syms, &bad_sym);
-    auto& cell = d.cells_[detect::LinkDetector::cell_key(link, tmpl)];
-    cell.count = r.u32();
-    cell.last_event = get_time(r);
-    cell.ewma = r.f64();
-    cell.ewma_window = r.i64();
-  }
-
-  d.active_.clear();
-  const std::uint32_t active_count = r.u32();
-  for (std::uint32_t i = 0; i < active_count && r.ok(); ++i) {
-    const LinkId link(r.u32());
-    const Symbol tmpl = get_sym(r, syms, &bad_sym);
-    d.active_.push_back(detect::LinkDetector::cell_key(link, tmpl));
-  }
-  d.window_idx_ = r.i64();
-  d.finished_ = r.u8() != 0;
-  d.scratch_.clear();
-
-  if (!r.ok()) return truncated_error();
-  if (bad_sym) {
-    return make_error(ErrorCode::kParseError,
-                      "snapshot references a symbol id outside its table");
-  }
-  return Status::ok_status();
-}
-
-// ---- StreamEngine -----------------------------------------------------------
-
-void EngineCodec::encode(const stream::StreamEngine& engine, SymbolSink& syms,
-                         ByteWriter& w) {
-  w.u32(engine.options_.shard);
-  w.u64(engine.events_);
-  w.u64(engine.syslog_events_);
-  w.u64(engine.lsp_events_);
-  put_time(w, engine.high_water_);
-  w.u8(engine.finished_ ? 1 : 0);
-  w.u64(engine.syslog_stats_.lines_seen);
-  w.u64(engine.syslog_stats_.parse_failures);
-  w.u64(engine.syslog_stats_.irrelevant_lines);
-  w.u64(engine.syslog_stats_.unresolved_links);
-  encode_extractor(engine.isis_extractor_, syms, w);
-  encode_tracker(engine.isis_tracker_, w);
-  encode_tracker(engine.syslog_tracker_, w);
-  encode_detector(engine.detector_, syms, w);
-}
-
-Status EngineCodec::decode(ByteReader& r, const std::vector<Symbol>& syms,
-                           stream::StreamEngine& engine) {
-  const std::uint32_t shard = r.u32();
-  if (!r.ok()) return truncated_error();
-  if (shard != engine.options_.shard) {
-    return make_error(
-        ErrorCode::kInvalidArgument,
-        "snapshot section is for shard " + std::to_string(shard) +
-            ", engine is shard " + std::to_string(engine.options_.shard));
-  }
-  engine.events_ = r.u64();
-  engine.syslog_events_ = r.u64();
-  engine.lsp_events_ = r.u64();
-  engine.high_water_ = get_time(r);
-  engine.finished_ = r.u8() != 0;
-  engine.syslog_stats_.lines_seen = static_cast<std::size_t>(r.u64());
-  engine.syslog_stats_.parse_failures = static_cast<std::size_t>(r.u64());
-  engine.syslog_stats_.irrelevant_lines = static_cast<std::size_t>(r.u64());
-  engine.syslog_stats_.unresolved_links = static_cast<std::size_t>(r.u64());
-  engine.scratch_.clear();
-  if (Status s = decode_extractor(r, syms, engine.isis_extractor_); !s.ok()) {
-    return s;
-  }
-  if (Status s = decode_tracker(r, engine.isis_tracker_); !s.ok()) return s;
-  if (Status s = decode_tracker(r, engine.syslog_tracker_); !s.ok()) return s;
-  if (Status s = decode_detector(r, syms, engine.detector_); !s.ok()) return s;
-  if (!r.ok()) return truncated_error();
-  if (!r.exhausted()) {
-    return make_error(ErrorCode::kParseError,
-                      "snapshot section has trailing bytes");
-  }
-  return Status::ok_status();
-}
-
 // ---- file framing -----------------------------------------------------------
 
 Status save_snapshot(const std::string& path,
                      std::span<const stream::StreamEngine* const> shards,
                      const LinkCensus& census) {
-  SymbolSink syms;
+  Writer writer;
   std::vector<std::string> sections;
   sections.reserve(shards.size());
   for (const stream::StreamEngine* engine : shards) {
-    ByteWriter sw;
-    EngineCodec::encode(*engine, syms, sw);
-    sections.push_back(sw.take());
+    EngineCodec::walk(writer, *engine);
+    sections.push_back(writer.take_section());
   }
 
   ByteWriter body;
   body.u64(census_fingerprint(census));
   body.u32(static_cast<std::uint32_t>(shards.size()));
-  body.u32(static_cast<std::uint32_t>(syms.order().size()));
-  for (const std::uint32_t global_id : syms.order()) {
+  body.u32(static_cast<std::uint32_t>(writer.symbol_order().size()));
+  for (const std::uint32_t global_id : writer.symbol_order()) {
     body.str(sym::id_view(global_id));
   }
   for (const std::string& section : sections) {
@@ -632,18 +510,13 @@ Status save_snapshot(const std::string& path,
 
 Result<LoadedSnapshot> LoadedSnapshot::load(const std::string& path,
                                             const LinkCensus& census) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
     return make_error(ErrorCode::kNotFound,
                       "no snapshot at " + path + ": " + std::strerror(errno));
   }
-  std::string data;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
+  const std::string data{std::istreambuf_iterator<char>(in), {}};
+  if (in.bad()) {
     return make_error(ErrorCode::kInternal, "error reading snapshot " + path);
   }
 
@@ -729,8 +602,11 @@ Status LoadedSnapshot::restore_shard(std::uint32_t shard,
   // Never-partial guarantee: decode into a scratch copy (which preserves
   // the census pointer, options and callbacks) and commit only on success.
   stream::StreamEngine scratch(engine);
-  ByteReader r{std::string_view(body_).substr(offset, len)};
-  if (Status s = EngineCodec::decode(r, symbols_, scratch); !s.ok()) return s;
+  if (Status s = EngineCodec::restore(
+          std::string_view(body_).substr(offset, len), symbols_, scratch);
+      !s.ok()) {
+    return s;
+  }
   engine = std::move(scratch);
   return Status::ok_status();
 }

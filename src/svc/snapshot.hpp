@@ -29,12 +29,35 @@
 // pure function of engine state: the restart differential test compares
 // snapshot bytes as well as digests.
 //
+// The section layout lives in snapshot.cpp as one walk per engine part
+// (tracker, extractor, detector, engine) that names each field once. Two
+// sinks run it: a writer over `const` state, and a validating reader over
+// the scratch engine a restore decodes into. A field's C++ type fixes its
+// wire width: bool and enums u8, times and durations i64 ms, LinkId and
+// u32 u32, Symbol a u32 file-local id, size_t and u64 u64, int and i64
+// i64, double f64, OsiSystemId 6 bytes, Ipv4Prefix u32 + u8.
+//
 // Failure modes are total: a truncated file, a flipped bit, or a header
 // of any version other than kSnapshotVersion (older layouts are not
 // migrated) each fail load()/restore with a specific error
 // (kTruncated / kChecksumMismatch / kUnsupported) and the target engine is
 // never left partially restored — decode runs against a scratch copy that
-// is committed only on success.
+// is committed only on success. The checksum stops accidental damage, not
+// a deliberate edit (anyone can reseal a file), so the reader also checks
+// what the engine relies on and fails a restore with kParseError on:
+//   - a link id outside the census, a prefix length above 32, a symbol id
+//     outside the file's table, a flag byte other than 0/1, an enum byte
+//     (direction, source, alert kind) out of range;
+//   - a time, duration or other signed 64-bit value beyond ±2^52, or an
+//     LSP count (int) outside [0, 65535];
+//   - a container count larger than the bytes left, a repeated map or set
+//     key, trailing bytes after the section;
+//   - a tracker's pending buffer that is not a min-heap on (time, seq);
+//   - detector active keys that are not exactly the drift cells with a
+//     nonzero count, once each;
+//   - engine, trackers and detector disagreeing on whether the stream
+//     finished.
+// A section for another shard fails with kInvalidArgument.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +70,6 @@
 #include "src/common/sym.hpp"
 #include "src/config/census.hpp"
 #include "src/stream/engine.hpp"
-#include "src/svc/binio.hpp"
 
 namespace netfail::svc {
 
@@ -61,51 +83,6 @@ inline constexpr const char* kSnapshotFileName = "state.nfsnap";
 /// names in id order). A snapshot only restores against the census it was
 /// taken under — link ids are census-relative.
 std::uint64_t census_fingerprint(const LinkCensus& census);
-
-/// Writer-side symbol table: process symbol -> dense file-local id,
-/// assigned in first-use order.
-class SymbolSink {
- public:
-  static constexpr std::uint32_t kInvalidLocal = 0xffffffffu;
-
-  /// File-local id for `s` (assigning one on first use); kInvalidLocal for
-  /// the invalid symbol.
-  std::uint32_t local_id(Symbol s);
-
-  /// Global symbol ids in file-local id order.
-  const std::vector<std::uint32_t>& order() const { return order_; }
-
- private:
-  std::vector<std::uint32_t> local_by_global_;  // kInvalidLocal = unassigned
-  std::vector<std::uint32_t> order_;
-};
-
-/// Serializes one StreamEngine into / out of a snapshot section. The only
-/// code granted friend access to engine internals; everything it touches
-/// is cold path (snapshots are requested, never per-event).
-class EngineCodec {
- public:
-  static void encode(const stream::StreamEngine& engine, SymbolSink& syms,
-                     ByteWriter& w);
-  /// Decode a section into `engine`, remapping file-local symbol ids
-  /// through `syms`. On error the engine is left untouched by the caller's
-  /// commit protocol (decode targets a scratch copy; see restore_shard).
-  static Status decode(ByteReader& r, const std::vector<Symbol>& syms,
-                       stream::StreamEngine& engine);
-
- private:
-  static void encode_tracker(const stream::LinkTracker& t, ByteWriter& w);
-  static Status decode_tracker(ByteReader& r, stream::LinkTracker& t);
-  static void encode_extractor(const isis::StreamingExtractor& x,
-                               SymbolSink& syms, ByteWriter& w);
-  static Status decode_extractor(ByteReader& r,
-                                 const std::vector<Symbol>& syms,
-                                 isis::StreamingExtractor& x);
-  static void encode_detector(const detect::LinkDetector& d, SymbolSink& syms,
-                              ByteWriter& w);
-  static Status decode_detector(ByteReader& r, const std::vector<Symbol>& syms,
-                                detect::LinkDetector& d);
-};
 
 /// Serialize `shards` (one engine per shard, shard-index order) and write
 /// the file atomically: the bytes land in `path` + ".tmp" and are renamed

@@ -1,8 +1,11 @@
 // Snapshot framing and failure-mode tests: the round-trip guarantee (decode
-// then re-encode is byte-identity), and the totality of every corruption
-// path — truncation, bit flips, other format versions, foreign files, census
-// mismatches — each yielding a specific ErrorCode and, on the restore side,
-// an engine that is bitwise untouched (the never-partial commit protocol).
+// then re-encode is byte-identity), the pinned layout (the bytes of a known
+// state, so a layout change must bump kSnapshotVersion), and the totality of
+// every corruption path — truncation, bit flips, other format versions,
+// foreign files, census mismatches, resealed sections whose fields break the
+// engine's invariants — each yielding a specific ErrorCode and, on the
+// restore side, an engine that is bitwise untouched (the never-partial
+// commit protocol).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,11 +17,16 @@
 #include <vector>
 
 #include "src/analysis/scenario_cache.hpp"
+#include "src/config/census.hpp"
+#include "src/isis/listener.hpp"
+#include "src/isis/lsp_builder.hpp"
 #include "src/sim/network_sim.hpp"
 #include "src/stream/engine.hpp"
 #include "src/stream/event_mux.hpp"
 #include "src/stream/sharded.hpp"
 #include "src/svc/snapshot.hpp"
+#include "src/syslog/collector.hpp"
+#include "src/syslog/message.hpp"
 
 namespace netfail::svc {
 namespace {
@@ -262,23 +270,23 @@ TEST(SvcSnapshot, LoadRejectsCensusMismatch) {
   EXPECT_NE(r.error().message.find("fingerprint"), std::string::npos);
 }
 
+std::uint32_t u32_at(const std::string& bytes, std::size_t off) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[off + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 /// Body offset of the first shard section's u64 length field: skip the
 /// census fingerprint, shard count and the symbol table.
 std::size_t first_section_length_offset(const std::string& file_bytes) {
-  const auto u32_at = [&file_bytes](std::size_t off) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(file_bytes[off + i]))
-           << (8 * i);
-    }
-    return v;
-  };
   std::size_t off = kBodyOffset + 8 + 4;  // fingerprint + shard count
-  const std::uint32_t symbols = u32_at(off);
+  const std::uint32_t symbols = u32_at(file_bytes, off);
   off += 4;
   for (std::uint32_t i = 0; i < symbols; ++i) {
-    off += 4 + u32_at(off);
+    off += 4 + u32_at(file_bytes, off);
   }
   return off;
 }
@@ -358,6 +366,207 @@ TEST(SvcSnapshot, RestoreShardIndexOutOfRange) {
   const Status st = loaded->restore_shard(7, engine);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(SvcSnapshot, LayoutIsPinned) {
+  // The bytes save_snapshot writes for a known state, recorded from the
+  // codec as it stood before its encode/decode pairs became one walk. The
+  // round-trip and restart tests cannot see a layout change made the same
+  // way on both sides; this test can. When it fails on purpose, bump
+  // kSnapshotVersion and record the new values.
+  struct Pin {
+    std::uint32_t shards;
+    std::uint64_t hash;
+    std::size_t size;
+  };
+  for (const Pin& pin : {Pin{1, 0x2aef8218ca99c419ull, 35635},
+                        Pin{2, 0x1f4bca06d8324ebull, 40845}}) {
+    SCOPED_TRACE("shards " + std::to_string(pin.shards));
+    const stream::ShardMap map(scenario()->census, pin.shards);
+    std::vector<std::unique_ptr<stream::StreamEngine>> owned;
+    std::vector<const stream::StreamEngine*> engines;
+    for (std::uint32_t i = 0; i < pin.shards; ++i) {
+      owned.push_back(half_fed_engine(map, i));
+      engines.push_back(owned.back().get());
+    }
+    const std::string bytes =
+        read_file(save_to_temp("pinned.nfsnap", engines));
+    EXPECT_EQ(stream::stable_hash64(bytes), pin.hash);
+    EXPECT_EQ(bytes.size(), pin.size);
+  }
+}
+
+// ---- resealed sections that used to crash a restored engine ----------------
+//
+// A two-link census and one engine over it, fed at most one syslog line and
+// one LSP, keep the section small enough to patch by offset. The offsets
+// follow the section layout (see src/svc/snapshot.cpp).
+
+/// Engine header: shard u32, three event counts u64, high water i64,
+/// finished u8, four syslog stats u64.
+constexpr std::size_t kEngineHeader = 4 + 3 * 8 + 8 + 1 + 4 * 8;
+/// The extractor's eight stats u64; its source count follows.
+constexpr std::size_t kExtractorStats = 8 * 8;
+/// An extractor that has seen no LSP: the stats, then four zero counts.
+constexpr std::size_t kEmptyExtractor = kExtractorStats + 4 * 4;
+/// A tracker with no links: link count u32, twelve counters u64, downtime,
+/// high water, has-high-water u8, next seq, pending total, finished u8.
+constexpr std::size_t kEmptyTracker = 4 + 12 * 8 + 8 + 8 + 1 + 8 + 8 + 1;
+/// The detector's last two fields: window index i64, finished u8.
+constexpr std::size_t kDetectorTail = 8 + 1;
+/// A tracked link's walker state, after its id: state u8, failure start,
+/// last up, three flags u8, last kept time, last kept direction u8.
+constexpr std::size_t kWalker = 1 + 8 + 8 + 3 + 8 + 1;
+/// One pending transition: time i64, seq u64, direction u8.
+constexpr std::size_t kPending = 8 + 8 + 1;
+
+void put_u32(std::string& bytes, std::size_t off, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+class SmallSnapshot : public ::testing::Test {
+ protected:
+  SmallSnapshot() {
+    for (std::uint8_t i = 0; i < 2; ++i) {
+      const char* iface = i == 0 ? "ge-0/0/0" : "ge-0/0/1";
+      const Ipv4Address a(10, 9, 0, static_cast<std::uint8_t>(2 * i));
+      census_.add_link(CensusEndpoint{"snap-r1", iface, a},
+                       CensusEndpoint{"snap-r2", iface,
+                                      Ipv4Address(a.value() + 1)},
+                       Ipv4Prefix{a, 31}, period_, RouterClass::kCore);
+    }
+    census_.finalize();
+    stream::EngineOptions options;
+    options.tracker.reconstruct.period = period_;
+    options.detect.enabled = true;
+    engine_ = std::make_unique<stream::StreamEngine>(census_, options);
+  }
+
+  /// An IS-IS adjacency DOWN on link 0, reported by snap-r1 at 04:11:ss.
+  void feed_adjacency_down(int second = 17) {
+    syslog::Message m;
+    m.timestamp = TimePoint::from_civil(2011, 3, 9, 4, 11, second);
+    m.reporter = "snap-r1";
+    m.dialect = RouterOs::kIos;
+    m.type = syslog::MessageType::kIsisAdjChange;
+    m.dir = LinkDirection::kDown;
+    m.interface = "ge-0/0/0";
+    m.neighbor = "snap-r2";
+    m.reason = "hold time expired";
+    engine_->feed_syslog(syslog::ReceivedLine(m.timestamp, m.render(1)));
+  }
+
+  /// An LSP from snap-r1 advertising link 0's /31 and nothing else.
+  void feed_lsp() {
+    isis::LspOriginator r1(OsiSystemId::from_index(1), "snap-r1");
+    r1.prefix_up(census_.link(LinkId(0)).subnet, 10);
+    const std::vector<std::uint8_t> pdu = r1.build().encode();
+    engine_->feed_lsp(isis::LspRecord{
+        TimePoint::from_civil(2011, 3, 9, 4, 0, 0),
+        ByteSlice::copy_of(std::span<const std::uint8_t>(pdu))});
+  }
+
+  std::string save(const char* name) {
+    const std::string path = temp_path(name);
+    const std::vector<const stream::StreamEngine*> engines{engine_.get()};
+    const Status s = save_snapshot(path, engines, census_);
+    EXPECT_TRUE(s.ok()) << s.error().to_string();
+    return read_file(path);
+  }
+
+  /// Offset of the only section in a one-shard file.
+  static std::size_t section_at(const std::string& file_bytes) {
+    return first_section_length_offset(file_bytes) + 8;
+  }
+
+  /// Reseal `bytes`, restore it into the engine, and expect a parse error
+  /// that leaves the engine's own snapshot bytes as they were.
+  void expect_rejected(std::string bytes) {
+    reseal(bytes);
+    const std::string before = save("small_before.nfsnap");
+    const std::string path = temp_path("small_bad.nfsnap");
+    write_file(path, bytes);
+    auto loaded = LoadedSnapshot::load(path, census_);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+    const Status st = loaded->restore_shard(0, *engine_);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, ErrorCode::kParseError) << st.error().message;
+    EXPECT_EQ(save("small_after.nfsnap"), before);
+  }
+
+  const TimeRange period_{TimePoint::from_civil(2011, 1, 1),
+                          TimePoint::from_civil(2012, 1, 1)};
+  LinkCensus census_;
+  std::unique_ptr<stream::StreamEngine> engine_;
+};
+
+TEST_F(SmallSnapshot, RejectsTrackerLinkOutsideTheCensus) {
+  // Restored, link 53 of a two-link census aborted the digest render.
+  feed_adjacency_down();
+  std::string bytes = save("small_link.nfsnap");
+  const std::size_t tracker =
+      section_at(bytes) + kEngineHeader + kEmptyExtractor + kEmptyTracker;
+  ASSERT_EQ(u32_at(bytes, tracker), 1u);      // the syslog tracker's links
+  ASSERT_EQ(u32_at(bytes, tracker + 4), 0u);  // ... the first is link 0
+  put_u32(bytes, tracker + 4, 53);
+  expect_rejected(bytes);
+}
+
+TEST_F(SmallSnapshot, RejectsActiveDriftKeyWithoutACell) {
+  // Restored, an active key with no cell behind it made the next window
+  // close dereference cells_.end().
+  feed_adjacency_down();
+  std::string bytes = save("small_active.nfsnap");
+  const std::size_t active = bytes.size() - 8 - kDetectorTail - 8;
+  ASSERT_EQ(u32_at(bytes, active - 4), 1u);  // one active key
+  ASSERT_EQ(u32_at(bytes, active), 0u);      // ... on link 0
+  put_u32(bytes, active, 1);                 // link 1 has no cell
+  expect_rejected(bytes);
+}
+
+TEST_F(SmallSnapshot, RejectsPendingBufferOutOfHeapOrder) {
+  feed_adjacency_down(17);
+  feed_adjacency_down(18);  // both wait out the reorder horizon
+  std::string bytes = save("small_heap.nfsnap");
+  const std::size_t tracker =
+      section_at(bytes) + kEngineHeader + kEmptyExtractor + kEmptyTracker;
+  const std::size_t pending = tracker + 4 + 4 + kWalker;
+  ASSERT_EQ(u32_at(bytes, pending), 2u);
+  // Swapped, the later transition sits at the root of the min-heap.
+  const std::string first = bytes.substr(pending + 4, kPending);
+  bytes.replace(pending + 4, kPending, bytes, pending + 4 + kPending, kPending);
+  bytes.replace(pending + 4 + kPending, kPending, first);
+  expect_rejected(bytes);
+}
+
+TEST_F(SmallSnapshot, RejectsPartsThatDisagreeOnFinished) {
+  // Restored, an IS-IS tracker finished alone aborted the next ingest.
+  feed_adjacency_down();
+  std::string bytes = save("small_finished.nfsnap");
+  const std::size_t finished =
+      section_at(bytes) + kEngineHeader + kEmptyExtractor + kEmptyTracker - 1;
+  ASSERT_EQ(bytes[finished], 0);
+  bytes[finished] = 1;
+  expect_rejected(bytes);
+}
+
+TEST_F(SmallSnapshot, RejectsPrefixLengthAbove32) {
+  // A /33 reached Ipv4Prefix's range assertion inside the decode itself.
+  feed_lsp();
+  std::string bytes = save("small_prefix.nfsnap");
+  // One source: id[6], sequence u32, hostname u32, no adjacencies, then
+  // one prefix: network u32, length u8.
+  const std::size_t source =
+      section_at(bytes) + kEngineHeader + kExtractorStats;
+  ASSERT_EQ(u32_at(bytes, source), 1u);
+  const std::size_t prefixes = source + 4 + 6 + 4 + 4 + 4;
+  ASSERT_EQ(u32_at(bytes, prefixes - 4), 0u);  // no adjacencies
+  ASSERT_EQ(u32_at(bytes, prefixes), 1u);      // one prefix
+  ASSERT_EQ(bytes[prefixes + 4 + 4], 31);
+  bytes[prefixes + 4 + 4] = 33;
+  expect_rejected(bytes);
 }
 
 TEST(SvcSnapshot, CensusFingerprintIsOrderAndNameSensitive) {
