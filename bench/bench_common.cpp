@@ -99,9 +99,6 @@ std::string take_json_flag(int* argc, char** argv) {
 
 int take_repeat_flag(int* argc, char** argv, int fallback) {
   int reps = fallback;
-  if (const char* env = std::getenv("NETFAIL_BENCH_REPEAT")) {
-    if (const int v = std::atoi(env); v > 0) reps = v;
-  }
   int w = 1;
   for (int r = 1; r < *argc; ++r) {
     if (std::strcmp(argv[r], "--repeat") == 0 && r + 1 < *argc) {

@@ -1,8 +1,8 @@
-// Shared infrastructure for the table-reproduction benchmarks: the
-// calibrated 13-month CENIC pipeline comes from the process-wide
-// analysis::ScenarioCache (so a binary touching it from several places
-// still simulates once); every bench prints its table from this run and
-// then times its analysis stage with google-benchmark.
+// Shared infrastructure for the benchmarks: the calibrated 13-month CENIC
+// pipeline comes from the process-wide analysis::ScenarioCache (so a binary
+// touching it from several places still simulates once); every bench prints
+// its text (bench_paper: the paper's tables from this run) and then runs
+// its google-benchmark timings.
 //
 // Benches also emit a machine-readable perf trajectory: pass
 // `--json <path>` (conventionally BENCH_pipeline.json) and the binary
@@ -57,8 +57,7 @@ std::string take_json_flag(int* argc, char** argv);
 /// Remove "--repeat <N>" / "--repeat=<N>" from argv and return N — the
 /// best-of sample count for the self-timed JSON entries (each wall_ms is
 /// the minimum over N passes, which rejects scheduler noise on shared
-/// boxes). Falls back to the NETFAIL_BENCH_REPEAT environment variable,
-/// then to `fallback`; values below 1 clamp to 1.
+/// boxes). Falls back to `fallback`; values below 1 clamp to 1.
 int take_repeat_flag(int* argc, char** argv, int fallback = 3);
 
 /// Write the entries as a JSON document at `path` (no-op for empty path).

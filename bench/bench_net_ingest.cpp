@@ -21,7 +21,7 @@
 //                    measured against the 1-shard mixed pass).
 //   net_mixed_ingest_4shard
 //                    the same at 4 shards — only where the box has >= 4
-//                    hardware threads (or NETFAIL_BENCH_FORCE_4SHARD=1);
+//                    hardware threads;
 //                    scripts/record_shard_scaling.sh captures the scaling
 //                    curve on a multi-core machine.
 //
@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,8 +230,7 @@ int main(int argc, char** argv) {
   // item 1 wants the multi-core scaling curve; scripts/record_shard_scaling.sh
   // runs this on such a box). On smaller machines it is skipped so the
   // committed baseline never gains an entry a 1-core CI runner can't defend.
-  if (std::thread::hardware_concurrency() >= 4 ||
-      std::getenv("NETFAIL_BENCH_FORCE_4SHARD") != nullptr) {
+  if (std::thread::hardware_concurrency() >= 4) {
     specs.push_back({"net_mixed_ingest_4shard", true, true,
                      c.lines().size() + c.records().size(), 4});
   } else {

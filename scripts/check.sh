@@ -99,11 +99,12 @@ run_tsan() {
   # across threads);
   # batch IS-IS extraction (source lanes diffing while the caller folds the
   # last chunk); the analysis fan-out (syslog extraction on a task beside
-  # the IS-IS lanes, Tables 2-6 rendered on tasks); and the stream
+  # the IS-IS lanes, Tables 2-6 rendered on tasks); the stream
   # lookahead (a producer thread running that extraction a chunk ahead of
-  # the engine thread).
+  # the engine thread); and the paper's tables (run_analysis's lanes and
+  # tasks under TSan scheduling must still render the golden file's bytes).
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|LspCapture|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'PaperGolden|CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|LspCapture|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
 run_e2e() {

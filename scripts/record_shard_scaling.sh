@@ -36,8 +36,7 @@ CORES="$(nproc)"
 if [[ "$CORES" -lt 4 ]]; then
   echo "record_shard_scaling: this box has $CORES hardware thread(s);" >&2
   echo "the scaling curve needs >= 4. Run this script on a multi-core" >&2
-  echo "machine (or force the pass with NETFAIL_BENCH_FORCE_4SHARD=1" >&2
-  echo "to see merge correctness without meaningful speedup)." >&2
+  echo "machine; bench_net_ingest runs its 4-shard pass only there." >&2
   exit 1
 fi
 

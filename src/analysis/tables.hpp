@@ -2,8 +2,8 @@
 // Tables 2-6 need only the source-agnostic AnalysisResult.
 //
 // Each table has a compute_*() producing plain numbers (tests assert on
-// these) and a render_*() producing the printable table (benchmarks print
-// these next to the paper's published values).
+// these) and a render_*() producing the printable table next to the paper's
+// published values; render_paper() joins them all (bench_paper prints it).
 #pragma once
 
 #include <string>
@@ -91,6 +91,14 @@ std::string render_comparison(const AnalysisResult& r,
 
 // ---- Figure 1: CPE cumulative distributions ------------------------------------------------
 std::string render_figure1(const Table5Data& d);
+
+// ---- The paper artifact ------------------------------------------------------------------
+/// Everything the paper reports for one run, each section followed by a
+/// blank line: Tables 1-7 with their notes (false-positive anatomy,
+/// ambiguous link-time, isolation disagreements), Figure 1, the sect. 3.4
+/// matching-window sweep, the sect. 4.3 repair strategies and the sect. 4.2
+/// KS tests. tests/golden/cenic_paper.txt holds the CENIC scenario's.
+std::string render_paper(const PipelineResult& r);
 
 // ---- Detection scores (not in the paper; scores netfail::detect against ---------------------
 // ---- the simulator's injected ground truth) -------------------------------------------------

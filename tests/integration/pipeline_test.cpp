@@ -180,8 +180,8 @@ TEST_F(PipelineTest, RepairPoliciesOrderedByDowntime) {
   // yields the least downtime, treating every ambiguous period as down the
   // most, with assume-up <= hold-state in between (hold-state additionally
   // counts double-DOWN spans). The paper's "hold-state is closest to IS-IS"
-  // claim is scale-dependent and verified by bench_repair_strategies on the
-  // full CENIC scenario.
+  // claim is scale-dependent and pinned, on the full CENIC scenario, by the
+  // repair-strategy table in tests/golden/cenic_paper.txt.
   auto downtime_for = [&](AmbiguityPolicy policy) {
     ReconstructOptions opts;
     opts.period = result().options_period;
