@@ -78,6 +78,12 @@ run_asan() {
   echo "== ASan+UBSan build + full ctest =="
   configure_and_build build-asan -DNETFAIL_SANITIZE=ON -DNETFAIL_TSAN=OFF
   ctest --test-dir build-asan -j "$JOBS" --output-on-failure
+  # Every bench links bench/bench_common.cpp's counting operator new and
+  # delete; run one bench under the sanitizers too, and hold its text to
+  # the golden file.
+  echo "== ASan+UBSan: bench_paper vs tests/golden/cenic_paper.txt =="
+  ./build-asan/bench/bench_paper --benchmark_filter=NONE 2>/dev/null |
+    diff - tests/golden/cenic_paper.txt
 }
 
 run_tsan() {
@@ -101,10 +107,12 @@ run_tsan() {
   # last chunk); the analysis fan-out (syslog extraction on a task beside
   # the IS-IS lanes, Tables 2-6 rendered on tasks); the stream
   # lookahead (a producer thread running that extraction a chunk ahead of
-  # the engine thread); and the paper's tables (run_analysis's lanes and
-  # tasks under TSan scheduling must still render the golden file's bytes).
+  # the engine thread); the paper's tables (run_analysis's lanes and
+  # tasks under TSan scheduling must still render the golden file's bytes);
+  # and the page release every one of those readers calls behind its
+  # cursor (the syslog lanes release concurrently, under one lock).
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'PaperGolden|CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|LspCapture|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'PageRelease|PaperGolden|CaptureBundle|BundleSymbolOrder|ConfigQueue|SyslogFile|LspCapture|AnalysisFanOut|ExtractLanes|StreamLookahead|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
 }
 
 run_e2e() {

@@ -59,9 +59,10 @@ FlapAnalysis detect_flaps(std::vector<Failure>& failures) {
     };
 
     for (std::size_t k = 1; k < idx.size(); ++k) {
-      const Duration gap =
-          failures[idx[k]].span.begin - failures[idx[k - 1]].span.end;
-      if (gap > kFlapMaxGap) close_run(k);
+      if (!extends_flap_run(failures[idx[k - 1]].span.end,
+                            failures[idx[k]].span.begin)) {
+        close_run(k);
+      }
     }
     close_run(idx.size());
   }

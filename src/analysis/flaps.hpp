@@ -17,6 +17,13 @@ namespace netfail::analysis {
 inline constexpr Duration kFlapMaxGap = Duration::minutes(10);
 inline constexpr std::size_t kFlapMinFailures = 2;
 
+/// Whether a failure starting at `next_begin` extends the run whose last
+/// failure ended at `previous_end`. The one statement of the gap rule:
+/// a gap of exactly kFlapMaxGap extends the run.
+constexpr bool extends_flap_run(TimePoint previous_end, TimePoint next_begin) {
+  return next_begin - previous_end <= kFlapMaxGap;
+}
+
 struct FlapEpisode {
   LinkId link;
   TimeRange span;  // first failure start .. last failure end

@@ -8,6 +8,13 @@
 // A record received live (a datagram, a TCP frame, a simulated delivery)
 // is copied into a block of its own, one allocation as before. Copying a
 // slice copies a reference, never the bytes; nothing can write through one.
+//
+// A slice of a mapped file need not stay resident. Each reader of an event
+// file walks it front to back once, and may drop the whole pages behind its
+// cursor (release_pages, ReleaseBehind below). The mapping is read-only and
+// private, so a dropped page is faulted back from the page cache, byte for
+// byte, when a later reader touches it: a slice's bytes never change, only
+// the resident set and the count of minor faults do.
 #pragma once
 
 #include <cstddef>
@@ -65,6 +72,50 @@ class ByteSlice {
  private:
   std::shared_ptr<const char> data_;
   std::size_t size_ = 0;
+};
+
+/// Registers `size` bytes from `begin`, a read-only MAP_PRIVATE file
+/// mapping, as one whose pages release_pages may drop. The mapping's owner
+/// calls unregister_mapping(begin) before it unmaps them.
+void register_mapping(const char* begin, std::size_t size);
+void unregister_mapping(const char* begin);
+
+/// Drops from the resident set the whole pages of `consumed`, bytes a
+/// reader is done with, and returns how many bytes that was. It acts only
+/// when `consumed` starts inside a registered mapping, and stops at that
+/// mapping's end; on anything else (a copy_of block, a stream's buffer) it
+/// does nothing and returns 0. That guard is what makes it safe: dropping
+/// a page of a clean file mapping loses nothing, while dropping a page of
+/// heap memory zeroes it.
+std::size_t release_pages(std::string_view consumed);
+
+/// A sequential reader's release cursor: it is told of each run of bytes
+/// the reader is done with, in address order as a reader of one mapping
+/// sees them, and hands the pages behind them to release_pages once they
+/// add up to kStride. The first run it is told of starts it, unless it was
+/// started at a given byte. Runs that are slices of separate copy_of
+/// blocks release nothing, as release_pages leaves those alone.
+class ReleaseBehind {
+ public:
+  /// One call per stride keeps the calls, and the lock they take, rare.
+  static constexpr std::size_t kStride = std::size_t{1} << 20;
+
+  ReleaseBehind() = default;
+  explicit ReleaseBehind(const char* start)
+      : from_(reinterpret_cast<std::uintptr_t>(start)) {}
+
+  /// The reader is done with `bytes` and everything before them.
+  void consumed(std::string_view bytes) {
+    const auto end =
+        reinterpret_cast<std::uintptr_t>(bytes.data()) + bytes.size();
+    if (from_ == 0) from_ = reinterpret_cast<std::uintptr_t>(bytes.data());
+    if (end >= from_ + kStride) release_to(end);
+  }
+
+ private:
+  void release_to(std::uintptr_t end);
+
+  std::uintptr_t from_ = 0;  // the first byte not yet released; 0 unstarted
 };
 
 }  // namespace netfail

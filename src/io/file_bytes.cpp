@@ -32,12 +32,17 @@ ByteSlice whole(const std::shared_ptr<char[]>& block, std::size_t size) {
 
 /// The `size` bytes of the open regular file `fd`, mapped read-only, under
 /// an owner that unmaps them; empty when the kernel refuses the mapping.
+/// The mapping is registered while it lives, so its readers may drop the
+/// pages they are done with (release_pages).
 ByteSlice map_file(int fd, std::size_t size) {
   void* const at = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   if (at == MAP_FAILED) return {};
   const std::shared_ptr<const char> owner(
-      static_cast<const char*>(at),
-      [size](const char* p) { ::munmap(const_cast<char*>(p), size); });
+      static_cast<const char*>(at), [size](const char* p) {
+        unregister_mapping(p);
+        ::munmap(const_cast<char*>(p), size);
+      });
+  register_mapping(owner.get(), size);
   return ByteSlice(owner, 0, size);
 }
 

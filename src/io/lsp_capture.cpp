@@ -37,7 +37,8 @@ std::uint64_t get_u64(const char* p) {
 }
 
 /// Both overloads: the frames of a capture read whole into `file`. Each
-/// record's bytes are a slice of it.
+/// record's bytes are a slice of it; the pages behind the cursor are
+/// dropped as it goes.
 Result<std::vector<isis::LspRecord>> parse_capture(const ByteSlice& file,
                                                    LspCaptureStats* stats) {
   LspCaptureStats local;
@@ -60,6 +61,7 @@ Result<std::vector<isis::LspRecord>> parse_capture(const ByteSlice& file,
   std::vector<isis::LspRecord> out;
   out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       declared, (in.size() - kHeaderBytes) / kMinFrameBytes)));
+  ReleaseBehind release(in.data());
   for (std::size_t at = kHeaderBytes;;) {
     // No bytes left: a clean end of file. Fewer than an arrival time: the
     // last frame was cut inside its header.
@@ -97,6 +99,7 @@ Result<std::vector<isis::LspRecord>> parse_capture(const ByteSlice& file,
       break;
     }
     out.push_back(isis::LspRecord{arrival, file.substr(at, len)});
+    release.consumed(in.substr(at, len));
     at += len;
     ++st.frames;
   }

@@ -45,7 +45,7 @@ ByteSlice own_handle(const ByteSlice& bytes) {
 }
 
 /// The lines of `whole`'s bytes [begin, end), each a slice of them through
-/// this lane's own handle.
+/// this lane's own handle. The second pass drops the pages behind it.
 LaneLines parse_range(const ByteSlice& whole, std::size_t begin,
                       std::size_t end) {
   const ByteSlice file = own_handle(whole);
@@ -58,6 +58,7 @@ LaneLines parse_range(const ByteSlice& whole, std::size_t begin,
   std::size_t kept = 0;
   for_each_line(range, [&](std::string_view line) { kept += !line.empty(); });
   out.lines.reserve(kept);
+  ReleaseBehind release(range.data());
   for_each_line(range, [&](std::string_view line) {
     if (line.empty()) {
       ++out.blank;
@@ -67,6 +68,7 @@ LaneLines parse_range(const ByteSlice& whole, std::size_t begin,
           file.substr(static_cast<std::size_t>(line.data() - all.data()),
                       line.size()));
     }
+    release.consumed(line);
   });
   return out;
 }

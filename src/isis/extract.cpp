@@ -5,6 +5,7 @@
 #include <future>
 #include <optional>
 
+#include "src/common/byte_slice.hpp"
 #include "src/common/metrics.hpp"
 #include "src/isis/pdu.hpp"
 
@@ -432,6 +433,8 @@ void fold_chunk(PairFold& fold, const std::array<Lane, kExtractLanes>& lanes,
 struct LaneExtractor::State {
   State(const std::vector<LspRecord>& records_in, const LinkCensus& census)
       : records(records_in),
+        release(records_in.empty() ? nullptr
+                                   : records_in.front().bytes.view().data()),
         fold(&census),
         chunks((records_in.size() + kExtractChunk - 1) / kExtractChunk) {
     for (Lane& lane : lanes) lane.differ = LspDiffer(&census);
@@ -487,6 +490,9 @@ struct LaneExtractor::State {
   }
 
   const std::vector<LspRecord>& records;
+  /// Drops the pages of the records folded so far, on the thread that
+  /// calls next_chunk.
+  ReleaseBehind release;
   std::array<Lane, kExtractLanes> lanes;
   PairFold fold;
   const std::size_t chunks;
@@ -519,6 +525,7 @@ bool LaneExtractor::next_chunk(ExtractedChunk& out) {
   out.begin = st.chunk_begin(k);
   out.end = st.chunk_end(k);
   fold_chunk(st.fold, st.lanes, k % 2, st.records, out);
+  st.release.consumed(st.records[out.end - 1].bytes.view());
   return true;
 }
 

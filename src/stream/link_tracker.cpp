@@ -115,7 +115,7 @@ void LinkTracker::release(LinkId link, PerLink& pl, std::size_t keep) {
     // Sliding-window flap detection: extend the current run while gaps stay
     // within kFlapMaxGap (released failures arrive begin-ordered per link).
     if (pl.run_count > 0 &&
-        f.span.begin - pl.run_last_end <= analysis::kFlapMaxGap) {
+        analysis::extends_flap_run(pl.run_last_end, f.span.begin)) {
       ++pl.run_count;
       pl.run_last_end = f.span.end;
     } else {

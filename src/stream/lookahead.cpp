@@ -57,6 +57,7 @@ void IsisLookahead::advance() {
 void IsisLookahead::feed(StreamEngine& engine, const StreamEvent& ev) {
   if (ev.kind() == EventKind::kSyslogLine) {
     engine.feed_syslog(ev.line());
+    syslog_release_.consumed(ev.line().line());
     return;
   }
   const isis::LspRecord& rec = ev.lsp();

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/byte_slice.hpp"
 #include "src/common/sync.hpp"
 #include "src/common/thread_annotations.hpp"
 #include "src/config/census.hpp"
@@ -75,6 +76,7 @@ class IsisLookahead {
   const isis::ExtractedChunk* current_ = nullptr;
   std::size_t taken_ = 0;       // chunks the consumer has started on
   std::size_t next_record_ = 0;  // index of the next LSP event's record
+  ReleaseBehind syslog_release_;  // drops the pages of the lines fed
 
   std::thread producer_;  // last: starts once every member above exists
 };

@@ -33,9 +33,51 @@ struct PerLink {
   std::int64_t failure_count[2] = {0, 0};
 };
 
+/// The render's one buffer: lines are appended to `text`, and each line
+/// end hands it to the sink once it holds a piece. After the sink refuses
+/// a piece, later pieces are dropped unsent.
+class PieceWriter {
+ public:
+  explicit PieceWriter(const ExportSink& sink) : sink_(sink) {
+    text.reserve(kExportPieceBytes + kExportPieceBytes / 4);
+  }
+
+  std::string text;
+
+  void end_line() {
+    if (text.size() >= kExportPieceBytes) flush();
+  }
+  void flush() {
+    if (ok_ && !text.empty()) {
+      ok_ = sink_(text);
+      if (ok_) written_ += text.size();
+    }
+    text.clear();
+  }
+  bool ok() const { return ok_; }
+  std::size_t written() const { return written_; }
+
+ private:
+  const ExportSink& sink_;
+  bool ok_ = true;
+  std::size_t written_ = 0;
+};
+
 }  // namespace
 
 std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
+  std::string out;
+  // A string takes every piece, so this render cannot fail.
+  static_cast<void>(render_export(in, opts, [&out](std::string_view piece) {
+    out.append(piece);
+    return true;
+  }));
+  return out;
+}
+
+Result<std::size_t> render_export(const ExportInputs& in,
+                                  const ExportOptions& opts,
+                                  const ExportSink& sink) {
   const LinkCensus& census = *in.census;
   std::vector<PerLink> rows(census.size());
   const auto row_of = [&rows](LinkId link) -> PerLink* {
@@ -95,13 +137,15 @@ std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
   std::optional<Anonymizer> anon;
   if (opts.anonymize) anon.emplace(census, opts.seed);
 
-  std::string out;
+  PieceWriter writer(sink);
+  std::string& out = writer.text;
   out.append("netfail-export v1\n");
   out.append("links ");
   put_i64(out, static_cast<std::int64_t>(census.size()));
   out.push_back('\n');
 
   for (const CensusLink& link : census.links()) {
+    if (!writer.ok()) break;
     const PerLink& row = rows[link.id.index()];
     out.append("link ");
     out.append(anon ? anon->link_name(link.id) : link.name);
@@ -114,6 +158,7 @@ std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
       out.append(" downtime_ms=");
       put_i64(out, row.downtime_ms[s]);
       out.push_back('\n');
+      writer.end_line();
     }
     for (const auto* f : row.failures) {
       out.append("F ");
@@ -125,6 +170,7 @@ std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
       out.push_back(' ');
       out.push_back(f->in_flap_episode ? '1' : '0');
       out.push_back('\n');
+      writer.end_line();
     }
     for (const auto& [e, source] : row.episodes) {
       out.append("E ");
@@ -136,6 +182,7 @@ std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
       out.push_back(' ');
       put_i64(out, static_cast<std::int64_t>(e->failure_count));
       out.push_back('\n');
+      writer.end_line();
     }
     for (const auto* t : row.transitions) {
       out.append("T ");
@@ -147,6 +194,7 @@ std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
       out.append(anon ? std::string_view(kRedactedText)
                       : std::string_view(t->reason));
       out.push_back('\n');
+      writer.end_line();
     }
     for (const auto* a : row.alerts) {
       out.append("A ");
@@ -156,10 +204,16 @@ std::string render_export(const ExportInputs& in, const ExportOptions& opts) {
       out.push_back(' ');
       put_f64(out, a->score);
       out.push_back('\n');
+      writer.end_line();
     }
     out.append("end\n");
+    writer.end_line();
   }
-  return out;
+  writer.flush();
+  if (!writer.ok()) {
+    return make_error(ErrorCode::kInternal, "the export's sink refused a piece");
+  }
+  return writer.written();
 }
 
 }  // namespace netfail::svc

@@ -26,12 +26,16 @@
 //   end
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/failure.hpp"
 #include "src/analysis/flaps.hpp"
+#include "src/common/result.hpp"
 #include "src/config/census.hpp"
 #include "src/detect/alert.hpp"
 #include "src/svc/anonymize.hpp"
@@ -56,6 +60,23 @@ struct ExportInputs {
   std::vector<detect::LinkAlert> alerts;
 };
 
+/// Takes the export's bytes in order, one piece at a time; returns false
+/// when it could not take all of a piece.
+using ExportSink = std::function<bool(std::string_view)>;
+
+/// The export is handed to its sink in pieces of about this many bytes
+/// (a piece ends on a line end, so it may run one line over).
+inline constexpr std::size_t kExportPieceBytes = std::size_t{1} << 16;
+
+/// Renders the export into `sink` through one buffer of about
+/// kExportPieceBytes, so the whole text is never held at once. Returns the
+/// bytes the sink took, or an error once it refuses a piece (the render
+/// stops there).
+Result<std::size_t> render_export(const ExportInputs& in,
+                                  const ExportOptions& opts,
+                                  const ExportSink& sink);
+
+/// The same render into one string.
 std::string render_export(const ExportInputs& in, const ExportOptions& opts);
 
 }  // namespace netfail::svc

@@ -1,5 +1,6 @@
 #include "src/syslog/extract.hpp"
 
+#include "src/common/byte_slice.hpp"
 #include "src/common/metrics.hpp"
 
 namespace netfail::syslog {
@@ -63,11 +64,13 @@ SyslogExtraction extract_transitions(const Collector& collector,
   SyslogExtraction out;
   out.transitions.reserve(collector.size());
   YearResolver years;
+  ReleaseBehind release;
   for (const ReceivedLine& rec : collector.lines()) {
     if (std::optional<SyslogTransition> tr =
             extract_line(rec, census, years, out.stats)) {
       out.transitions.push_back(std::move(*tr));
     }
+    release.consumed(rec.line());
   }
   return out;
 }

@@ -285,6 +285,13 @@ analysis::CaptureView capture_of(const io::Bundle& b) {
           b.lsp_records, b.tickets, b.listener_gaps};
 }
 
+/// Frees the bundle's syslog lines and LSP records (and with them the
+/// event files' mappings) once their transitions are extracted.
+void drop_events(io::Bundle& b) {
+  b.collector = syslog::Collector{};
+  b.lsp_records = std::vector<isis::LspRecord>{};
+}
+
 // ---- analyze -----------------------------------------------------------------
 
 int cmd_analyze(int argc, char** argv) {
@@ -303,8 +310,10 @@ int cmd_analyze(int argc, char** argv) {
 
   io::Bundle bundle;
   if (!load_bundle(*dir_arg, bundle)) return 1;
-  const std::string report = analysis::render_comparison(
-      analysis::run_analysis(capture_of(bundle), options), bundle.census);
+  const analysis::AnalysisResult result =
+      analysis::run_analysis(capture_of(bundle), options);
+  drop_events(bundle);
+  const std::string report = analysis::render_comparison(result, bundle.census);
   std::fwrite(report.data(), 1, report.size(), stdout);
   return 0;
 }
@@ -789,6 +798,7 @@ int cmd_export(int argc, char** argv) {
   // sources' failures ride in one list (the renderer splits them).
   analysis::Reconstructed r =
       analysis::extract_and_reconstruct(capture_of(bundle), recon);
+  drop_events(bundle);
   svc::ExportInputs inputs;
   inputs.census = &bundle.census;
   inputs.isis_episodes =
@@ -800,23 +810,26 @@ int cmd_export(int argc, char** argv) {
                          r.isis_recon.failures.end());
   inputs.transitions = std::move(r.syslog.transitions);
 
-  const std::string report = svc::render_export(inputs, options);
-  if (out_path.empty()) {
-    std::fwrite(report.data(), 1, report.size(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "netfail: cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    const std::size_t written = std::fwrite(report.data(), 1, report.size(), f);
-    if (std::fclose(f) != 0 || written != report.size()) {
-      std::fprintf(stderr, "netfail: short write to %s\n", out_path.c_str());
-      return 1;
-    }
+  // The export is written as it is rendered, a piece at a time.
+  std::FILE* f = out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "netfail: cannot open %s\n", out_path.c_str());
+    return 1;
+  }
+  const Result<std::size_t> written =
+      svc::render_export(inputs, options, [f](std::string_view piece) {
+        return std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+      });
+  const bool closed = f == stdout ? std::fflush(f) == 0 : std::fclose(f) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "netfail: short write to %s\n",
+                 out_path.empty() ? "stdout" : out_path.c_str());
+    return 1;
+  }
+  if (!out_path.empty()) {
     std::fprintf(stderr, "wrote %s export (%zu links, %zu bytes) to %s\n",
                  options.anonymize ? "anonymized" : "plain",
-                 bundle.census.size(), report.size(), out_path.c_str());
+                 bundle.census.size(), *written, out_path.c_str());
   }
   return 0;
 }

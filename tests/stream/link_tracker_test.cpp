@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "src/analysis/flaps.hpp"
+#include "src/analysis/reconstruct.hpp"
 
 namespace netfail::stream {
 namespace {
@@ -104,6 +108,48 @@ TEST(LinkTracker, FlapEpisodeDetectedOnline) {
   EXPECT_EQ(episodes[0].span.begin, at(100));
   EXPECT_EQ(episodes[0].span.end, at(520));
   EXPECT_EQ(tracker.counters().flap_episodes, 1u);
+}
+
+TEST(LinkTracker, FlapGapBoundaryMatchesBatch) {
+  // Link 0's second failure starts exactly kFlapMaxGap after its first
+  // ends: one episode. Link 1's starts 1 ms later: none. The batch path
+  // (reconstruct, then detect_flaps) and the tracker must both say so.
+  const Duration outage = Duration::seconds(30);
+  const TimePoint t0 = at(1000);
+  std::vector<RawTransition> transitions;
+  auto fail = [&](std::uint32_t link, TimePoint begin) {
+    transitions.push_back({LinkId(link), begin, LinkDirection::kDown});
+    transitions.push_back({LinkId(link), begin + outage, LinkDirection::kUp});
+  };
+  fail(0, t0);
+  fail(0, t0 + outage + analysis::kFlapMaxGap);
+  fail(1, t0);
+  fail(1, t0 + outage + analysis::kFlapMaxGap + Duration::millis(1));
+  std::stable_sort(transitions.begin(), transitions.end(),
+                   [](const RawTransition& a, const RawTransition& b) {
+                     return a.time < b.time;
+                   });
+
+  LinkTracker tracker(small_options());
+  std::vector<analysis::FlapEpisode> online;
+  tracker.on_flap_episode = [&](const analysis::FlapEpisode& e) {
+    online.push_back(e);
+  };
+  for (const RawTransition& tr : transitions) tracker.ingest(tr);
+  tracker.finish();
+
+  std::vector<Failure> failures =
+      analysis::reconstruct(transitions, small_options().reconstruct).failures;
+  ASSERT_EQ(failures.size(), 4u);
+  const analysis::FlapAnalysis batch = analysis::detect_flaps(failures);
+
+  ASSERT_EQ(batch.episodes.size(), 1u);
+  EXPECT_EQ(batch.episodes[0].link, LinkId(0));
+  EXPECT_EQ(batch.episodes[0].failure_count, 2u);
+  ASSERT_EQ(online.size(), batch.episodes.size());
+  EXPECT_EQ(online[0].link, batch.episodes[0].link);
+  EXPECT_EQ(online[0].span, batch.episodes[0].span);
+  EXPECT_EQ(online[0].failure_count, batch.episodes[0].failure_count);
 }
 
 TEST(LinkTracker, DropPolicyRetractsBeforeRelease) {

@@ -196,5 +196,45 @@ TEST(Anonymize, MapperIsInjectiveOverTheCensusUniverse) {
   EXPECT_EQ(anon.map_symbol(foreign), foreign);
 }
 
+TEST(ExportSink, PiecesAreBoundedAndJoinToTheString) {
+  // `netfail export` writes each piece as it is rendered: the pieces,
+  // joined, must be the string render byte for byte, plain and anonymized.
+  for (const bool anonymize : {false, true}) {
+    ExportOptions opts;
+    opts.anonymize = anonymize;
+    const std::string whole = render_export(inputs(), opts);
+    ASSERT_GT(whole.size(), 2 * kExportPieceBytes);
+    std::vector<std::string> pieces;
+    const Result<std::size_t> written =
+        render_export(inputs(), opts, [&](std::string_view piece) {
+          pieces.emplace_back(piece);
+          return true;
+        });
+    ASSERT_TRUE(written);
+    EXPECT_EQ(*written, whole.size());
+    std::string joined;
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      // Every piece but the last is a full one, ending on a line end.
+      if (i + 1 < pieces.size()) {
+        EXPECT_GE(pieces[i].size(), kExportPieceBytes);
+      }
+      EXPECT_LT(pieces[i].size(), kExportPieceBytes + 4096);
+      EXPECT_EQ(pieces[i].back(), '\n');
+      joined += pieces[i];
+    }
+    EXPECT_TRUE(joined == whole) << "anonymize " << anonymize;
+  }
+}
+
+TEST(ExportSink, RefusedPieceStopsTheRender) {
+  int calls = 0;
+  const Result<std::size_t> written =
+      render_export(inputs(), {}, [&calls](std::string_view) {
+        return ++calls < 2;
+      });
+  EXPECT_FALSE(written);
+  EXPECT_EQ(calls, 2);
+}
+
 }  // namespace
 }  // namespace netfail::svc
